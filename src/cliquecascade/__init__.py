@@ -52,6 +52,7 @@ from .dist_core import (
 from .errors import (
     AssumptionViolated,
     CascadeError,
+    CensusOverflow,
     ConfigInvalid,
     EmptySupport,
     EnumerationTooLarge,
@@ -85,6 +86,7 @@ __all__ = [
     "AssumptionViolated",
     "BranchingCriterion",
     "CascadeError",
+    "CensusOverflow",
     "CliqueOutcome",
     "ClusteringResult",
     "ConfigInvalid",

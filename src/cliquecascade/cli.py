@@ -10,9 +10,9 @@ Model configs are JSON objects with "memberships" and "community_sizes" as
 [value, probability] pair lists and "threshold" as a string, either decimal
 ("0.3") or fraction ("3/10"), parsed to an exact rational either way.
 
-Exit codes: 0 success, 1 bad config or infeasible enumeration, 2 model
-violates the contagion assumptions, 3 iteration failed to converge, 4
-verification checks failed.
+Exit codes: 0 success, 1 bad config, infeasible enumeration or a simulation
+count beyond int64, 2 model violates the contagion assumptions, 3 iteration
+failed to converge, 4 verification checks failed.
 
 Floats in reports carry 17 significant digits so they round-trip exactly.
 The only environment coupling is CLIQUECASCADE_LOG, which sets the log level.
@@ -42,17 +42,13 @@ from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf
 from .errors import (
     AssumptionViolated,
     CascadeError,
+    CensusOverflow,
     ConfigInvalid,
     EnumerationTooLarge,
     NoConvergence,
 )
 from .mc_sim import SimConfig, estimate
 from .verification import oracle_equivalence_checks
-
-log = logging.getLogger("cliquecascade")
-
-VERTEX_WARN_LIMIT = 1e7
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -72,7 +68,6 @@ def _build_parser() -> _Parser:
     simulate.add_argument("--depth", required=True, type=int)
     simulate.add_argument("--replicates", required=True, type=int)
     simulate.add_argument("--seed", required=True, type=int)
-    simulate.add_argument("--workers", type=int, default=1)
     simulate.add_argument("--out")
 
     sweep = sub.add_parser("sweep", help="rho and verdict across thresholds")
@@ -180,9 +175,8 @@ def cmd_analyze(params: ModelParams) -> dict:
     }
 
 
-def cmd_simulate(params: ModelParams, config: SimConfig, workers: int) -> dict:
-    _warn_if_huge(params, config.depth)
-    report = estimate(params, config, workers=workers)
+def cmd_simulate(params: ModelParams, config: SimConfig) -> dict:
+    report = estimate(params, config)
     return {
         "model": _model_echo(params),
         "config": {
@@ -230,24 +224,6 @@ def cmd_verify(params: ModelParams) -> dict:
         ],
         "all_passed": all(c.passed for c in checks),
     }
-
-
-def _warn_if_huge(params: ModelParams, depth: int) -> None:
-    level = params.mean_memberships * params.extra_members.mean()
-    growth = params.extra_communities.mean() * params.extra_members.mean()
-    expected = 1.0 + level
-    tier = level
-    for _ in range(depth - 1):
-        tier *= growth
-        expected += tier
-        if expected > VERTEX_WARN_LIMIT:
-            break
-    if expected > VERTEX_WARN_LIMIT:
-        log.warning(
-            "expected vertex count per replicate exceeds %.0e; "
-            "this run may be very slow",
-            VERTEX_WARN_LIMIT,
-        )
 
 
 def _float_token(x: float) -> str:
@@ -324,9 +300,7 @@ def _dispatch(args) -> int:
         return 0
     if args.command == "simulate":
         config = SimConfig(depth=args.depth, replicates=args.replicates, seed=args.seed)
-        if args.workers < 1:
-            raise ConfigInvalid("workers must be at least 1")
-        _write_output(emit_json(cmd_simulate(params, config, args.workers)), args.out)
+        _write_output(emit_json(cmd_simulate(params, config)), args.out)
         return 0
     if args.command == "sweep":
         tokens = [t.strip() for t in args.grid.split(",") if t.strip()]
@@ -365,6 +339,9 @@ def main(argv=None) -> int:
         return 3
     except EnumerationTooLarge as exc:
         print(f"error: enumeration too large: {exc}", file=sys.stderr)
+        return 1
+    except CensusOverflow as exc:
+        print(f"error: simulation overflow: {exc}", file=sys.stderr)
         return 1
     except CascadeError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,6 +37,10 @@ class AssumptionViolated(CascadeError):
     """Model violates the structural assumptions of the contagion analysis."""
 
 
+class CensusOverflow(CascadeError):
+    """A census count of the simulation engine would exceed the int64 range."""
+
+
 class ConfigInvalid(CascadeError):
     """A run configuration is malformed or out of range."""
 

@@ -16,15 +16,15 @@ exact clique-outcome tables, which costs per level a constant set of small
 draws rather than work proportional to the population, so deep supercritical
 runs stay cheap.  Tests cross-check the two routes against each other.
 
-Replicate r of an estimate uses the stream seeded by SeedSequence(seed,
-spawn_key=(r,)), so results are bit-identical regardless of how replicates
-are batched across workers.
+estimate runs replicates in blocks of a fixed size, every row of a block
+advancing one level per step with one array draw per table.  Block b uses the
+stream seeded by SeedSequence(seed, spawn_key=(b,)); the block size is a
+constant, so a report depends only on (params, depth, replicates, seed).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
@@ -33,9 +33,12 @@ import numpy as np
 
 from .clique_dynamics import clique_cascade_size, clique_outcome_law, order_stat_pmf
 from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf
-from .errors import ConfigInvalid
+from .errors import CensusOverflow, ConfigInvalid
 
-_CHUNK = 64  # replicates per worker task; does not affect results
+# Replicates per random stream.  Part of the report contract: changing it
+# changes every report, so it is a constant and not a tuning knob.
+_BLOCK = 256
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -303,120 +306,126 @@ def _census_tables(params: ModelParams) -> _CensusTables:
     )
 
 
-def _spread_count(rng: np.random.Generator, count: int, probs: np.ndarray) -> np.ndarray:
+def _spread(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Row r splits counts[r] over the categories of probs."""
     if probs.shape[0] == 1:
-        return np.array([count], dtype=np.int64)
-    return rng.multinomial(count, probs)
+        return counts[:, None]
+    return rng.multinomial(counts, probs)
 
 
-def _resolve_cliques(tables: _CensusTables, cliques_by_size, rng):
+def _resolve_cliques(tables: _CensusTables, cliques_by_size: np.ndarray, rng):
     """Active and total children-by-type of cliques whose parent is active."""
-    active = np.zeros(tables.n_types, dtype=np.int64)
-    total = np.zeros(tables.n_types, dtype=np.int64)
+    rows = cliques_by_size.shape[0]
+    active = np.zeros((rows, tables.n_types), dtype=np.int64)
+    total = np.zeros((rows, tables.n_types), dtype=np.int64)
     for wi in range(tables.sizes.shape[0]):
-        count = int(cliques_by_size[wi])
-        if count == 0:
+        counts = cliques_by_size[:, wi]
+        if not counts.any():
             continue
-        drawn = _spread_count(rng, count, tables.clique_probs[wi])
+        drawn = _spread(rng, counts, tables.clique_probs[wi])
         active += drawn @ tables.active_members[wi]
         total += drawn @ tables.all_members[wi]
     return active, total
 
 
-def _census_replicate(tables: _CensusTables, depth: int, rng: np.random.Generator):
-    """One replicate as per-level type censuses; returns integer tallies."""
-    vertices = np.zeros(depth + 1, dtype=np.int64)
-    active_tally = np.zeros(depth + 1, dtype=np.int64)
-    vertices[0] = 1
-    active_tally[0] = 1
+def _check_next_level(census: np.ndarray, types: np.ndarray, level: int) -> None:
+    """Raise if some replicate's next level could exceed the int64 range.
 
-    u = rng.random()
-    idx = int(np.searchsorted(tables.root_cum, u, side="right"))
-    d = int(tables.root_values[min(idx, tables.root_values.shape[0] - 1)])
-    cliques_by_size = _spread_count(rng, d, tables.size_probs)
-    active, from_active = _resolve_cliques(tables, cliques_by_size, rng)
-    inactive = from_active - active
-    vertices[1] = int(from_active.sum())
-    active_tally[1] = int(active.sum())
-
-    for level in range(1, depth):
-        if vertices[level] == 0:
-            break
-        cliques_by_size = np.zeros(tables.sizes.shape[0], dtype=np.int64)
-        for x in range(1, tables.n_types):
-            count = int(active[x])
-            if count == 0:
-                continue
-            drawn = _spread_count(rng, count, tables.config_probs[x])
-            cliques_by_size += drawn @ tables.config_sizes[x]
-        next_active, from_active = _resolve_cliques(tables, cliques_by_size, rng)
-        idle_children = int(np.dot(tables.type_values, inactive))
-        if idle_children:
-            idle = rng.multinomial(idle_children, tables.type_probs)
-        else:
-            idle = np.zeros(tables.n_types, dtype=np.int64)
-        active = next_active
-        inactive = (from_active - next_active) + idle
-        vertices[level + 1] = int(from_active.sum()) + idle_children
-        active_tally[level + 1] = int(active.sum())
-    return vertices, active_tally
-
-
-def _run_chunk(params: ModelParams, config: SimConfig, start: int, stop: int):
-    tables = _census_tables(params)
-    depth = config.depth
-    vertices = np.zeros(depth + 1, dtype=np.int64)
-    active = np.zeros(depth + 1, dtype=np.int64)
-    survived = 0
-    alive = 0
-    for r in range(start, stop):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(r,))
+    types is (0, 1, 2, ...) and a type-x vertex has exactly x children, so
+    row r's next level holds census[r] @ types vertices.  Float rounding
+    moves that sum by far less than a factor of two, so below 2**62 it
+    surely fits and only near the limit is the exact integer sum needed.
+    """
+    if (census @ types.astype(np.float64)).max() < 2.0**62:
+        return
+    worst = int((census.astype(object) @ types.astype(object)).max())
+    if worst > _INT64_MAX:
+        raise CensusOverflow(
+            f"level {level + 1} would hold {worst} vertices in one replicate, "
+            "beyond the int64 range of the census engine"
         )
-        vc, ac = _census_replicate(tables, depth, rng)
-        vertices += vc
-        active += ac
-        survived += int(ac[depth] > 0)
-        alive += int(vc[depth] > 0)
-    return vertices, active, survived, alive
 
 
-def estimate(params: ModelParams, config: SimConfig, workers: int = 1) -> SimReport:
+def _total(counts: np.ndarray) -> int:
+    """Exact sum of at most _BLOCK non-negative int64 counts."""
+    if counts.max() < _INT64_MAX // _BLOCK:
+        return int(counts.sum())
+    return int(counts.sum(dtype=object))
+
+
+def _census_block(tables: _CensusTables, depth: int, rows: int, rng: np.random.Generator):
+    """Advance a block of replicates level by level; returns exact tallies.
+
+    Each row of the (rows, n_types) state is one replicate's census of the
+    current level by child-count type.  Returns per-depth vertex and active
+    totals over the block as Python ints, and the number of replicates with
+    an active vertex, and with any vertex, at the truncation depth.
+    """
+    vertices = [rows] + [0] * depth
+    active_tally = [rows] + [0] * depth
+    idx = np.searchsorted(tables.root_cum, rng.random(rows), side="right")
+    roots = tables.root_values[np.minimum(idx, tables.root_values.shape[0] - 1)]
+    active, from_active = _resolve_cliques(
+        tables, _spread(rng, roots, tables.size_probs), rng
+    )
+    inactive = from_active - active
+    for level in range(1, depth + 1):
+        level_active = active.sum(axis=1)
+        level_vertices = level_active + inactive.sum(axis=1)
+        vertices[level] = _total(level_vertices)
+        active_tally[level] = _total(level_active)
+        if level == depth or not vertices[level]:
+            break
+        _check_next_level(active + inactive, tables.type_values, level)
+        cliques_by_size = np.zeros((rows, tables.sizes.shape[0]), dtype=np.int64)
+        for x, probs in tables.config_probs.items():
+            counts = active[:, x]
+            if x and counts.any():
+                cliques_by_size += _spread(rng, counts, probs) @ tables.config_sizes[x]
+        next_active, from_active = _resolve_cliques(tables, cliques_by_size, rng)
+        idle = rng.multinomial(inactive @ tables.type_values, tables.type_probs)
+        active, inactive = next_active, (from_active - next_active) + idle
+    # an early break leaves all-zero rows, so both counts are then 0
+    return (
+        vertices,
+        active_tally,
+        int(np.count_nonzero(level_active)),
+        int(np.count_nonzero(level_vertices)),
+    )
+
+
+def estimate(params: ModelParams, config: SimConfig) -> SimReport:
     """Replicated simulation summary via the census engine.
 
-    Tallies are exact integers summed in replicate order; floats appear only
-    in the final division, so the report is bit-identical for any worker
-    count.
+    Replicates run in blocks of _BLOCK (256), all rows of a block advancing
+    one level per step; block b draws from SeedSequence(seed,
+    spawn_key=(b,)).  Tallies are exact integers, so counts never wrap, and
+    floats appear only in the final division: the report is a function of
+    (params, depth, replicates, seed) alone.  Raises CensusOverflow when a
+    replicate's level would outgrow int64.
     """
-    if workers < 1:
-        raise ConfigInvalid("workers must be at least 1")
-    _census_tables(params)
-    bounds = [
-        (lo, min(lo + _CHUNK, config.replicates))
-        for lo in range(0, config.replicates, _CHUNK)
-    ]
-    if workers == 1:
-        parts = [_run_chunk(params, config, lo, hi) for lo, hi in bounds]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(
-                pool.map(lambda b: _run_chunk(params, config, b[0], b[1]), bounds)
-            )
-    vertices = np.zeros(config.depth + 1, dtype=np.int64)
-    active = np.zeros(config.depth + 1, dtype=np.int64)
+    tables = _census_tables(params)
+    depth = config.depth
+    vertices = [0] * (depth + 1)
+    active = [0] * (depth + 1)
     survived = 0
     alive = 0
-    for vc, ac, s, a in parts:
-        vertices += vc
-        active += ac
+    for block, lo in enumerate(range(0, config.replicates, _BLOCK)):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(entropy=config.seed, spawn_key=(block,))
+        )
+        rows = min(_BLOCK, config.replicates - lo)
+        vc, ac, s, a = _census_block(tables, depth, rows, rng)
+        vertices = [t + v for t, v in zip(vertices, vc)]
+        active = [t + v for t, v in zip(active, ac)]
         survived += s
         alive += a
     n = config.replicates
     return SimReport(
         survival_frequency=survived / n,
         graph_alive_frequency=alive / n,
-        mean_active_by_depth=tuple(float(v) / n for v in active),
-        mean_vertices_by_depth=tuple(float(v) / n for v in vertices),
+        mean_active_by_depth=tuple(v / n for v in active),
+        mean_vertices_by_depth=tuple(v / n for v in vertices),
     )
 
 

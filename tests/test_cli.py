@@ -11,6 +11,11 @@ TRIANGLE = {
     "community_sizes": [[3, 1.0]],
     "threshold": "0.1",
 }
+MIXTURE = {
+    "memberships": [[2, 0.5], [4, 0.5]],
+    "community_sizes": [[2, 0.5], [3, 0.5]],
+    "threshold": "3/10",
+}
 
 
 def write_config(tmp_path, payload, name="model.json"):
@@ -171,19 +176,40 @@ class TestSimulate:
         )
         assert code == 1
 
-    def test_byte_identical_across_workers(self, tmp_path):
-        config = write_config(tmp_path, TRIANGLE)
+    def test_byte_identical_across_runs(self, tmp_path):
+        # a stochastic model, and replicates spanning three random-stream blocks
+        config = write_config(tmp_path, MIXTURE)
         outputs = []
-        for i, workers in enumerate(("1", "2", "8")):
+        for i in range(3):
             out = tmp_path / f"sim{i}.json"
             code = run(
                 ["simulate", "--config", config, "--depth", "3",
-                 "--replicates", "120", "--seed", "9",
-                 "--workers", workers, "--out", str(out)]
+                 "--replicates", "600", "--seed", "9", "--out", str(out)]
             )
             assert code == 0
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1] == outputs[2]
+
+    def test_triangle_depth_31_exact(self, tmp_path, capsys):
+        code = run(
+            ["simulate", "--config", write_config(tmp_path, TRIANGLE), "--depth", "31",
+             "--replicates", "3", "--seed", "5"]
+        )
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mean_active_by_depth"][31] == float(6 * 4**30)
+        assert report["mean_vertices_by_depth"][31] == float(6 * 4**30)
+        assert report["survival_frequency"] == 1.0
+
+    def test_census_overflow_exit_1(self, tmp_path, capsys):
+        code = run(
+            ["simulate", "--config", write_config(tmp_path, TRIANGLE), "--depth", "32",
+             "--replicates", "3", "--seed", "5"]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "overflow" in captured.err
 
     def test_roundtrip(self, tmp_path, capsys):
         run(

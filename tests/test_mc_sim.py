@@ -2,18 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from cliquecascade import (
     ActivationProcess,
+    CensusOverflow,
     ConfigInvalid,
     SimConfig,
     Threshold,
+    child_count_pmf,
     clique_outcome_law,
     estimate,
+    mean_active_of_type,
+    mean_matrix,
     run_contagion,
     sample_local_graph,
     survival_by_threshold,
 )
+from cliquecascade.mc_sim import _BLOCK
 
 from conftest import model
 
@@ -134,19 +141,10 @@ class TestEstimate:
         config = SimConfig(depth=3, replicates=300, seed=17)
         assert estimate(MIXTURE, config) == estimate(MIXTURE, config)
 
-    @pytest.mark.parametrize("workers", [2, 8])
-    def test_worker_count_invisible(self, workers):
-        config = SimConfig(depth=3, replicates=300, seed=17)
-        assert estimate(MIXTURE, config) == estimate(MIXTURE, config, workers=workers)
-
     def test_seed_matters(self):
         a = estimate(MIXTURE, SimConfig(depth=2, replicates=200, seed=1))
         b = estimate(MIXTURE, SimConfig(depth=2, replicates=200, seed=2))
         assert a != b
-
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ConfigInvalid):
-            estimate(MIXTURE, SimConfig(depth=1, replicates=1, seed=0), workers=0)
 
     def test_report_shapes(self):
         report = estimate(MIXTURE, SimConfig(depth=4, replicates=50, seed=5))
@@ -199,6 +197,117 @@ class TestEstimate:
         expected = params.mean_memberships * per_community
         report = estimate(params, SimConfig(depth=1, replicates=20000, seed=31))
         assert report.mean_active_by_depth[1] == pytest.approx(expected, abs=0.1)
+
+
+def _triangle_levels(depth):
+    return [1] + [6 * 4 ** (k - 1) for k in range(1, depth + 1)]
+
+
+def _root_only(depth):
+    return [1] + [0] * depth
+
+
+def _path_levels(depth):
+    return [1] + [2] * depth
+
+
+# Deterministic models: (p, q, threshold), then the per-depth active and
+# vertex counts of every replicate, and whether the last depth stays active.
+DETERMINISTIC = {
+    "triangle-all-active": (
+        ({3: 1.0}, {3: 1.0}, "1/10"), _triangle_levels, _triangle_levels, True
+    ),
+    "triangle-root-only": (
+        ({3: 1.0}, {3: 1.0}, "3/10"), _root_only, _triangle_levels, False
+    ),
+    "path": (({2: 1.0}, {2: 1.0}, "2/5"), _path_levels, _path_levels, True),
+}
+
+
+class TestBlocks:
+    @given(
+        case=st.sampled_from(sorted(DETERMINISTIC)),
+        replicates=st.integers(1, 3 * _BLOCK + 1),
+        seed=st.integers(0, 2**64 - 1),
+        depth=st.integers(1, 6),
+    )
+    @example(case="triangle-all-active", replicates=_BLOCK, seed=0, depth=3)
+    @example(case="triangle-root-only", replicates=_BLOCK + 1, seed=1, depth=4)
+    @example(case="path", replicates=3 * _BLOCK + 1, seed=2, depth=5)
+    def test_deterministic_models_exact_for_any_block_split(
+        self, case, replicates, seed, depth
+    ):
+        (p, q, theta), active, vertices, survives = DETERMINISTIC[case]
+        report = estimate(
+            model(p, q, theta), SimConfig(depth=depth, replicates=replicates, seed=seed)
+        )
+        assert report.mean_active_by_depth == tuple(map(float, active(depth)))
+        assert report.mean_vertices_by_depth == tuple(map(float, vertices(depth)))
+        assert report.survival_frequency == (1.0 if survives else 0.0)
+        assert report.graph_alive_frequency == 1.0
+
+    def test_triangle_depth_31_exact(self, triangle_model):
+        # the last level holds 6 * 4**30 > 2**62 vertices per replicate and
+        # the three-replicate total exceeds int64: tallies must not wrap
+        report = estimate(triangle_model, SimConfig(depth=31, replicates=3, seed=0))
+        assert report.mean_active_by_depth[31] == float(6 * 4**30)
+        assert report.mean_vertices_by_depth[31] == float(6 * 4**30)
+        assert report.survival_frequency == 1.0
+
+    def test_triangle_depth_32_overflows(self, triangle_model):
+        with pytest.raises(CensusOverflow):
+            estimate(triangle_model, SimConfig(depth=32, replicates=3, seed=0))
+
+
+def _expected_active_by_depth(params, depth: int) -> np.ndarray:
+    """Root mean vector times M^(d-1), summed over types, for d = 1..depth."""
+    matrix = mean_matrix(params).entries
+    lam = params.mean_memberships
+    mu = params.mean_community_size
+    q = params.community_sizes
+    vec = np.zeros(matrix.shape[0])
+    for x in child_count_pmf(params).support:
+        for w in q.support:
+            vec[x] += lam * (w * q(w) / mu) * mean_active_of_type(params, x, w)
+    expected = []
+    for _ in range(depth):
+        expected.append(vec.sum())
+        vec = vec @ matrix
+    return np.array(expected)
+
+
+class TestCensusMeanMatrixIdentity:
+    # K estimates per model, each spanning a full and a partial block; the
+    # statistic is Student t with K - 1 = 39 degrees of freedom, and 5.97 is
+    # its quantile at the two-sided tail of a 5-sigma normal deviation
+    # (5.7e-7).  Fixed before any run; never widen it to pass.
+    K = 40
+    T_BOUND = 5.97
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            model({1: 0.5, 3: 0.5}, {2: 1.0}, "1/10"),
+            # the type-2 configuration table has two rows: one size-3
+            # community, or two size-2 communities
+            model({2: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, "1/5"),
+            MIXTURE,
+            model({3: 1.0}, {2: 0.3, 4: 0.7}, "1/6"),
+        ],
+    )
+    def test_pooled_active_census_matches_mean_matrix(self, params):
+        depth = 4
+        means = np.array([
+            estimate(
+                params, SimConfig(depth=depth, replicates=3 * _BLOCK // 2, seed=900 + k)
+            ).mean_active_by_depth[1:]
+            for k in range(self.K)
+        ])
+        expected = _expected_active_by_depth(params, depth)
+        se = means.std(axis=0, ddof=1) / np.sqrt(self.K)
+        assert np.all(se > 0.0)
+        t = (means.mean(axis=0) - expected) / se
+        assert np.all(np.abs(t) <= self.T_BOUND), t
 
 
 class TestActivationProcess:
