@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dist_core import ModelParams, Pmf, pgf_compose, DERIVED_MASS_TOL
+from .dist_core import ModelParams, Pmf, child_count_series, pgf_compose, DERIVED_MASS_TOL
 from .errors import NoConvergence
 
-FIXED_POINT_TOL = 1e-14
-FIXED_POINT_MAX_ITER = 10**6
+# Newton steps before NoConvergence; a double root needs about 60.
+FIXED_POINT_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -65,17 +65,24 @@ def _composite_pgf(params: ModelParams, x: float) -> float:
 
 
 def smallest_fixed_point(params: ModelParams) -> float:
-    """Smallest fixed point in [0, 1] of the child-count pgf.
+    """Smallest fixed point in [0, 1] of the child-count pgf f.
 
-    Monotone iteration from 0; the iterates increase towards the smallest
-    fixed point.  Raises NoConvergence (carrying the last iterate) if the
-    budget runs out, which only happens within O(1e-7) of criticality.
+    Newton's method on g(x) = f(x) - x from 0.  g is convex with g(0) >= 0,
+    so the iterates rise monotonically to the smallest root: quadratically
+    off criticality, linearly at a double root.  Iteration stops at the
+    first step that does not rise, where g has rounded to zero or below; so
+    f(0) = 0 returns 0 after one evaluation.
+    Raises NoConvergence (carrying the last iterate) if FIXED_POINT_MAX_ITER
+    steps are not enough.
     """
+    f = child_count_series(params)
+    df = f.derivative
     x = 0.0
     for _ in range(FIXED_POINT_MAX_ITER):
-        nxt = _composite_pgf(params, x)
-        if abs(nxt - x) < FIXED_POINT_TOL:
-            return nxt
+        slope = df(x) - 1.0
+        nxt = x - (f(x) - x) / slope if slope < 0.0 else x
+        if nxt <= x:
+            return x
         x = nxt
     raise NoConvergence("fixed-point iteration did not converge", last=x)
 
@@ -93,7 +100,7 @@ def extinction_probability(params: ModelParams) -> ExtinctionReport:
     crit = survival_criterion(params)
     degenerate = params.memberships(2) == 1.0 and params.community_sizes(2) == 1.0
     if degenerate:
-        fixed = smallest_fixed_point(params)  # identity map: returns 0 at once
+        fixed = smallest_fixed_point(params)  # f(0) = 0: returns 0 at once
         extinct = 0.0
     elif not crit.supercritical:
         fixed = 1.0

@@ -9,11 +9,17 @@ probability iff the Perron root of that matrix exceeds one, except for two
 carve-outs handled in :func:`cascade_verdict`: a threshold of at least one
 half kills every cascade, and the all-2s degenerate model is an infinite path
 that activates surely.
+
+Nothing here enumerates tuples.  Each clique size w contributes one column,
+clique_dynamics.mean_active_column, a DP over floor levels in O(w^3).  Rows
+mix those columns by the configuration law: convolution powers of the
+extra-members law, i.e. pgf compositions, give each parent type's mass and
+the weight of a size-w community among its others.  Sorted-tuple
+enumeration survives in the oracles, the census tables and ActivationProcess.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -21,13 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .clique_dynamics import (
-    CliqueOutcome,
-    brute_force_clique_law,
-    clique_outcome_prob,
-    _context,
-)
-from .dist_core import ModelParams, Pmf, child_count_pmf
+from .clique_dynamics import brute_force_clique_law, mean_active_column
+from .dist_core import ModelParams, child_count_series, pgf_compose
 from .errors import NoConvergence
 
 # Perron solver knobs: relative bracket width, iteration budget, restart
@@ -41,46 +42,10 @@ POWER_RESTART_AFTER = 500
 BOUNDARY_TOL = 1e-10
 
 
-def active_count_prob(
-    params: ModelParams, x: int, clique_size: int, k: int, ell: int, i: int
-) -> float:
-    """Probability that a clique activates ell children, k of type x, i below x.
-
-    Sums the outcome law over sorted vectors whose first i entries are
-    strictly below x, next k entries equal x, and remaining entries strictly
-    above.  Empty index combinations give 0.
-    """
-    w = clique_size
-    if k < 1 or ell > w - 1 or i < 0 or k + i > ell:
-        return 0.0
-    xp, _, _ = _context(params, w)
-    if xp(x) == 0.0:
-        return 0.0
-    below = [v for v in xp.support if v < x]
-    above = [v for v in xp.support if v > x]
-    total = 0.0
-    for low in itertools.combinations_with_replacement(below, i):
-        for high in itertools.combinations_with_replacement(above, ell - k - i):
-            types = low + (x,) * k + high
-            total += clique_outcome_prob(params, w, CliqueOutcome(ell, types))
-    return total
-
-
 def mean_active_of_type(params: ModelParams, x: int, clique_size: int) -> float:
-    """Expected number of activated children of type x in one clique.
-
-    Triple sum over (count at x, total activated, count below x); the index
-    ranges start at floor(threshold * (x + w - 1)) because a type-x child
-    needs that many activated predecessors before the parent tips it over.
-    """
-    w = clique_size
-    floor_x = params.threshold.floor_times(x + w - 1)
-    total = 0.0
-    for k in range(1, w):
-        for ell in range(k + floor_x, w):
-            for i in range(floor_x, ell - k + 1):
-                total += k * active_count_prob(params, x, w, k, ell, i)
-    return total
+    """Expected number of activated children of type x in one clique."""
+    column = mean_active_column(params, clique_size)
+    return float(column[x]) if 0 <= x < column.shape[0] else 0.0
 
 
 def mean_active_of_type_oracle(params: ModelParams, x: int, clique_size: int) -> float:
@@ -104,41 +69,29 @@ class MeanMatrix:
 def _mean_matrix_cached(params: ModelParams) -> "MeanMatrix":
     params.require_contagion_assumptions()
     dim = params.max_child_count + 1
-    xp = child_count_pmf(params)
-    lam = params.mean_memberships
-    mu = params.mean_community_size
-    q = params.community_sizes
-
-    # per clique size: column vector of mean activated counts by child type
-    per_size = {}
-    for w in q.support:
-        col = np.zeros(dim)
-        for x in xp.support:
-            col[x] = mean_active_of_type(params, x, w)
-        per_size[w] = col
+    extra = params.extra_members.dense()
+    # a parent holds K further communities, their extra members summing to its
+    # type, so the type's mass is the child-count law.  Singling out one of
+    # the K leaves K - 1 summing freely; weighted by K that is E[K] times the
+    # size-biased shift of K, composed with the extra-members pgf.
+    config_mass = np.array(child_count_series(params).coeffs)
+    others = np.zeros(dim)
+    further = params.extra_communities
+    if further.support_max > 0:
+        composed = pgf_compose(further.size_biased_shifted(), params.extra_members).coeffs
+        others[: len(composed)] = further.mean() * np.array(composed)
 
     raw = np.zeros((dim, dim))
-    config_mass = np.zeros(dim)
-    for d in params.memberships.support:
-        if d < 1:
-            continue
-        weight_d = d * params.memberships(d) / lam
-        for sizes in itertools.product(q.support, repeat=d - 1):
-            x0 = sum(w - 1 for w in sizes)
-            weight = weight_d
-            row = np.zeros(dim)
-            for w in sizes:
-                weight *= w * q(w) / mu
-                row += per_size[w]
-            config_mass[x0] += weight
-            raw[x0] += weight * row
+    for w in params.community_sizes.support:
+        column = mean_active_column(params, w)
+        parents = np.concatenate((np.zeros(w - 1), others))[:dim]
+        raw[:, : column.shape[0]] += np.outer(parents, extra[w - 1] * column)
 
     # condition each row on its type actually occurring; types with zero
     # configuration mass keep a zero row, and type 0 has no children at all
     entries = np.zeros((dim, dim))
-    for x0 in range(1, dim):
-        if config_mass[x0] > 0.0:
-            entries[x0] = raw[x0] / config_mass[x0]
+    rows = np.flatnonzero(config_mass[1:] > 0.0) + 1
+    entries[rows] = raw[rows] / config_mass[rows, None]
     return MeanMatrix(entries=entries)
 
 

@@ -12,15 +12,18 @@ order statistics, and stop at the first position whose requirement exceeds the
 number of vertices already available.  That reduces the joint law of (number
 activated, their sorted child counts) to a closed form over order statistics,
 implemented here next to a brute-force round-based enumeration used to verify
-it.
+it.  The mean activated count by type needs no enumeration: mean_active_column
+computes it by a DP over floor levels.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from math import factorial
+from math import comb, factorial
 from typing import NamedTuple
+
+import numpy as np
 
 from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf
 from .errors import EnumerationTooLarge, InvalidOutcome, UnsortedInput
@@ -33,6 +36,12 @@ class CliqueOutcome(NamedTuple):
 
     ell: int
     types: tuple[int, ...]
+
+
+def require_enumerable(count: int, what: str) -> None:
+    """Raise EnumerationTooLarge before an enumeration of count items starts."""
+    if count > ENUMERATION_BUDGET:
+        raise EnumerationTooLarge(f"{count} {what} exceed the {ENUMERATION_BUDGET} budget")
 
 
 def activation_requirement(threshold: Threshold, child_count: int, clique_size: int) -> int:
@@ -105,26 +114,59 @@ def order_stat_pmf(base: Pmf, n: int, sorted_values) -> float:
 
 
 @lru_cache(maxsize=None)
-def _clique_context(memberships: Pmf, community_sizes: Pmf, threshold: Threshold, clique_size: int):
+def _context(params: ModelParams, clique_size: int):
     """Per-(model, clique size) tables: child-count law, floors, tail probabilities.
 
     tail[m] = P(floor(threshold * (X + w - 1)) > m): the chance a fresh child
     is out of reach even with m activated brothers plus the parent.
     """
-    from .dist_core import _child_count_pmf
-
-    xp = _child_count_pmf(memberships, community_sizes)
-    floors = {x: threshold.floor_times(x + clique_size - 1) for x in xp.support}
+    xp = child_count_pmf(params)
+    floors = {x: params.threshold.floor_times(x + clique_size - 1) for x in xp.support}
     tail = tuple(
         sum(p for x, p in xp.items if floors[x] > m) for m in range(clique_size)
     )
     return xp, floors, tail
 
 
-def _context(params: ModelParams, clique_size: int):
-    return _clique_context(
-        params.memberships, params.community_sizes, params.threshold, clique_size
-    )
+@lru_cache(maxsize=None)
+def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
+    """Expected activated children of each type x = 0..max child count in one clique.
+
+    A child of type x sits on level f(x) = floor(threshold * (x + w - 1)), and
+    with N_m children on levels <= m it is active iff N_j > j for all j <=
+    f(x).  Level counts are binomial in turn, each over the children not yet
+    placed with the level's mass conditioned on f >= m; alive[k] is P(N_m = k,
+    N_j > j for all j <= m).  Within a level, types follow the child-count law
+    conditioned on the level.  O(w^3); cached and read-only.
+    """
+    xp, floors, tail = _context(params, clique_size)
+    n = clique_size - 1
+    level_mass = [0.0] * n  # levels >= n are never reached
+    for x, p in xp.items:
+        if floors[x] < n:
+            level_mass[floors[x]] += p
+    # step from N_{m-1} = i (rows) to N_m = j (columns): j - i of the n - i
+    # children above level m - 1 land on level m and n - j stay above it
+    i, j = np.arange(n + 1)[:, None], np.arange(n + 1)[None, :]
+    placed, stay = np.maximum(j - i, 0), n - np.maximum(i, j)
+    ways = np.vectorize(comb, otypes=[float])(n - i, placed) * (j >= i)
+    alive = np.zeros(n + 1)
+    alive[0] = 1.0
+    expected = np.zeros(n)
+    for m in range(n):
+        reach = level_mass[m] + tail[m]
+        if reach == 0.0:
+            break
+        joint = alive[:, None] * ways * (level_mass[m] / reach) ** placed * (tail[m] / reach) ** stay
+        joint[:, : m + 1] = 0.0
+        expected[m] = (joint * placed).sum()
+        alive = joint.sum(axis=0)
+    column = np.zeros(xp.support_max + 1)
+    for x, p in xp.items:
+        if floors[x] < n:
+            column[x] = expected[floors[x]] * p / level_mass[floors[x]]
+    column.flags.writeable = False
+    return column
 
 
 def _validate_outcome(clique_size: int, outcome: CliqueOutcome) -> CliqueOutcome:
@@ -176,6 +218,7 @@ def clique_outcome_law(params: ModelParams, clique_size: int) -> dict[CliqueOutc
     """Full outcome law from the closed form, over the child-count support."""
     params.require_contagion_assumptions()
     xp, _, _ = _context(params, clique_size)
+    require_enumerable(comb(len(xp.support) + clique_size - 2, clique_size - 1), "sorted tuples")
     law: dict[CliqueOutcome, float] = {}
     empty = clique_outcome_prob(params, clique_size, CliqueOutcome(0, ()))
     if empty > 0.0:
@@ -214,10 +257,7 @@ def iter_enumerated_outcomes(params: ModelParams, clique_size: int):
     xp, _, _ = _context(params, clique_size)
     values = xp.support
     n_children = clique_size - 1
-    if len(values) ** n_children > ENUMERATION_BUDGET:
-        raise EnumerationTooLarge(
-            f"{len(values)}^{n_children} tuples exceed the {ENUMERATION_BUDGET} budget"
-        )
+    require_enumerable(len(values) ** n_children, "child-count tuples")
     num, den = params.threshold.numerator, params.threshold.denominator
     for xs in itertools.product(values, repeat=n_children):
         weight = 1.0

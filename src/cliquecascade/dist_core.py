@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
@@ -98,9 +98,6 @@ class Pmf:
     def support_max(self) -> int:
         return self.items[-1][0]
 
-    def as_dict(self) -> dict[int, float]:
-        return dict(self.items)
-
     def dense(self) -> np.ndarray:
         """Coefficient vector indexed 0..support_max (zeros fill the gaps)."""
         out = np.zeros(self.support_max + 1)
@@ -136,12 +133,13 @@ class Pmf:
         pairs = [(v - 1, v * p / mu) for v, p in self.items if v >= 1]
         return Pmf.from_pairs(pairs, tol=DERIVED_MASS_TOL)
 
+    @cached_property
+    def _series(self) -> "PowerSeries":
+        return PowerSeries(coeffs=tuple(float(c) for c in self.dense()))
+
     def pgf(self, x: float) -> float:
         """Evaluate the probability generating function at x (Horner)."""
-        acc = 0.0
-        for coeff in self.dense()[::-1]:
-            acc = acc * x + coeff
-        return acc
+        return self._series(x)
 
 
 @dataclass(frozen=True)
@@ -174,10 +172,6 @@ class Threshold:
         frac = Fraction(str(text).strip())
         return cls(frac.numerator, frac.denominator)
 
-    @classmethod
-    def from_fraction(cls, frac: Fraction) -> "Threshold":
-        return cls(frac.numerator, frac.denominator)
-
     def floor_times(self, n: int) -> int:
         """floor(threshold * n) without ever leaving integer arithmetic."""
         if n < 0:
@@ -187,10 +181,6 @@ class Threshold:
     @property
     def at_least_half(self) -> bool:
         return 2 * self.numerator >= self.denominator
-
-    @property
-    def as_fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
 
     def __float__(self) -> float:
         return self.numerator / self.denominator
@@ -263,15 +253,16 @@ class PowerSeries:
 
     coeffs: tuple[float, ...]
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, x: float) -> float:
         acc = 0.0
         for coeff in reversed(self.coeffs):
             acc = acc * x + coeff
         return acc
+
+    @cached_property
+    def derivative(self) -> "PowerSeries":
+        """The derivative series, built on first use and kept."""
+        return PowerSeries(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
 
 
 def pgf_compose(outer: Pmf, inner: Pmf) -> PowerSeries:

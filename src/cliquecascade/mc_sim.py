@@ -28,10 +28,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
+from math import comb
 
 import numpy as np
 
-from .clique_dynamics import clique_cascade_size, clique_outcome_law, order_stat_pmf
+from .clique_dynamics import clique_cascade_size, clique_outcome_law, order_stat_pmf, require_enumerable
 from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf
 from .errors import CensusOverflow, ConfigInvalid
 
@@ -248,6 +249,9 @@ def _census_tables(params: ModelParams) -> _CensusTables:
     p, q = params.memberships, params.community_sizes
     lam, mu = params.mean_memberships, params.mean_community_size
     xp = child_count_pmf(params)
+    tuples = sum(comb(len(xp.support) + w - 2, w - 1) for w in q.support)
+    tuples += sum(comb(len(q.support) + d - 2, d - 1) for d in p.support)
+    require_enumerable(tuples, "sorted clique and configuration tuples")
     n_types = params.max_child_count + 1
     sizes = np.array(q.support, dtype=np.int64)
     size_index = {int(w): i for i, w in enumerate(sizes)}
@@ -483,9 +487,12 @@ class ActivationProcess:
         q = params.community_sizes
         mu = params.mean_community_size
         lam = params.mean_memberships
+        configurations = sum(len(q.support) ** (d - 1) for d in params.memberships.support)
+        require_enumerable(configurations, "configurations")
 
+        # largest size first: an oversized clique law fails before any work
         self._outcomes = {}
-        for w in q.support:
+        for w in reversed(q.support):
             law = clique_outcome_law(params, w)
             ordered = sorted(law.items())
             self._outcomes[w] = _cumulative([(p, o) for o, p in ordered])

@@ -15,6 +15,7 @@ from cliquecascade import (
     smallest_fixed_point,
     survival_criterion,
 )
+from cliquecascade import analytic_graph
 from cliquecascade.analytic_graph import _composite_pgf
 from cliquecascade.verification import standard_model_suite
 
@@ -45,6 +46,14 @@ class TestFixedPoint:
     def test_residual_is_tiny(self, mixed_model):
         x = smallest_fixed_point(mixed_model)
         assert abs(_composite_pgf(mixed_model, x) - x) < 1e-12
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-9, 0.0])
+    def test_near_and_at_criticality(self, eps):
+        # eps = 0 is critical: f'(1) = 1, a double root, linear convergence
+        params = model({1: 0.75 - eps, 3: 0.25 + eps}, {2: 1.0}, "1/10")
+        x = smallest_fixed_point(params)
+        assert 0.999 < x <= 1.0
+        assert abs(_composite_pgf(params, x) - x) < 1e-12
 
     def test_identity_map_returns_zero(self, path_model):
         # extra-communities and extra-members pgfs are both z here
@@ -149,9 +158,10 @@ class TestClustering:
         assert 0.0 <= value <= 1.0
 
 
-def test_no_convergence_carries_last_iterate():
-    # hair-thin supercritical margin: steps shrink too slowly for the budget
-    eps = 1e-9
+def test_no_convergence_carries_last_iterate(monkeypatch):
+    # the near-critical structure needs about 16 Newton steps; allow 3
+    monkeypatch.setattr(analytic_graph, "FIXED_POINT_MAX_ITER", 3)
+    eps = 1e-4
     params = ModelParams.create(
         {1: 0.75 - eps, 3: 0.25 + eps}, {2: 1.0}, Threshold(1, 10)
     )

@@ -1,23 +1,119 @@
 """Mean matrix, Perron root, and the cascade verdict."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cliquecascade import (
+    CliqueOutcome,
     Threshold,
     VerdictKind,
     VerdictReason,
+    brute_force_clique_law,
     cascade_verdict,
     child_count_pmf,
+    clique_dynamics,
+    clique_outcome_prob,
     mean_active_of_type,
     mean_matrix,
     spectral_radius,
     strongly_connected_components,
 )
 from cliquecascade.cascade_matrix import mean_active_of_type_oracle
+from cliquecascade.clique_dynamics import _context, mean_active_column
 from cliquecascade.verification import standard_model_suite
 
 from conftest import model
+
+# thresholds for the properties; most of them put theta * degree exactly on
+# an integer for some degree the drawn models reach, where the floor flips
+THETA_GRID = ("1/10", "1/6", "1/5", "1/4", "2/7", "3/10", "1/3", "2/5", "3/7", "1/2", "3/5")
+
+
+def active_count_prob(params, x, clique_size, k, ell, i):
+    """Paper formula: a clique activates ell children, k of type x, i below x.
+
+    Sums the outcome law over sorted vectors whose first i entries are
+    strictly below x, next k entries equal x, and remaining entries strictly
+    above.  Empty index combinations give 0.
+    """
+    w = clique_size
+    if k < 1 or ell > w - 1 or i < 0 or k + i > ell:
+        return 0.0
+    xp, _, _ = _context(params, w)
+    if xp(x) == 0.0:
+        return 0.0
+    below = [v for v in xp.support if v < x]
+    above = [v for v in xp.support if v > x]
+    total = 0.0
+    for low in itertools.combinations_with_replacement(below, i):
+        for high in itertools.combinations_with_replacement(above, ell - k - i):
+            types = low + (x,) * k + high
+            total += clique_outcome_prob(params, w, CliqueOutcome(ell, types))
+    return total
+
+
+def paper_mean_active_of_type(params, x, clique_size):
+    """Paper formula: triple sum over (count at x, total activated, count below x).
+
+    The index ranges start at floor(threshold * (x + w - 1)) because a type-x
+    child needs that many activated predecessors before the parent tips it.
+    """
+    w = clique_size
+    floor_x = params.threshold.floor_times(x + w - 1)
+    total = 0.0
+    for k in range(1, w):
+        for ell in range(k + floor_x, w):
+            for i in range(floor_x, ell - k + 1):
+                total += k * active_count_prob(params, x, w, k, ell, i)
+    return total
+
+
+def product_mean_matrix(params):
+    """Mean matrix by enumerating every ordered tuple of further community sizes."""
+    dim = params.max_child_count + 1
+    q = params.community_sizes
+    lam, mu = params.mean_memberships, params.mean_community_size
+    per_size = {w: np.zeros(dim) for w in q.support}
+    for w in q.support:
+        column = mean_active_column(params, w)
+        per_size[w][: column.shape[0]] = column
+    raw = np.zeros((dim, dim))
+    config_mass = np.zeros(dim)
+    for d in params.memberships.support:
+        weight_d = d * params.memberships(d) / lam
+        for sizes in itertools.product(q.support, repeat=d - 1):
+            x0 = sum(w - 1 for w in sizes)
+            weight = weight_d
+            row = np.zeros(dim)
+            for w in sizes:
+                weight *= w * q(w) / mu
+                row += per_size[w]
+            config_mass[x0] += weight
+            raw[x0] += weight * row
+    entries = np.zeros((dim, dim))
+    for x0 in range(1, dim):
+        if config_mass[x0] > 0.0:
+            entries[x0] = raw[x0] / config_mass[x0]
+    return entries
+
+
+@st.composite
+def models(draw, memberships, sizes, max_points):
+    def pmf(values):
+        support = draw(st.lists(st.sampled_from(values), min_size=1, max_size=max_points, unique=True))
+        weights = [draw(st.integers(1, 9)) for _ in support]
+        return {v: w / sum(weights) for v, w in zip(support, weights)}
+
+    return model(pmf(memberships), pmf(sizes), draw(st.sampled_from(THETA_GRID)))
+
+
+def wide_model(theta):
+    """p uniform on {2,3,4}, q uniform on 2..7: 101k sorted tuples at size 7."""
+    return model({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}, {w: 1 / 6 for w in range(2, 8)}, theta)
 
 
 class TestMeanActive:
@@ -40,7 +136,53 @@ class TestMeanActive:
                 )
 
 
+    # at most two points per support keeps the brute-force cube below 8^5
+    @given(models(range(1, 5), range(2, 7), max_points=2))
+    def test_column_matches_brute_force(self, params):
+        xp = child_count_pmf(params)
+        for w in params.community_sizes.support:
+            column = mean_active_column(params, w)
+            brute = np.zeros(column.shape[0])
+            for outcome, prob in brute_force_clique_law(params, w).items():
+                for t in outcome.types:
+                    brute[t] += prob
+            assert column.shape[0] == xp.support_max + 1
+            assert np.abs(column - brute).max() <= 1e-12
+
+    @pytest.mark.parametrize("params", standard_model_suite())
+    def test_matches_paper_formula(self, params):
+        for w in params.community_sizes.support:
+            for x in child_count_pmf(params).support:
+                assert abs(
+                    mean_active_of_type(params, x, w) - paper_mean_active_of_type(params, x, w)
+                ) <= 1e-12
+
+    def test_column_is_read_only(self, triangle_model):
+        with pytest.raises(ValueError):
+            mean_active_column(triangle_model, 3)[4] = 0.0
+
+
 class TestMeanMatrix:
+    @given(models(range(1, 5), range(2, 7), max_points=5))
+    def test_rows_match_product_enumeration(self, params):
+        assert np.abs(mean_matrix(params).entries - product_mean_matrix(params)).max() <= 1e-12
+
+    def test_no_outcome_enumeration(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("mean matrix enumerated clique outcomes")
+
+        monkeypatch.setattr(clique_dynamics, "clique_outcome_prob", refuse)
+        params = wide_model("13/37")
+        assert mean_matrix(params).dim == 19
+        assert cascade_verdict(params).kind is VerdictKind.FINITE_ALMOST_SURELY
+
+    def test_large_communities(self):
+        # 58 types; the sorted clique tuples at size 20 number about 3e17
+        params = model({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}, {w: 1 / 19 for w in range(2, 21)}, "1/5")
+        entries = mean_matrix(params).entries
+        assert entries.shape == (58, 58)
+        assert np.abs(entries - product_mean_matrix(params)).max() <= 1e-12
+
     def test_triangle_single_entry(self, triangle_model):
         matrix = mean_matrix(triangle_model)
         assert matrix.dim == 5

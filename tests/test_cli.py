@@ -1,6 +1,7 @@
 """CLI subcommands: reports, serialization, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -10,6 +11,12 @@ TRIANGLE = {
     "memberships": [[3, 1.0]],
     "community_sizes": [[3, 1.0]],
     "threshold": "0.1",
+}
+# about 3e17 sorted clique tuples at size 20, but a 58-type mean matrix
+LARGE_COMMUNITIES = {
+    "memberships": [[2, 1 / 3], [3, 1 / 3], [4, 1 / 3]],
+    "community_sizes": [[w, 1 / 19] for w in range(2, 21)],
+    "threshold": "1/5",
 }
 MIXTURE = {
     "memberships": [[2, 0.5], [4, 0.5]],
@@ -210,6 +217,22 @@ class TestSimulate:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "overflow" in captured.err
+
+    def test_enumeration_budget_exit_1(self, tmp_path, capsys):
+        config = write_config(tmp_path, LARGE_COMMUNITIES)
+        started = time.monotonic()
+        code = run(
+            ["simulate", "--config", config, "--depth", "2", "--replicates", "10", "--seed", "1"]
+        )
+        assert time.monotonic() - started < 10.0
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "enumeration too large" in captured.err
+        assert run(["analyze", "--config", config]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["mean_matrix"]) == 58
+        assert report["verdict"]["kind"] == "FiniteAlmostSurely"
 
     def test_roundtrip(self, tmp_path, capsys):
         run(

@@ -1,5 +1,7 @@
 """Within-community cascade law against hand-derived values and the oracle."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,13 +13,14 @@ from cliquecascade import (
     Threshold,
     activation_requirement,
     brute_force_clique_law,
+    child_count_pmf,
     clique_cascade_size,
     clique_outcome_law,
     clique_outcome_prob,
     order_stat_pmf,
     run_lengths,
 )
-from cliquecascade.clique_dynamics import iter_enumerated_outcomes
+from cliquecascade.clique_dynamics import ENUMERATION_BUDGET, iter_enumerated_outcomes
 from cliquecascade.errors import InvalidOutcome, UnsortedInput
 
 from conftest import model
@@ -175,3 +178,10 @@ class TestOracle:
         wide = model({v: 1 / 13 for v in range(1, 14)}, {8: 1.0}, "1/10")
         with pytest.raises(EnumerationTooLarge):
             brute_force_clique_law(wide, 8)
+
+    def test_outcome_law_budget(self):
+        # 57 child counts (1..57): C(75, 19), about 3e17 sorted tuples at size 20
+        wide = model({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}, {w: 1 / 19 for w in range(2, 21)}, "1/5")
+        assert math.comb(len(child_count_pmf(wide).support) + 18, 19) > ENUMERATION_BUDGET
+        with pytest.raises(EnumerationTooLarge):
+            clique_outcome_law(wide, 20)

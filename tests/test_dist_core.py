@@ -1,5 +1,6 @@
 """Pmf plumbing, exact threshold arithmetic, and the child-count law."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -101,6 +102,15 @@ class TestPmf:
     def test_size_biased_needs_positive_mean(self):
         with pytest.raises(ZeroMean):
             Pmf.point(0).size_biased_shifted()
+
+    def test_pgf_leaves_pmf_frozen_and_hashable(self):
+        pmf = Pmf.from_pairs({0: 0.25, 3: 0.75})
+        before = hash(pmf)
+        assert pmf.pgf(0.5) == pytest.approx(0.25 + 0.75 * 0.125)
+        assert hash(pmf) == before
+        assert pmf == Pmf.from_pairs({0: 0.25, 3: 0.75})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pmf.items = ()
 
     def test_dense_roundtrip(self):
         pmf = Pmf.from_pairs({0: 0.25, 3: 0.75})

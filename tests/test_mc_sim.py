@@ -9,6 +9,7 @@ from cliquecascade import (
     ActivationProcess,
     CensusOverflow,
     ConfigInvalid,
+    EnumerationTooLarge,
     SimConfig,
     Threshold,
     child_count_pmf,
@@ -345,3 +346,14 @@ class TestActivationProcess:
         proc = ActivationProcess(triangle_model)
         with pytest.raises(ValueError):
             proc.step({3: 1}, np.random.default_rng(0))
+
+    def test_enumeration_budget(self):
+        # configurations alone: 20^12 ordered size tuples at 13 memberships
+        wide = model({13: 1.0}, {w: 1 / 20 for w in range(2, 22)}, "1/10")
+        with pytest.raises(EnumerationTooLarge):
+            ActivationProcess(wide)
+        # 6859 configurations, but about 3e17 sorted clique tuples at size 20,
+        # refused before any smaller size is enumerated
+        large = model({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}, {w: 1 / 19 for w in range(2, 21)}, "1/5")
+        with pytest.raises(EnumerationTooLarge):
+            ActivationProcess(large)
