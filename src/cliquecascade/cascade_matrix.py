@@ -50,8 +50,16 @@ def mean_active_of_type(params: ModelParams, x: int, clique_size: int) -> float:
 
 def mean_active_of_type_oracle(params: ModelParams, x: int, clique_size: int) -> float:
     """Same expectation read off the brute-force outcome law."""
-    law = brute_force_clique_law(params, clique_size)
-    return sum(prob * outcome.types.count(x) for outcome, prob in law.items())
+    return mean_active_by_type_oracle(params, clique_size).get(x, 0.0)
+
+
+def mean_active_by_type_oracle(params: ModelParams, clique_size: int) -> dict[int, float]:
+    """Expected activated children of every type, from one brute-force law."""
+    means: dict[int, float] = {}
+    for outcome, prob in brute_force_clique_law(params, clique_size).items():
+        for x in set(outcome.types):
+            means[x] = means.get(x, 0) + prob * outcome.types.count(x)
+    return means
 
 
 @dataclass(frozen=True, eq=False)

@@ -133,13 +133,20 @@ def _pmf_pairs(pmf: Pmf) -> list:
     return [[v, p] for v, p in pmf.items]
 
 
+def _rho_and_verdict(params: ModelParams):
+    """Spectral radius and verdict from a single Perron solve."""
+    verdict = cascade_verdict(params)
+    if verdict.rho is not None:
+        return verdict.rho, verdict
+    return spectral_radius(mean_matrix(params)), verdict
+
+
 def cmd_analyze(params: ModelParams) -> dict:
     criterion = survival_criterion(params)
     branching = extinction_probability(params)
     clustering = clustering_coefficient(params)
     matrix = mean_matrix(params)
-    rho = spectral_radius(matrix)
-    verdict = cascade_verdict(params)
+    rho, verdict = _rho_and_verdict(params)
     extra_members = params.extra_members
     return {
         "model": _model_echo(params),
@@ -198,9 +205,7 @@ def cmd_sweep(params: ModelParams, grid: list[str]) -> str:
             theta = Threshold.from_string(token)
         except ValueError as exc:
             raise ConfigInvalid(f"bad sweep threshold {token!r}: {exc}") from exc
-        model = params.with_threshold(theta)
-        rho = spectral_radius(mean_matrix(model))
-        verdict = cascade_verdict(model)
+        rho, verdict = _rho_and_verdict(params.with_threshold(theta))
         boundary = abs(rho - 1.0) <= BOUNDARY_TOL
         lines.append(
             f"{token},{_float_token(rho)},{verdict.kind.value},"

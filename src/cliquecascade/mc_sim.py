@@ -8,18 +8,20 @@ truncation depth are not expanded but still draw their would-be child count,
 because their degree feeds the activation rule.
 
 Two sampling routes produce the same law.  sample_local_graph plus
-run_contagion materialise one graph per replicate and iterate synchronous
-rounds; this is the reference route and the one survival_by_threshold uses
-to couple several thresholds on a shared graph.  estimate instead evolves
-per-level census counts of vertex types with multinomial draws from the
-exact clique-outcome tables, which costs per level a constant set of small
-draws rather than work proportional to the population, so deep supercritical
-runs stay cheap.  Tests cross-check the two routes against each other.
+run_contagion materialise the graphs and iterate synchronous rounds; this is
+the reference route and the one survival_by_threshold uses to couple several
+thresholds on a shared graph.  estimate instead evolves per-level census
+counts of vertex types with multinomial draws from the exact clique-outcome
+tables, which costs per level a constant set of small draws rather than work
+proportional to the population, so deep supercritical runs stay cheap.
+Tests cross-check the two routes against each other.
 
-estimate runs replicates in blocks of a fixed size, every row of a block
-advancing one level per step with one array draw per table.  Block b uses the
-stream seeded by SeedSequence(seed, spawn_key=(b,)); the block size is a
-constant, so a report depends only on (params, depth, replicates, seed).
+Both routes run replicates in blocks of a fixed size.  estimate advances
+every row of a block one level per step with one array draw per table; the
+per-vertex route samples a block as one forest of independent trees and runs
+the contagion on the whole forest at once.  Block b uses the stream seeded by
+SeedSequence(seed, spawn_key=(b,)); the block size is a constant, so a result
+depends only on the model, the depth, the replicate count and the seed.
 """
 
 from __future__ import annotations
@@ -67,14 +69,16 @@ class SimReport:
 
 @dataclass
 class LocalGraph:
-    """Depth-truncated tree of cliques in flat arrays.
+    """Forest of depth-truncated trees of cliques in flat arrays.
 
-    Vertices are numbered breadth-first with the root at 0; the members born
-    into one clique occupy a contiguous id range starting at member_start.
+    Vertices are numbered breadth-first with the roots at 0..n_roots-1; tree
+    gives each vertex the id of its root.  The members born into one clique
+    occupy a contiguous id range starting at member_start.
     """
 
     truncation_depth: int
     depth: np.ndarray
+    tree: np.ndarray
     parent: np.ndarray
     clique_of: np.ndarray
     child_count: np.ndarray
@@ -91,11 +95,20 @@ class LocalGraph:
     def n_cliques(self) -> int:
         return self.clique_parent.shape[0]
 
+    @property
+    def n_roots(self) -> int:
+        return int(np.searchsorted(self.depth, 1))
+
     def vertices_by_depth(self) -> np.ndarray:
         return np.bincount(self.depth, minlength=self.truncation_depth + 1)
 
     def active_by_depth(self) -> np.ndarray:
         return np.bincount(self.depth[self.active], minlength=self.truncation_depth + 1)
+
+    def active_per_tree(self) -> np.ndarray:
+        """Active vertices at the truncation depth, per tree."""
+        last = self.active & (self.depth == self.truncation_depth)
+        return np.bincount(self.tree[last], minlength=self.n_roots)
 
 
 class _DrawTable:
@@ -126,34 +139,39 @@ def _tables(memberships: Pmf, community_sizes: Pmf):
     )
 
 
-def sample_local_graph(params: ModelParams, depth: int, rng: np.random.Generator) -> LocalGraph:
-    """Sample one truncated local graph.
+def sample_local_graph(
+    params: ModelParams, depth: int, rng: np.random.Generator, roots: int = 1
+) -> LocalGraph:
+    """Sample a forest of independent truncated local graphs.
 
-    Draw order per level: community counts for the level's vertices, then the
-    sizes of all the new communities; the frontier level draws child counts
-    only.  Empty levels consume no randomness.
+    Roots take ids 0..roots-1.  Each level draws for all trees at once:
+    community counts for the level's vertices, then the sizes of all the new
+    communities; the frontier level draws child counts only.  Empty levels
+    consume no randomness.  roots=1 gives a single graph.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if roots < 1:
+        raise ValueError("roots must be at least 1")
     root_table, extra_table, size_table, child_table = _tables(
         params.memberships, params.community_sizes
     )
-    vdepth = [np.zeros(1, dtype=np.int64)]
-    vparent = [np.full(1, -1, dtype=np.int64)]
-    vclique = [np.full(1, -1, dtype=np.int64)]
+    level_ids = np.arange(roots, dtype=np.int64)
+    vdepth = [np.zeros(roots, dtype=np.int64)]
+    vtree = [level_ids]
+    vparent = [np.full(roots, -1, dtype=np.int64)]
+    vclique = [np.full(roots, -1, dtype=np.int64)]
     vchild: list[np.ndarray] = []
     cparent: list[np.ndarray] = []
     csize: list[np.ndarray] = []
     cstart: list[np.ndarray] = []
-    next_vertex = 1
+    next_vertex = roots
     next_clique = 0
-    level_ids = np.zeros(1, dtype=np.int64)
+    level_trees = level_ids
     for level in range(depth):
         n_here = level_ids.size
-        if level == 0:
-            counts = root_table.draw(rng, 1)
-        else:
-            counts = extra_table.draw(rng, n_here)
+        table = root_table if level == 0 else extra_table
+        counts = table.draw(rng, n_here)
         n_new_cliques = int(counts.sum())
         sizes = size_table.draw(rng, n_new_cliques)
         members = sizes - 1
@@ -163,57 +181,73 @@ def sample_local_graph(params: ModelParams, depth: int, rng: np.random.Generator
         )
         cparent.append(level_ids[owner])
         csize.append(sizes)
-        offsets = np.concatenate(([0], np.cumsum(members)[:-1])) if n_new_cliques else np.zeros(0, dtype=np.int64)
-        cstart.append(next_vertex + offsets.astype(np.int64))
+        offsets = np.cumsum(members) - members
+        cstart.append(next_vertex + offsets)
         n_new = int(members.sum())
         vdepth.append(np.full(n_new, level + 1, dtype=np.int64))
         vparent.append(np.repeat(level_ids[owner], members))
+        level_trees = np.repeat(level_trees[owner], members)
+        vtree.append(level_trees)
         clique_ids = np.arange(next_clique, next_clique + n_new_cliques, dtype=np.int64)
         vclique.append(np.repeat(clique_ids, members))
         level_ids = np.arange(next_vertex, next_vertex + n_new, dtype=np.int64)
         next_vertex += n_new
         next_clique += n_new_cliques
     vchild.append(child_table.draw(rng, level_ids.size))
-    n = next_vertex
     return LocalGraph(
         truncation_depth=depth,
-        depth=np.concatenate(vdepth),
-        parent=np.concatenate(vparent),
-        clique_of=np.concatenate(vclique),
-        child_count=np.concatenate(vchild),
-        active=np.zeros(n, dtype=bool),
-        clique_parent=np.concatenate(cparent) if cparent else np.zeros(0, dtype=np.int64),
-        clique_size=np.concatenate(csize) if csize else np.zeros(0, dtype=np.int64),
-        member_start=np.concatenate(cstart) if cstart else np.zeros(0, dtype=np.int64),
+        depth=_joined(vdepth),
+        tree=_joined(vtree),
+        parent=_joined(vparent),
+        clique_of=_joined(vclique),
+        child_count=_joined(vchild),
+        active=np.zeros(next_vertex, dtype=bool),
+        clique_parent=_joined(cparent),
+        clique_size=_joined(csize),
+        member_start=_joined(cstart),
     )
 
 
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    """Concatenate and drop the parts, so a forest is never held twice."""
+    out = np.concatenate(parts)
+    parts.clear()
+    return out
+
+
 def run_contagion(graph: LocalGraph, threshold: Threshold) -> LocalGraph:
-    """Activate from the root by synchronous rounds until nothing changes.
+    """Activate from the roots by synchronous rounds until nothing changes.
 
     A vertex activates when active neighbours strictly exceed threshold *
     degree; the comparison is exact (integer cross-multiplication).  Degree
     counts clique co-members plus the vertex's own children; frontier vertices
-    use their sampled child count.  Fills graph.active in place.
+    use their sampled child count.  Every root is seeded; trees share no
+    edges, so each tree ends with the active set it would reach alone.
+    Fills graph.active in place.
     """
     n = graph.n_vertices
+    roots = graph.n_roots
     act = np.zeros(n)
-    act[0] = 1.0
-    if n > 1:
+    act[:roots] = 1.0
+    if n > roots:
         num, den = threshold.numerator, threshold.denominator
-        co = graph.clique_of[1:]
-        par = graph.parent[1:]
-        degree = (graph.clique_size[co] - 1) + graph.child_count[1:]
-        rhs = (num * degree).astype(np.float64)
+        co = graph.clique_of[roots:]
+        par = graph.parent[roots:]
+        rhs = (num * ((graph.clique_size[co] - 1) + graph.child_count[roots:])).astype(np.float64)
         nc = graph.n_cliques
+        rest = act[roots:]
         while True:
-            per_clique = np.bincount(co, weights=act[1:], minlength=nc)
-            per_parent = np.bincount(par, weights=act[1:], minlength=n)
-            neighbours = act[par] + (per_clique[co] - act[1:]) + per_parent[1:]
-            newly = (act[1:] == 0.0) & (neighbours * den > rhs)
+            # in place, so a large forest holds few vertex-sized temporaries
+            neighbours = np.bincount(co, weights=rest, minlength=nc)[co]
+            neighbours -= rest
+            neighbours += act[par]
+            neighbours += np.bincount(par, weights=rest, minlength=n)[roots:]
+            neighbours *= den
+            newly = neighbours > rhs
+            newly &= rest == 0.0
             if not newly.any():
                 break
-            act[1:][newly] = 1.0
+            rest[newly] = 1.0
     graph.active[:] = act > 0.0
     return graph
 
@@ -231,8 +265,7 @@ class _CensusTables:
 
     n_types: int
     sizes: np.ndarray
-    root_values: np.ndarray
-    root_cum: np.ndarray
+    root_table: _DrawTable
     size_probs: np.ndarray
     type_probs: np.ndarray
     type_values: np.ndarray
@@ -297,8 +330,7 @@ def _census_tables(params: ModelParams) -> _CensusTables:
     return _CensusTables(
         n_types=n_types,
         sizes=sizes,
-        root_values=np.array(p.support, dtype=np.int64),
-        root_cum=np.cumsum([p(d) for d in p.support]),
+        root_table=_DrawTable(p),
         size_probs=normalized([w * q(w) / mu for w in q.support]),
         type_probs=normalized([xp(t) for t in range(n_types)]),
         type_values=np.arange(n_types, dtype=np.int64),
@@ -330,6 +362,12 @@ def _resolve_cliques(tables: _CensusTables, cliques_by_size: np.ndarray, rng):
         active += drawn @ tables.active_members[wi]
         total += drawn @ tables.all_members[wi]
     return active, total
+
+
+def _root_level(tables: _CensusTables, rows: int, rng: np.random.Generator):
+    """Active and total depth-1 children-by-type below each of rows roots."""
+    cliques_by_size = _spread(rng, tables.root_table.draw(rng, rows), tables.size_probs)
+    return _resolve_cliques(tables, cliques_by_size, rng)
 
 
 def _check_next_level(census: np.ndarray, types: np.ndarray, level: int) -> None:
@@ -367,11 +405,7 @@ def _census_block(tables: _CensusTables, depth: int, rows: int, rng: np.random.G
     """
     vertices = [rows] + [0] * depth
     active_tally = [rows] + [0] * depth
-    idx = np.searchsorted(tables.root_cum, rng.random(rows), side="right")
-    roots = tables.root_values[np.minimum(idx, tables.root_values.shape[0] - 1)]
-    active, from_active = _resolve_cliques(
-        tables, _spread(rng, roots, tables.size_probs), rng
-    )
+    active, from_active = _root_level(tables, rows, rng)
     inactive = from_active - active
     for level in range(1, depth + 1):
         level_active = active.sum(axis=1)
@@ -398,6 +432,13 @@ def _census_block(tables: _CensusTables, depth: int, rows: int, rng: np.random.G
     )
 
 
+def _blocks(replicates: int, seed: int):
+    """(rows, rng) per block of _BLOCK replicates; block b's stream has spawn_key (b,)."""
+    for block, lo in enumerate(range(0, replicates, _BLOCK)):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
+        yield min(_BLOCK, replicates - lo), rng
+
+
 def estimate(params: ModelParams, config: SimConfig) -> SimReport:
     """Replicated simulation summary via the census engine.
 
@@ -414,11 +455,7 @@ def estimate(params: ModelParams, config: SimConfig) -> SimReport:
     active = [0] * (depth + 1)
     survived = 0
     alive = 0
-    for block, lo in enumerate(range(0, config.replicates, _BLOCK)):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(block,))
-        )
-        rows = min(_BLOCK, config.replicates - lo)
+    for rows, rng in _blocks(config.replicates, config.seed):
         vc, ac, s, a = _census_block(tables, depth, rows, rng)
         vertices = [t + v for t, v in zip(vertices, vc)]
         active = [t + v for t, v in zip(active, ac)]
@@ -438,25 +475,24 @@ def survival_by_threshold(
 ) -> tuple[float, ...]:
     """Survival frequency per threshold, coupled on shared graphs.
 
-    Each replicate samples one graph and reruns the contagion for every
-    threshold on it, so with a fixed seed the frequencies are non-increasing
-    whenever the thresholds are increasing: a harsher rule activates a subset
-    of the same vertices.  Uses the per-vertex route, which prices each
-    replicate by its vertex count; keep depth moderate for supercritical
-    models.
+    Replicates run in blocks of _BLOCK (256) with estimate's stream contract:
+    block b samples one forest of that many trees from SeedSequence(seed,
+    spawn_key=(b,)) and reruns the contagion for every threshold on it.  Each
+    replicate is one tree, coupled across the thresholds, so with a fixed
+    seed the frequencies are non-increasing whenever the thresholds are
+    increasing: a harsher rule activates a subset of the same vertices.  Uses
+    the per-vertex route, which prices each replicate by its vertex count and
+    holds a whole block's forest in memory; keep depth moderate for
+    supercritical models.
     """
     params.require_contagion_assumptions()
     thresholds = list(thresholds)
     survived = [0] * len(thresholds)
-    for r in range(config.replicates):
-        rng = np.random.default_rng(
-            np.random.SeedSequence(entropy=config.seed, spawn_key=(r,))
-        )
-        graph = sample_local_graph(params, config.depth, rng)
+    for rows, rng in _blocks(config.replicates, config.seed):
+        graph = sample_local_graph(params, config.depth, rng, roots=rows)
         for i, threshold in enumerate(thresholds):
             run_contagion(graph, threshold)
-            if graph.active_by_depth()[config.depth] > 0:
-                survived[i] += 1
+            survived[i] += int(np.count_nonzero(graph.active_per_tree()))
     return tuple(s / config.replicates for s in survived)
 
 
@@ -478,7 +514,8 @@ class ActivationProcess:
     outcome from the exact clique law for its size, and every later active
     vertex of type x draws its community sizes from the configuration law
     conditioned on total extra members x.  Tables are enumerated once and
-    sampled by inverse cdf.
+    sampled by inverse cdf.  It draws one replicate per call and serves as
+    the scalar reference for the block draws of the census tables.
     """
 
     def __init__(self, params: ModelParams):

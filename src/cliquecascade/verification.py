@@ -12,7 +12,7 @@ from math import sqrt
 
 import numpy as np
 
-from .cascade_matrix import mean_active_of_type, mean_active_of_type_oracle
+from .cascade_matrix import mean_active_by_type_oracle, mean_active_of_type
 from .clique_dynamics import (
     brute_force_clique_law,
     clique_cascade_size,
@@ -20,7 +20,7 @@ from .clique_dynamics import (
     iter_enumerated_outcomes,
 )
 from .dist_core import ModelParams, Threshold, child_count_pmf
-from .mc_sim import ActivationProcess, run_contagion, sample_local_graph
+from .mc_sim import _blocks, _census_tables, _root_level, run_contagion, sample_local_graph
 
 ORACLE_TOL = 1e-9
 
@@ -61,11 +61,11 @@ def matrix_oracle_checks(params: ModelParams) -> list[OracleCheck]:
     checks = []
     xp = child_count_pmf(params)
     for w in params.community_sizes.support:
+        brute = mean_active_by_type_oracle(params, w)
         worst = 0.0
         for x in xp.support:
             closed = mean_active_of_type(params, x, w)
-            brute = mean_active_of_type_oracle(params, x, w)
-            worst = max(worst, abs(closed - brute))
+            worst = max(worst, abs(closed - brute.get(x, 0)))
         checks.append(OracleCheck(f"mean_active_w{w}", worst, ORACLE_TOL))
     return checks
 
@@ -115,30 +115,41 @@ def _random_pmf(rng: np.random.Generator, support: list[int]) -> dict[int, float
     return out
 
 
+def _histogram(per_replicate: np.ndarray, hist: dict[int, int]) -> None:
+    counts = np.bincount(per_replicate)
+    for k in np.flatnonzero(counts).tolist():
+        hist[k] = hist.get(k, 0) + int(counts[k])
+
+
 def depth1_active_counts(
     params: ModelParams, replicates: int, seed: int
 ) -> dict[int, int]:
-    """Histogram of the number of active depth-1 vertices in the graph model."""
+    """Histogram of the number of active depth-1 vertices in the graph model.
+
+    Replicates run in blocks of _BLOCK (256), block b sampling one depth-1
+    forest from SeedSequence(seed, spawn_key=(b,)); each tree is a replicate.
+    """
     hist: dict[int, int] = {}
-    for r in range(replicates):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        graph = run_contagion(sample_local_graph(params, 1, rng), params.threshold)
-        k = int(graph.active_by_depth()[1])
-        hist[k] = hist.get(k, 0) + 1
+    for rows, rng in _blocks(replicates, seed):
+        graph = run_contagion(sample_local_graph(params, 1, rng, roots=rows), params.threshold)
+        _histogram(graph.active_per_tree(), hist)
     return hist
 
 
 def branching_root_counts(
     params: ModelParams, replicates: int, seed: int
 ) -> dict[int, int]:
-    """Histogram of the first-generation size of the activation process."""
-    proc = ActivationProcess(params)
+    """Histogram of the first-generation size of the activation process.
+
+    Replicates run in blocks of _BLOCK (256), block b drawing the root level
+    of all its rows at once from the census tables with the stream of
+    SeedSequence(seed, spawn_key=(b,)).
+    """
+    tables = _census_tables(params)
     hist: dict[int, int] = {}
-    for r in range(replicates):
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
-        census = proc.root_step(rng)
-        k = sum(census.values())
-        hist[k] = hist.get(k, 0) + 1
+    for rows, rng in _blocks(replicates, seed):
+        active, _ = _root_level(tables, rows, rng)
+        _histogram(active.sum(axis=1), hist)
     return hist
 
 

@@ -10,6 +10,7 @@ from cliquecascade import (
     CensusOverflow,
     ConfigInvalid,
     EnumerationTooLarge,
+    LocalGraph,
     SimConfig,
     Threshold,
     child_count_pmf,
@@ -21,7 +22,12 @@ from cliquecascade import (
     sample_local_graph,
     survival_by_threshold,
 )
-from cliquecascade.mc_sim import _BLOCK
+from cliquecascade.mc_sim import _BLOCK, _tables
+from cliquecascade.verification import (
+    branching_root_counts,
+    depth1_active_counts,
+    histogram_match,
+)
 
 from conftest import model
 
@@ -71,23 +77,7 @@ class TestSampler:
     def test_structure_invariants(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
-            graph = sample_local_graph(MIXTURE, 3, rng)
-            assert graph.depth[0] == 0
-            assert graph.parent[0] == -1
-            for j in range(graph.n_cliques):
-                size = graph.clique_size[j]
-                start = graph.member_start[j]
-                members = np.arange(start, start + size - 1)
-                assert np.all(graph.clique_of[members] == j)
-                assert np.all(graph.parent[members] == graph.clique_parent[j])
-                assert np.all(
-                    graph.depth[members] == graph.depth[graph.clique_parent[j]] + 1
-                )
-            # expanded vertices: child count equals members of owned cliques
-            for v in range(graph.n_vertices):
-                if graph.depth[v] < graph.truncation_depth:
-                    owned = graph.clique_parent == v
-                    assert graph.child_count[v] == (graph.clique_size[owned] - 1).sum()
+            _assert_structure(sample_local_graph(MIXTURE, 3, rng))
 
     def test_child_counts_in_support(self):
         from cliquecascade import child_count_pmf
@@ -102,6 +92,149 @@ class TestSampler:
     def test_rejects_zero_depth(self, triangle_model):
         with pytest.raises(ValueError):
             sample_local_graph(triangle_model, 0, np.random.default_rng(0))
+
+    def test_rejects_zero_roots(self, triangle_model):
+        with pytest.raises(ValueError):
+            sample_local_graph(triangle_model, 1, np.random.default_rng(0), roots=0)
+
+
+def _assert_structure(graph):
+    """Breadth-first tree-of-cliques invariants, checked for every vertex and clique."""
+    roots = graph.n_roots
+    assert np.all(graph.depth[:roots] == 0)
+    assert np.all(graph.parent[:roots] == -1)
+    assert np.all(graph.tree[:roots] == np.arange(roots))
+    assert np.all(np.diff(graph.depth) >= 0)
+    members = graph.clique_size - 1
+    owner = np.repeat(np.arange(graph.n_cliques), members)
+    first = np.repeat(graph.member_start, members)
+    offset = np.arange(owner.size) - np.repeat(np.cumsum(members) - members, members)
+    ids = first + offset
+    # every non-root vertex is a member of exactly one clique
+    assert np.array_equal(np.sort(ids), np.arange(roots, graph.n_vertices))
+    assert np.all(graph.clique_of[ids] == owner)
+    assert np.all(graph.parent[ids] == graph.clique_parent[owner])
+    assert np.all(graph.depth[ids] == graph.depth[graph.clique_parent[owner]] + 1)
+    assert np.all(graph.tree[ids] == graph.tree[graph.clique_parent[owner]])
+    # expanded vertices: child count equals members of owned cliques
+    owned = np.bincount(graph.clique_parent, weights=members, minlength=graph.n_vertices)
+    expanded = graph.depth < graph.truncation_depth
+    assert np.all(graph.child_count[expanded] == owned[expanded])
+
+
+def _tree(forest, t: int) -> LocalGraph:
+    """Tree t of a forest as a graph of its own, ids relabelled in order."""
+    ids = np.flatnonzero(forest.tree == t)
+    cliques = np.flatnonzero(forest.tree[forest.clique_parent] == t)
+    parent = forest.parent[ids].copy()
+    parent[1:] = np.searchsorted(ids, parent[1:])
+    clique_of = forest.clique_of[ids].copy()
+    clique_of[1:] = np.searchsorted(cliques, clique_of[1:])
+    return LocalGraph(
+        truncation_depth=forest.truncation_depth,
+        depth=forest.depth[ids],
+        tree=np.zeros(ids.size, dtype=np.int64),
+        parent=parent,
+        clique_of=clique_of,
+        child_count=forest.child_count[ids],
+        active=np.zeros(ids.size, dtype=bool),
+        clique_parent=np.searchsorted(ids, forest.clique_parent[cliques]),
+        clique_size=forest.clique_size[cliques],
+        member_start=np.searchsorted(ids, forest.member_start[cliques]),
+    )
+
+
+def _single_root_sampler(params, depth, rng):
+    """Reference sampler for a single graph: the draws roots=1 must reproduce."""
+    root_table, extra_table, size_table, child_table = _tables(
+        params.memberships, params.community_sizes
+    )
+    vdepth, vparent, vclique = [np.zeros(1, int)], [np.full(1, -1)], [np.full(1, -1)]
+    vchild, cparent, csize, cstart = [], [], [], []
+    next_vertex, next_clique = 1, 0
+    level_ids = np.zeros(1, dtype=np.int64)
+    for level in range(depth):
+        n_here = level_ids.size
+        table = root_table if level == 0 else extra_table
+        counts = table.draw(rng, n_here)
+        sizes = size_table.draw(rng, int(counts.sum()))
+        members = sizes - 1
+        owner = np.repeat(np.arange(n_here), counts)
+        vchild.append(np.bincount(owner, weights=members, minlength=n_here))
+        cparent.append(level_ids[owner])
+        csize.append(sizes)
+        cstart.append(next_vertex + np.concatenate(([0], np.cumsum(members)[:-1]))[: sizes.size])
+        n_new = int(members.sum())
+        vdepth.append(np.full(n_new, level + 1))
+        vparent.append(np.repeat(level_ids[owner], members))
+        vclique.append(np.repeat(np.arange(next_clique, next_clique + sizes.size), members))
+        level_ids = np.arange(next_vertex, next_vertex + n_new)
+        next_vertex += n_new
+        next_clique += sizes.size
+    vchild.append(child_table.draw(rng, level_ids.size))
+    return {
+        "depth": np.concatenate(vdepth),
+        "parent": np.concatenate(vparent),
+        "clique_of": np.concatenate(vclique),
+        "child_count": np.concatenate(vchild),
+        "clique_parent": np.concatenate(cparent),
+        "clique_size": np.concatenate(csize),
+        "member_start": np.concatenate(cstart),
+    }
+
+
+FOREST_MODELS = {
+    "mixture": MIXTURE,
+    "triangle": model({3: 1.0}, {3: 1.0}, "1/10"),
+    "path": model({2: 1.0}, {2: 1.0}, "2/5"),
+}
+
+
+class TestForest:
+    @given(
+        name=st.sampled_from(sorted(FOREST_MODELS)),
+        roots=st.integers(1, 3 * _BLOCK + 1),
+        depth=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(name="mixture", roots=3 * _BLOCK + 1, depth=3, seed=0)
+    def test_every_tree_is_a_graph_of_its_own(self, name, roots, depth, seed):
+        params = FOREST_MODELS[name]
+        forest = sample_local_graph(params, depth, np.random.default_rng(seed), roots=roots)
+        assert forest.n_roots == roots
+        _assert_structure(forest)
+        run_contagion(forest, params.threshold)
+        per_tree = np.zeros(roots, dtype=np.int64)
+        for t in range(roots):
+            alone = _tree(forest, t)
+            _assert_structure(alone)
+            run_contagion(alone, params.threshold)
+            assert np.array_equal(alone.active, forest.active[forest.tree == t])
+            per_tree[t] = alone.active_by_depth()[depth]
+        assert np.array_equal(forest.active_per_tree(), per_tree)
+
+    def test_depth1_histogram_counts_every_replicate(self):
+        for replicates in (1, _BLOCK, 3 * _BLOCK + 1):
+            hist = depth1_active_counts(MIXTURE, replicates, seed=replicates)
+            assert sum(hist.values()) == replicates
+            assert min(hist) >= 0
+
+    @given(
+        name=st.sampled_from(sorted(FOREST_MODELS)),
+        depth=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_one_root_reproduces_single_graph_sampler(self, name, depth, seed):
+        params = FOREST_MODELS[name]
+        rng = np.random.default_rng(seed)
+        graph = sample_local_graph(params, depth, rng, roots=1)
+        reference_rng = np.random.default_rng(seed)
+        reference = _single_root_sampler(params, depth, reference_rng)
+        for field, values in reference.items():
+            assert np.array_equal(getattr(graph, field), values), field
+        assert np.all(graph.tree == 0)
+        # both consumed the same draws
+        assert rng.random() == reference_rng.random()
 
 
 class TestContagion:
@@ -163,6 +296,21 @@ class TestEstimate:
             MIXTURE, [Threshold(j, 20) for j in (2, 4, 6, 8, 9)], config
         )
         assert all(a >= b for a, b in zip(freqs, freqs[1:]))
+
+    def test_survival_blocks_are_forests(self):
+        # block b is one forest sampled from spawn_key (b,); a replicate
+        # survives when its tree has an active vertex at the last depth
+        thresholds = [Threshold(1, 5), Threshold(2, 5)]
+        config = SimConfig(depth=2, replicates=_BLOCK + 5, seed=41)
+        survived = np.zeros(2, dtype=np.int64)
+        for block, rows in enumerate((_BLOCK, 5)):
+            rng = np.random.default_rng(np.random.SeedSequence(41, spawn_key=(block,)))
+            forest = sample_local_graph(MIXTURE, 2, rng, roots=rows)
+            for i, threshold in enumerate(thresholds):
+                run_contagion(forest, threshold)
+                survived[i] += np.count_nonzero(forest.active_per_tree())
+        expected = tuple(survived / config.replicates)
+        assert survival_by_threshold(MIXTURE, thresholds, config) == expected
 
     def test_census_engine_matches_per_vertex_survival(self):
         # the two sampling routes share one law; compare their survival
@@ -346,6 +494,29 @@ class TestActivationProcess:
         proc = ActivationProcess(triangle_model)
         with pytest.raises(ValueError):
             proc.step({3: 1}, np.random.default_rng(0))
+
+    def test_root_step_matches_batched_root_level(self):
+        # the scalar process and the census tables' block draw of the root
+        # level share one law; 5 sigma per bin over about 25 bins, fixed
+        # before any run
+        n = 10_000
+        models = [
+            model({1: 0.5, 3: 0.5}, {2: 1.0}, "1/10"),
+            MIXTURE,
+            model({3: 1.0}, {2: 0.3, 4: 0.7}, "1/4"),
+            model({2: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, "1/5"),
+        ]
+        for i, params in enumerate(models):
+            proc = ActivationProcess(params)
+            rng = np.random.default_rng(3000 + i)
+            scalar: dict[int, int] = {}
+            for _ in range(n):
+                k = sum(proc.root_step(rng).values())
+                scalar[k] = scalar.get(k, 0) + 1
+            batched = branching_root_counts(params, n, seed=4000 + i)
+            assert sum(batched.values()) == n
+            ok, worst = histogram_match(scalar, batched, sigmas=5.0)
+            assert ok, (i, worst)
 
     def test_enumeration_budget(self):
         # configurations alone: 20^12 ordered size tuples at 13 memberships
