@@ -16,6 +16,12 @@ mix those columns by the configuration law: convolution powers of the
 extra-members law, i.e. pgf compositions, give each parent type's mass and
 the weight of a size-w community among its others.  Sorted-tuple
 enumeration survives in the oracles, the census tables and ActivationProcess.
+
+The Perron root is found by power iteration on each strongly connected
+component.  Its only randomness is the perturbation of a stalled bracket,
+drawn from a generator seeded with 0 and built on the first stall, so rho is
+a function of the matrix alone and the analytic path does not import
+numpy.random.
 """
 
 from __future__ import annotations
@@ -162,8 +168,11 @@ def _perron_root(block: np.ndarray, rel_tol: float, max_iter: int) -> float:
     A diagonal shift by the max row sum makes the block primitive (periodic
     blocks would otherwise cycle); the spectrum shifts by exactly that amount.
     Positive iterates give certified ratio brackets around the root at every
-    step, so the stop rule is bracket width, with a perturbed restart if the
-    bracket stalls.
+    step, so the stop rule is bracket width.  A bracket that stops narrowing
+    for POWER_RESTART_AFTER steps restarts from a perturbed iterate.  The
+    perturbation generator is np.random.default_rng(0), built on the first
+    stall: the root stays a function of the block alone, and a solve that
+    never stalls never imports numpy.random.
     """
     n = block.shape[0]
     if n == 1:
@@ -171,7 +180,7 @@ def _perron_root(block: np.ndarray, rel_tol: float, max_iter: int) -> float:
     shift = float(block.sum(axis=1).max())
     shifted = block + shift * np.eye(n)
     x = np.full(n, 1.0 / n)
-    rng = np.random.default_rng(0)
+    rng = None
     best_width = np.inf
     stalled = 0
     lo = hi = 0.0
@@ -188,6 +197,8 @@ def _perron_root(block: np.ndarray, rel_tol: float, max_iter: int) -> float:
         else:
             stalled += 1
             if stalled > POWER_RESTART_AFTER:
+                if rng is None:
+                    rng = np.random.default_rng(0)
                 x = x * (1.0 + 0.01 * rng.random(n))
                 x /= x.sum()
                 stalled = 0

@@ -129,6 +129,23 @@ def _context(params: ModelParams, clique_size: int):
 
 
 @lru_cache(maxsize=None)
+def _level_steps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step tables of the level DP over n children, shared by every model.
+
+    A step goes from N_{m-1} = i (rows) to N_m = j (columns): placed = j - i
+    of the n - i children above level m - 1 land on level m, stay = n - j
+    stay above it, in ways = C(n - i, j - i) orders (0 where j < i).
+    Cached and read-only.
+    """
+    i, j = np.arange(n + 1)[:, None], np.arange(n + 1)[None, :]
+    placed, stay = np.maximum(j - i, 0), n - np.maximum(i, j)
+    ways = np.vectorize(comb, otypes=[float])(n - i, placed) * (j >= i)
+    for table in (placed, stay, ways):
+        table.flags.writeable = False
+    return placed, stay, ways
+
+
+@lru_cache(maxsize=None)
 def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
     """Expected activated children of each type x = 0..max child count in one clique.
 
@@ -145,11 +162,7 @@ def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
     for x, p in xp.items:
         if floors[x] < n:
             level_mass[floors[x]] += p
-    # step from N_{m-1} = i (rows) to N_m = j (columns): j - i of the n - i
-    # children above level m - 1 land on level m and n - j stay above it
-    i, j = np.arange(n + 1)[:, None], np.arange(n + 1)[None, :]
-    placed, stay = np.maximum(j - i, 0), n - np.maximum(i, j)
-    ways = np.vectorize(comb, otypes=[float])(n - i, placed) * (j >= i)
+    placed, stay, ways = _level_steps(n)
     alive = np.zeros(n + 1)
     alive[0] = 1.0
     expected = np.zeros(n)

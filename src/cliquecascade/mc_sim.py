@@ -434,6 +434,8 @@ def _census_block(tables: _CensusTables, depth: int, rows: int, rng: np.random.G
 
 def _blocks(replicates: int, seed: int):
     """(rows, rng) per block of _BLOCK replicates; block b's stream has spawn_key (b,)."""
+    if replicates < 1:
+        raise ConfigInvalid("replicates must be at least 1")
     for block, lo in enumerate(range(0, replicates, _BLOCK)):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(block,)))
         yield min(_BLOCK, replicates - lo), rng

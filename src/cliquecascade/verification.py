@@ -128,6 +128,7 @@ def depth1_active_counts(
 
     Replicates run in blocks of _BLOCK (256), block b sampling one depth-1
     forest from SeedSequence(seed, spawn_key=(b,)); each tree is a replicate.
+    Fewer than one replicate raises ConfigInvalid.
     """
     hist: dict[int, int] = {}
     for rows, rng in _blocks(replicates, seed):
@@ -143,7 +144,8 @@ def branching_root_counts(
 
     Replicates run in blocks of _BLOCK (256), block b drawing the root level
     of all its rows at once from the census tables with the stream of
-    SeedSequence(seed, spawn_key=(b,)).
+    SeedSequence(seed, spawn_key=(b,)).  Fewer than one replicate raises
+    ConfigInvalid.
     """
     tables = _census_tables(params)
     hist: dict[int, int] = {}
@@ -160,10 +162,13 @@ def histogram_match(
 
     Uses the pooled two-sample standard error per bin; returns the worst
     z-score over bins alongside the pass flag.  Bins where both samples are
-    empty are skipped.
+    empty are skipped.  A histogram that counts no replicates is no evidence
+    either way and raises ValueError.
     """
     n_left = sum(left.values())
     n_right = sum(right.values())
+    if n_left < 1 or n_right < 1:
+        raise ValueError("both histograms must count at least one replicate")
     worst = 0.0
     for k in set(left) | set(right):
         f_left = left.get(k, 0) / n_left

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from cliquecascade import (
     CliqueOutcome,
+    NoConvergence,
     Threshold,
     VerdictKind,
     VerdictReason,
     brute_force_clique_law,
+    cascade_matrix,
     cascade_verdict,
     child_count_pmf,
     clique_dynamics,
@@ -22,7 +24,11 @@ from cliquecascade import (
     spectral_radius,
     strongly_connected_components,
 )
-from cliquecascade.cascade_matrix import mean_active_of_type_oracle
+from cliquecascade.cascade_matrix import (
+    POWER_MAX_ITER,
+    POWER_REL_TOL,
+    mean_active_of_type_oracle,
+)
 from cliquecascade.clique_dynamics import _context, mean_active_column
 from cliquecascade.verification import standard_model_suite
 
@@ -225,7 +231,69 @@ class TestMeanMatrix:
         assert rho == pytest.approx(child_count_pmf(params).mean(), abs=1e-9)
 
 
+# An 8-cycle whose first four edges weigh 10 and last four weigh 1, so rho is
+# sqrt(10).  From the uniform start the extreme ratios sit inside the two
+# halves and hold still until the change at the halves' boundaries reaches
+# them: the bracket stalls for three steps.
+STALLING_CYCLE = np.roll(np.diag([10.0] * 4 + [1.0] * 4), 1, axis=1)
+
+
+def reference_perron_root(block, restart_after):
+    """The power iteration of _perron_root with its generator built before the first step."""
+    n = block.shape[0]
+    shift = float(block.sum(axis=1).max())
+    shifted = block + shift * np.eye(n)
+    x = np.full(n, 1.0 / n)
+    rng = np.random.default_rng(0)
+    best_width, stalled = np.inf, 0
+    for _ in range(POWER_MAX_ITER):
+        y = shifted @ x
+        ratios = y / x
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= POWER_REL_TOL * hi:
+            return 0.5 * (lo + hi) - shift
+        if hi - lo < best_width * (1.0 - 1e-6):
+            best_width, stalled = hi - lo, 0
+        else:
+            stalled += 1
+            if stalled > restart_after:
+                x = x * (1.0 + 0.01 * rng.random(n))
+                x /= x.sum()
+                stalled = 0
+                continue
+        x = y / y.sum()
+    raise AssertionError("reference power iteration did not converge")
+
+
 class TestSpectralRadius:
+    def test_budget_exhausted_raises_with_bracket(self):
+        root = max(abs(np.linalg.eigvals(STALLING_CYCLE)))
+        for max_iter in (1, 5, 50):
+            with pytest.raises(NoConvergence) as info:
+                spectral_radius(STALLING_CYCLE, max_iter=max_iter)
+            lo, hi = info.value.bracket
+            assert lo <= root <= hi
+
+    def test_stalled_bracket_restarts(self, monkeypatch):
+        built = []
+        default_rng = np.random.default_rng
+
+        def recording_rng(seed):
+            built.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        root = max(abs(np.linalg.eigvals(STALLING_CYCLE)))
+        # the default patience outlasts the stall: no generator is built
+        assert spectral_radius(STALLING_CYCLE) == pytest.approx(root, abs=1e-9)
+        assert built == []
+        monkeypatch.setattr(cascade_matrix, "POWER_RESTART_AFTER", 2)
+        rho = spectral_radius(STALLING_CYCLE)
+        assert built == [0]
+        assert abs(rho - root) <= 1e-9
+        assert spectral_radius(STALLING_CYCLE) == rho
+        assert reference_perron_root(STALLING_CYCLE, restart_after=2) == rho
+
     def test_known_two_cycle(self):
         assert spectral_radius(np.array([[0.0, 1.0], [2.0, 0.0]])) == pytest.approx(
             np.sqrt(2.0), abs=1e-9

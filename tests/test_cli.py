@@ -1,11 +1,21 @@
 """CLI subcommands: reports, serialization, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from cliquecascade import OracleCheck, cli
+from cliquecascade import (
+    OracleCheck,
+    Threshold,
+    cli,
+    mean_matrix,
+    strongly_connected_components,
+)
 
 TRIANGLE = {
     "memberships": [[3, 1.0]],
@@ -307,3 +317,31 @@ def test_log_env_accepted(tmp_path, capsys, monkeypatch):
     assert run(["analyze", "--config", write_config(tmp_path, TRIANGLE)]) == 0
     monkeypatch.setenv("CLIQUECASCADE_LOG", "garbage")
     assert run(["analyze", "--config", write_config(tmp_path, TRIANGLE)]) == 0
+
+
+def test_analytic_commands_never_import_numpy_random(tmp_path):
+    # pytest and hypothesis import numpy.random themselves, so the commands
+    # run in a fresh interpreter
+    config = write_config(tmp_path, MIXTURE)
+    grid = "0.1,0.3"  # 0.3 is the model's own threshold
+    params = cli.load_model(config)
+    for theta in grid.split(","):
+        entries = mean_matrix(params.with_threshold(Threshold.from_string(theta))).entries
+        components = strongly_connected_components(entries > 0)
+        assert max(len(c) for c in components) >= 2  # the Perron solve iterates
+    script = (
+        "import os, sys\n"
+        "from cliquecascade import cli\n"
+        f"config, grid = {config!r}, {grid!r}\n"
+        "for argv in (['analyze'], ['sweep', '--grid', grid], ['verify']):\n"
+        "    assert cli.main(argv + ['--config', config, '--out', os.devnull]) == 0\n"
+        "print('numpy.random' in sys.modules)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -237,6 +237,22 @@ class TestForest:
         assert rng.random() == reference_rng.random()
 
 
+class TestHistograms:
+    @pytest.mark.parametrize("sampler", [depth1_active_counts, branching_root_counts])
+    @pytest.mark.parametrize("replicates", [0, -1])
+    def test_samplers_reject_no_replicates(self, sampler, replicates):
+        with pytest.raises(ConfigInvalid):
+            sampler(MIXTURE, replicates, seed=1)
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [({}, {}), ({}, {1: 5}), ({1: 5}, {}), ({0: 0}, {1: 5})],
+    )
+    def test_match_needs_replicates_on_both_sides(self, left, right):
+        with pytest.raises(ValueError):
+            histogram_match(left, right)
+
+
 class TestContagion:
     def test_triangle_all_active(self, triangle_model):
         graph = sample_local_graph(triangle_model, 2, np.random.default_rng(1))
