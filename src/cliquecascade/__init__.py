@@ -37,8 +37,6 @@ from .clique_dynamics import (
     clique_cascade_size,
     clique_outcome_law,
     clique_outcome_prob,
-    order_stat_pmf,
-    run_lengths,
 )
 from .dist_core import (
     ModelParams,
@@ -64,7 +62,6 @@ from .errors import (
     ZeroMean,
 )
 from .mc_sim import (
-    ActivationProcess,
     LocalGraph,
     SimConfig,
     SimReport,
@@ -82,7 +79,6 @@ from .verification import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActivationProcess",
     "AssumptionViolated",
     "BranchingCriterion",
     "CascadeError",
@@ -125,11 +121,9 @@ __all__ = [
     "mean_active_of_type",
     "mean_matrix",
     "oracle_equivalence_checks",
-    "order_stat_pmf",
     "pgf_compose",
     "root_degree_pmf",
     "run_contagion",
-    "run_lengths",
     "sample_local_graph",
     "smallest_fixed_point",
     "spectral_radius",

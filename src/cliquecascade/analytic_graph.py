@@ -58,12 +58,6 @@ def survival_criterion(params: ModelParams) -> BranchingCriterion:
     return BranchingCriterion(lhs=lhs, rhs=rhs)
 
 
-def _composite_pgf(params: ModelParams, x: float) -> float:
-    # pgf of the child count: extra-communities pgf evaluated at the
-    # extra-members pgf
-    return params.extra_communities.pgf(params.extra_members.pgf(x))
-
-
 def smallest_fixed_point(params: ModelParams) -> float:
     """Smallest fixed point in [0, 1] of the child-count pgf f.
 

@@ -15,7 +15,7 @@ clique_dynamics.mean_active_column, a DP over floor levels in O(w^3).  Rows
 mix those columns by the configuration law: convolution powers of the
 extra-members law, i.e. pgf compositions, give each parent type's mass and
 the weight of a size-w community among its others.  Sorted-tuple
-enumeration survives in the oracles, the census tables and ActivationProcess.
+enumeration survives in the oracles and ActivationProcess.
 
 The Perron root is found by power iteration on each strongly connected
 component.  Its only randomness is the perturbation of a stalled bracket,
@@ -52,11 +52,6 @@ def mean_active_of_type(params: ModelParams, x: int, clique_size: int) -> float:
     """Expected number of activated children of type x in one clique."""
     column = mean_active_column(params, clique_size)
     return float(column[x]) if 0 <= x < column.shape[0] else 0.0
-
-
-def mean_active_of_type_oracle(params: ModelParams, x: int, clique_size: int) -> float:
-    """Same expectation read off the brute-force outcome law."""
-    return mean_active_by_type_oracle(params, clique_size).get(x, 0.0)
 
 
 def mean_active_by_type_oracle(params: ModelParams, clique_size: int) -> dict[int, float]:

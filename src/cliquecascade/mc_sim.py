@@ -11,10 +11,13 @@ Two sampling routes produce the same law.  sample_local_graph plus
 run_contagion materialise the graphs and iterate synchronous rounds; this is
 the reference route and the one survival_by_threshold uses to couple several
 thresholds on a shared graph.  estimate instead evolves per-level census
-counts of vertex types with multinomial draws from the exact clique-outcome
-tables, which costs per level a constant set of small draws rather than work
-proportional to the population, so deep supercritical runs stay cheap.
-Tests cross-check the two routes against each other.
+counts of vertex types: a clique's outcome is a stop path of the walk over
+floor levels that clique_dynamics.mean_active_column runs, and given the
+path the types on each level are iid, so a level costs one multinomial per
+size with several paths and one per draw slot with members, rather than
+work proportional to the population or to the sorted child-count tuples.
+Tests cross-check the two routes, and keep the sorted-tuple engine as the
+reference for the census tables.
 
 Both routes run replicates in blocks of a fixed size.  estimate advances
 every row of a block one level per step with one array draw per table; the
@@ -31,11 +34,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb
+from typing import NamedTuple
 
 import numpy as np
 
-from .clique_dynamics import clique_cascade_size, clique_outcome_law, order_stat_pmf, require_enumerable
-from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf
+from .clique_dynamics import clique_outcome_law, order_stat_pmf, require_enumerable
+from .dist_core import DERIVED_MASS_TOL, ModelParams, Pmf, Threshold, child_count_pmf
 from .errors import CensusOverflow, ConfigInvalid
 
 # Replicates per random stream.  Part of the report contract: changing it
@@ -115,27 +119,40 @@ class _DrawTable:
     """Inverse-cdf sampling table for a bounded integer law."""
 
     def __init__(self, pmf: Pmf):
+        self.pmf = pmf
         self.values = np.array(pmf.support, dtype=np.int64)
-        self.cum = np.cumsum([p for _, p in pmf.items])
+        self.probs = np.array([p for _, p in pmf.items])
+        self.cum = np.cumsum(self.probs)
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         idx = np.searchsorted(self.cum, rng.random(size), side="right")
         return self.values[np.minimum(idx, len(self.values) - 1)]
 
 
-@lru_cache(maxsize=None)
-def _tables(memberships: Pmf, community_sizes: Pmf):
-    from .dist_core import _child_count_pmf
+class _Laws(NamedTuple):
+    """The model's threshold-free laws as draw tables, read by both routes."""
 
+    root: _DrawTable  # communities of the root
+    extra: _DrawTable  # further communities of a non-root vertex
+    size: _DrawTable  # size-biased community size
+    child: _DrawTable  # children of a non-root vertex
+
+
+def _laws(params: ModelParams) -> _Laws:
+    return _laws_of(params.memberships, params.community_sizes, child_count_pmf(params))
+
+
+@lru_cache(maxsize=None)
+def _laws_of(memberships: Pmf, community_sizes: Pmf, child_counts: Pmf) -> _Laws:
     sizes = Pmf.from_pairs(
         [(v + 1, p) for v, p in community_sizes.size_biased_shifted().items],
-        tol=1e-9,
+        tol=DERIVED_MASS_TOL,
     )
-    return (
+    return _Laws(
         _DrawTable(memberships),
         _DrawTable(memberships.size_biased_shifted()),
         _DrawTable(sizes),
-        _DrawTable(_child_count_pmf(memberships, community_sizes)),
+        _DrawTable(child_counts),
     )
 
 
@@ -147,15 +164,15 @@ def sample_local_graph(
     Roots take ids 0..roots-1.  Each level draws for all trees at once:
     community counts for the level's vertices, then the sizes of all the new
     communities; the frontier level draws child counts only.  Empty levels
-    consume no randomness.  roots=1 gives a single graph.
+    consume no randomness.  roots=1 gives a single graph.  Raises
+    EnumerationTooLarge before allocating a level that would take the forest
+    past ENUMERATION_BUDGET vertices.
     """
     if depth < 1:
         raise ValueError("depth must be at least 1")
     if roots < 1:
         raise ValueError("roots must be at least 1")
-    root_table, extra_table, size_table, child_table = _tables(
-        params.memberships, params.community_sizes
-    )
+    root_table, extra_table, size_table, child_table = _laws(params)
     level_ids = np.arange(roots, dtype=np.int64)
     vdepth = [np.zeros(roots, dtype=np.int64)]
     vtree = [level_ids]
@@ -175,6 +192,8 @@ def sample_local_graph(
         n_new_cliques = int(counts.sum())
         sizes = size_table.draw(rng, n_new_cliques)
         members = sizes - 1
+        n_new = int(members.sum())
+        require_enumerable(next_vertex + n_new, "forest vertices")
         owner = np.repeat(np.arange(n_here), counts)
         vchild.append(
             np.bincount(owner, weights=members, minlength=n_here).astype(np.int64)
@@ -183,7 +202,6 @@ def sample_local_graph(
         csize.append(sizes)
         offsets = np.cumsum(members) - members
         cstart.append(next_vertex + offsets)
-        n_new = int(members.sum())
         vdepth.append(np.full(n_new, level + 1, dtype=np.int64))
         vparent.append(np.repeat(level_ids[owner], members))
         level_trees = np.repeat(level_trees[owner], members)
@@ -252,93 +270,132 @@ def run_contagion(graph: LocalGraph, threshold: Threshold) -> LocalGraph:
     return graph
 
 
-@dataclass(frozen=True)
-class _CensusTables:
-    """Per-model draw tables for the census engine, all indices ascending.
+class _CliqueTable(NamedTuple):
+    """Stop paths of the floor-level walk in one community size.
 
-    Clique tables list every sorted child-count tuple a community can hold;
-    active_members keeps the prefix that activates when the parent is active,
-    all_members the full membership, both as counts per child-count type.
-    Configuration tables give, per parent type x, the law of community-size
-    counts conditioned on the sizes summing to x extra members.
+    Row i of members gives path i's member counts per draw slot: one slot per
+    level j the cascade reaches, whose types are iid from the child-count law
+    given f(X) = j, and one per stop level m, whose members stay inactive
+    with types given f(X) > m.  Exact by exchangeability.  f is monotone, so
+    a slot's types are a run of the child-count support.
     """
 
-    n_types: int
-    sizes: np.ndarray
-    root_table: _DrawTable
-    size_probs: np.ndarray
-    type_probs: np.ndarray
-    type_values: np.ndarray
-    clique_probs: tuple[np.ndarray, ...]
-    active_members: tuple[np.ndarray, ...]
-    all_members: tuple[np.ndarray, ...]
-    config_probs: dict[int, np.ndarray]
-    config_sizes: dict[int, np.ndarray]
+    probs: np.ndarray  # (paths,)
+    members: np.ndarray  # (paths, slots)
+    slots: tuple  # (active, slice of the support, probs) per slot
+
+
+class _CensusTables(NamedTuple):
+    """Per-model census tables, with types indexed by their position in the
+    child-count support: the laws, one clique table per community size, and
+    per parent type the community-size counts given its extra members."""
+
+    type_values: np.ndarray  # the child-count support
+    laws: _Laws
+    cliques: tuple[_CliqueTable, ...]
+    fixed_sizes: np.ndarray  # (types, sizes), rows of types with one configuration
+    varied_sizes: tuple  # (type, probs, size counts) per type with several
+
+
+def _placements(rest: int, mass: float, tail: float) -> list[int]:
+    """Members a level takes, out of rest unplaced, with positive probability."""
+    return [k for k in range(rest + 1) if (k == 0 or mass) and (k == rest or tail)]
+
+
+def _count_paths(mass: list[float], tail: list[float]) -> int:
+    """Stop paths of positive probability, by a DP over N_m."""
+    n, alive, paths = len(mass), {0: 1}, 0
+    for m in range(n):
+        after = {}
+        for i, ways in alive.items():
+            for k in _placements(n - i, mass[m], tail[m]):
+                if i + k in (m, n):
+                    paths += ways
+                else:
+                    after[i + k] = after.get(i + k, 0) + ways
+        alive = after
+    return paths
+
+
+def _clique_table(floors: dict, mass: list[float], tail: list[float], xp: Pmf) -> _CliqueTable:
+    """List the stop paths of mean_active_column's walk over N_m.
+
+    Level m takes k of the rest unplaced children with probability
+    C(rest, k) (mass_m / reach)^k (tail_m / reach)^(rest - k); the cascade
+    stops at the first m with N_m = m, or once every child is placed.
+    Column j < n counts members on level j, column n + m those a stop at m
+    leaves inactive.
+    """
+    n = len(mass)
+    alive, probs, rows = [(1.0, 0, [])], [], []
+    for m in range(n):
+        reach = mass[m] + tail[m]
+        after = []
+        for prob, i, counts in alive:
+            rest = n - i
+            for k in _placements(rest, mass[m], tail[m]):
+                step = prob * comb(rest, k) * (mass[m] / reach) ** k
+                step *= (tail[m] / reach) ** (rest - k)
+                if i + k not in (m, n):
+                    after.append((step, i + k, counts + [k]))
+                    continue
+                rows.append(counts + [k] + [0] * (2 * n - m - 1))
+                rows[-1][n + m] = rest - k
+                probs.append(step)
+        alive = after
+    members = np.array(rows, dtype=np.int64)
+    used = np.flatnonzero(members.any(axis=0)).tolist()
+    slots, level = [], [floors[x] for x in xp.support]
+    for col in used:
+        types = [i for i, f in enumerate(level) if (f == col if col < n else f > col - n)]
+        weights = np.array([xp.items[i][1] for i in types])
+        slots.append((col < n, slice(types[0], types[-1] + 1), weights / weights.sum()))
+    return _CliqueTable(np.array(probs) / sum(probs), members[:, used], tuple(slots))
 
 
 @lru_cache(maxsize=None)
 def _census_tables(params: ModelParams) -> _CensusTables:
     params.require_contagion_assumptions()
     p, q = params.memberships, params.community_sizes
-    lam, mu = params.mean_memberships, params.mean_community_size
-    xp = child_count_pmf(params)
-    tuples = sum(comb(len(xp.support) + w - 2, w - 1) for w in q.support)
-    tuples += sum(comb(len(q.support) + d - 2, d - 1) for d in p.support)
-    require_enumerable(tuples, "sorted clique and configuration tuples")
-    n_types = params.max_child_count + 1
-    sizes = np.array(q.support, dtype=np.int64)
-    size_index = {int(w): i for i, w in enumerate(sizes)}
-
-    def normalized(raw):
-        arr = np.array(raw, dtype=np.float64)
-        return arr / arr.sum()
-
-    clique_probs = []
-    active_members = []
-    all_members = []
+    laws = _laws(params)
+    xp = laws.child.pmf
+    walks = []
     for w in q.support:
-        probs = []
-        act = []
-        full = []
-        for members in combinations_with_replacement(xp.support, w - 1):
-            probs.append(order_stat_pmf(xp, w - 1, members))
-            ell = clique_cascade_size(params.threshold, w, members)
-            arr = np.array(members, dtype=np.int64)
-            act.append(np.bincount(arr[:ell], minlength=n_types))
-            full.append(np.bincount(arr, minlength=n_types))
-        clique_probs.append(normalized(probs))
-        active_members.append(np.array(act, dtype=np.int64))
-        all_members.append(np.array(full, dtype=np.int64))
+        floors = {x: params.threshold.floor_times(x + w - 1) for x in xp.support}
+        mass = [sum(px for x, px in xp.items if floors[x] == m) for m in range(w - 1)]
+        tail = [sum(px for x, px in xp.items if floors[x] > m) for m in range(w - 1)]
+        walks.append((floors, mass, tail))
+    count = sum(_count_paths(mass, tail) for _, mass, tail in walks)
+    count += sum(comb(len(q.support) + d - 2, d - 1) for d in p.support)
+    require_enumerable(count, "stop paths and configuration tuples")
+    type_index = {x: i for i, x in enumerate(xp.support)}
+    size_index = {w: i for i, w in enumerate(q.support)}
 
-    sized = Pmf.from_pairs([(w, w * q(w) / mu) for w in q.support], tol=1e-9)
     by_type: dict[int, list[tuple[float, np.ndarray]]] = {}
     for d in p.support:
-        weight_d = d * p(d) / lam
+        weight_d = laws.extra.pmf(d - 1)
         for combo in combinations_with_replacement(q.support, d - 1):
             x = sum(w - 1 for w in combo)
-            weight = weight_d * order_stat_pmf(sized, d - 1, combo)
-            counts = np.zeros(len(sizes), dtype=np.int64)
+            weight = weight_d * order_stat_pmf(laws.size.pmf, d - 1, combo)
+            counts = np.zeros(len(q.support), dtype=np.int64)
             for w in combo:
                 counts[size_index[w]] += 1
             by_type.setdefault(x, []).append((weight, counts))
-    config_probs = {}
-    config_sizes = {}
+    fixed_sizes = np.zeros((len(xp.support), len(q.support)), dtype=np.int64)
+    varied_sizes = []
     for x, weighted in sorted(by_type.items()):
-        config_probs[x] = normalized([wt for wt, _ in weighted])
-        config_sizes[x] = np.array([c for _, c in weighted], dtype=np.int64)
-
+        probs = np.array([wt for wt, _ in weighted])
+        sizes = np.array([c for _, c in weighted], dtype=np.int64)
+        if len(weighted) == 1:
+            fixed_sizes[type_index[x]] = sizes[0]
+        else:
+            varied_sizes.append((type_index[x], probs / probs.sum(), sizes))
     return _CensusTables(
-        n_types=n_types,
-        sizes=sizes,
-        root_table=_DrawTable(p),
-        size_probs=normalized([w * q(w) / mu for w in q.support]),
-        type_probs=normalized([xp(t) for t in range(n_types)]),
-        type_values=np.arange(n_types, dtype=np.int64),
-        clique_probs=tuple(clique_probs),
-        active_members=tuple(active_members),
-        all_members=tuple(all_members),
-        config_probs=config_probs,
-        config_sizes=config_sizes,
+        type_values=laws.child.values,
+        laws=laws,
+        cliques=tuple(_clique_table(*walk, xp) for walk in walks),
+        fixed_sizes=fixed_sizes,
+        varied_sizes=tuple(varied_sizes),
     )
 
 
@@ -350,33 +407,45 @@ def _spread(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray) -> 
 
 
 def _resolve_cliques(tables: _CensusTables, cliques_by_size: np.ndarray, rng):
-    """Active and total children-by-type of cliques whose parent is active."""
-    rows = cliques_by_size.shape[0]
-    active = np.zeros((rows, tables.n_types), dtype=np.int64)
-    total = np.zeros((rows, tables.n_types), dtype=np.int64)
-    for wi in range(tables.sizes.shape[0]):
+    """Active and inactive children-by-type of cliques whose parent is active.
+
+    Draws nothing for a size with no cliques, the path of a size with one
+    path, or a slot with no members.
+    """
+    shape = (cliques_by_size.shape[0], tables.type_values.size)
+    active, inactive = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+    for wi, clique in enumerate(tables.cliques):
         counts = cliques_by_size[:, wi]
         if not counts.any():
             continue
-        drawn = _spread(rng, counts, tables.clique_probs[wi])
-        active += drawn @ tables.active_members[wi]
-        total += drawn @ tables.all_members[wi]
-    return active, total
+        if clique.probs.shape[0] == 1:  # every slot of the one path has members
+            members = counts[:, None] * clique.members[0]
+            live = range(members.shape[1])
+        else:
+            members = rng.multinomial(counts, clique.probs) @ clique.members
+            live = np.flatnonzero(members.sum(axis=0)).tolist()
+        for slot in live:
+            is_active, types, probs = clique.slots[slot]
+            target = active if is_active else inactive
+            target[:, types] += _spread(rng, members[:, slot], probs)
+    return active, inactive
 
 
 def _root_level(tables: _CensusTables, rows: int, rng: np.random.Generator):
-    """Active and total depth-1 children-by-type below each of rows roots."""
-    cliques_by_size = _spread(rng, tables.root_table.draw(rng, rows), tables.size_probs)
+    """Active and inactive depth-1 children-by-type below each of rows roots."""
+    laws = tables.laws
+    cliques_by_size = _spread(rng, laws.root.draw(rng, rows), laws.size.probs)
     return _resolve_cliques(tables, cliques_by_size, rng)
 
 
 def _check_next_level(census: np.ndarray, types: np.ndarray, level: int) -> None:
     """Raise if some replicate's next level could exceed the int64 range.
 
-    types is (0, 1, 2, ...) and a type-x vertex has exactly x children, so
-    row r's next level holds census[r] @ types vertices.  Float rounding
-    moves that sum by far less than a factor of two, so below 2**62 it
-    surely fits and only near the limit is the exact integer sum needed.
+    types holds the child count of each column, and a type-x vertex has
+    exactly x children, so row r's next level holds census[r] @ types
+    vertices.  Float rounding moves that sum by far less than a factor of
+    two, so below 2**62 it surely fits and only near the limit is the exact
+    integer sum needed.
     """
     if (census @ types.astype(np.float64)).max() < 2.0**62:
         return
@@ -388,47 +457,50 @@ def _check_next_level(census: np.ndarray, types: np.ndarray, level: int) -> None
         )
 
 
-def _total(counts: np.ndarray) -> int:
-    """Exact sum of at most _BLOCK non-negative int64 counts."""
-    if counts.max() < _INT64_MAX // _BLOCK:
-        return int(counts.sum())
-    return int(counts.sum(dtype=object))
+def _total(state: np.ndarray, fits: bool) -> int:
+    """Exact sum of a block's state; in int64 when the block total fits it."""
+    if fits:
+        return int(state.sum())
+    return int(state.sum(axis=1).sum(dtype=object))
 
 
 def _census_block(tables: _CensusTables, depth: int, rows: int, rng: np.random.Generator):
     """Advance a block of replicates level by level; returns exact tallies.
 
-    Each row of the (rows, n_types) state is one replicate's census of the
-    current level by child-count type.  Returns per-depth vertex and active
-    totals over the block as Python ints, and the number of replicates with
-    an active vertex, and with any vertex, at the truncation depth.
+    Each row of the (rows, types) states is one replicate's census of the
+    current level by child-count type, active and inactive.  Returns
+    per-depth vertex and active totals over the block as Python ints, and
+    the number of replicates with an active vertex, and with any vertex, at
+    the truncation depth.
     """
     vertices = [rows] + [0] * depth
     active_tally = [rows] + [0] * depth
-    active, from_active = _root_level(tables, rows, rng)
-    inactive = from_active - active
+    active, inactive = _root_level(tables, rows, rng)
+    fits = False  # the root level is summed exactly
+    types = tables.type_values
     for level in range(1, depth + 1):
-        level_active = active.sum(axis=1)
-        level_vertices = level_active + inactive.sum(axis=1)
-        vertices[level] = _total(level_vertices)
-        active_tally[level] = _total(level_active)
+        active_tally[level] = _total(active, fits)
+        vertices[level] = active_tally[level] + _total(inactive, fits)
         if level == depth or not vertices[level]:
             break
-        _check_next_level(active + inactive, tables.type_values, level)
-        cliques_by_size = np.zeros((rows, tables.sizes.shape[0]), dtype=np.int64)
-        for x, probs in tables.config_probs.items():
-            counts = active[:, x]
-            if x and counts.any():
-                cliques_by_size += _spread(rng, counts, probs) @ tables.config_sizes[x]
-        next_active, from_active = _resolve_cliques(tables, cliques_by_size, rng)
-        idle = rng.multinomial(inactive @ tables.type_values, tables.type_probs)
-        active, inactive = next_active, (from_active - next_active) + idle
+        # the next level's rows, and their block total, are at most this
+        fits = vertices[level] * int(types[-1]) <= _INT64_MAX
+        if not fits:
+            _check_next_level(active + inactive, types, level)
+        cliques_by_size = active @ tables.fixed_sizes
+        for x, probs, sizes in tables.varied_sizes:
+            if active[:, x].any():
+                cliques_by_size += rng.multinomial(active[:, x], probs) @ sizes
+        next_active, next_inactive = _resolve_cliques(tables, cliques_by_size, rng)
+        if vertices[level] > active_tally[level]:
+            next_inactive += _spread(rng, inactive @ types, tables.laws.child.probs)
+        active, inactive = next_active, next_inactive
     # an early break leaves all-zero rows, so both counts are then 0
     return (
         vertices,
         active_tally,
-        int(np.count_nonzero(level_active)),
-        int(np.count_nonzero(level_vertices)),
+        int(np.count_nonzero(active.any(axis=1))),
+        int(np.count_nonzero((active + inactive).any(axis=1))),
     )
 
 
@@ -449,7 +521,8 @@ def estimate(params: ModelParams, config: SimConfig) -> SimReport:
     spawn_key=(b,)).  Tallies are exact integers, so counts never wrap, and
     floats appear only in the final division: the report is a function of
     (params, depth, replicates, seed) alone.  Raises CensusOverflow when a
-    replicate's level would outgrow int64.
+    replicate's level would outgrow int64, and EnumerationTooLarge before
+    listing more than ENUMERATION_BUDGET stop paths and configurations.
     """
     tables = _census_tables(params)
     depth = config.depth
@@ -484,8 +557,9 @@ def survival_by_threshold(
     seed the frequencies are non-increasing whenever the thresholds are
     increasing: a harsher rule activates a subset of the same vertices.  Uses
     the per-vertex route, which prices each replicate by its vertex count and
-    holds a whole block's forest in memory; keep depth moderate for
-    supercritical models.
+    holds a whole block's forest in memory: a forest that would pass
+    ENUMERATION_BUDGET vertices raises EnumerationTooLarge before its level
+    is allocated.
     """
     params.require_contagion_assumptions()
     thresholds = list(thresholds)

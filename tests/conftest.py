@@ -1,5 +1,6 @@
 import hypothesis
 import pytest
+from hypothesis import strategies as st
 
 from cliquecascade import ModelParams, Threshold
 
@@ -14,6 +15,21 @@ hypothesis.settings.load_profile("ci")
 
 def model(p: dict, q: dict, theta: str) -> ModelParams:
     return ModelParams.create(p, q, Threshold.from_string(theta))
+
+
+# thresholds for the properties; most of them put theta * degree exactly on
+# an integer for some degree the drawn models reach, where the floor flips
+THETA_GRID = ("1/10", "1/6", "1/5", "1/4", "2/7", "3/10", "1/3", "2/5", "3/7", "1/2", "3/5")
+
+
+@st.composite
+def models(draw, memberships, sizes, max_points):
+    def pmf(values):
+        support = draw(st.lists(st.sampled_from(values), min_size=1, max_size=max_points, unique=True))
+        weights = [draw(st.integers(1, 9)) for _ in support]
+        return {v: w / sum(weights) for v, w in zip(support, weights)}
+
+    return model(pmf(memberships), pmf(sizes), draw(st.sampled_from(THETA_GRID)))
 
 
 @pytest.fixture

@@ -16,10 +16,15 @@ from cliquecascade import (
     survival_criterion,
 )
 from cliquecascade import analytic_graph
-from cliquecascade.analytic_graph import _composite_pgf
 from cliquecascade.verification import standard_model_suite
 
 from conftest import model
+
+
+def _composite_pgf(params, x: float) -> float:
+    # pgf of the child count: extra-communities pgf evaluated at the
+    # extra-members pgf
+    return params.extra_communities.pgf(params.extra_members.pgf(x))
 
 
 class TestSurvivalCriterion:

@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from cliquecascade import (
     CliqueOutcome,
@@ -27,16 +26,12 @@ from cliquecascade import (
 from cliquecascade.cascade_matrix import (
     POWER_MAX_ITER,
     POWER_REL_TOL,
-    mean_active_of_type_oracle,
+    mean_active_by_type_oracle,
 )
 from cliquecascade.clique_dynamics import _context, mean_active_column
 from cliquecascade.verification import standard_model_suite
 
-from conftest import model
-
-# thresholds for the properties; most of them put theta * degree exactly on
-# an integer for some degree the drawn models reach, where the floor flips
-THETA_GRID = ("1/10", "1/6", "1/5", "1/4", "2/7", "3/10", "1/3", "2/5", "3/7", "1/2", "3/5")
+from conftest import model, models
 
 
 def active_count_prob(params, x, clique_size, k, ell, i):
@@ -107,16 +102,6 @@ def product_mean_matrix(params):
     return entries
 
 
-@st.composite
-def models(draw, memberships, sizes, max_points):
-    def pmf(values):
-        support = draw(st.lists(st.sampled_from(values), min_size=1, max_size=max_points, unique=True))
-        weights = [draw(st.integers(1, 9)) for _ in support]
-        return {v: w / sum(weights) for v, w in zip(support, weights)}
-
-    return model(pmf(memberships), pmf(sizes), draw(st.sampled_from(THETA_GRID)))
-
-
 def wide_model(theta):
     """p uniform on {2,3,4}, q uniform on 2..7: 101k sorted tuples at size 7."""
     return model({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}, {w: 1 / 6 for w in range(2, 8)}, theta)
@@ -138,7 +123,7 @@ class TestMeanActive:
         for w in params.community_sizes.support:
             for x in child_count_pmf(params).support:
                 assert mean_active_of_type(params, x, w) == pytest.approx(
-                    mean_active_of_type_oracle(params, x, w), abs=1e-9
+                    mean_active_by_type_oracle(params, w).get(x, 0.0), abs=1e-9
                 )
 
 

@@ -28,6 +28,11 @@ LARGE_COMMUNITIES = {
     "community_sizes": [[w, 1 / 19] for w in range(2, 21)],
     "threshold": "1/5",
 }
+STOP_PATH_BUDGET = {
+    "memberships": [[d, 0.1] for d in range(1, 11)],
+    "community_sizes": [[40, 1.0]],
+    "threshold": "1/40",
+}
 MIXTURE = {
     "memberships": [[2, 0.5], [4, 0.5]],
     "community_sizes": [[2, 0.5], [3, 0.5]],
@@ -229,20 +234,25 @@ class TestSimulate:
         assert "overflow" in captured.err
 
     def test_enumeration_budget_exit_1(self, tmp_path, capsys):
+        # about 3e17 sorted clique tuples at size 20, but few stop paths
         config = write_config(tmp_path, LARGE_COMMUNITIES)
+        argv = ["--depth", "10", "--replicates", "10", "--seed", "1"]
+        assert run(["simulate", "--config", config] + argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["config"]["depth"] == 10
+        assert run(["analyze", "--config", config]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert len(report["mean_matrix"]) == 58
+        assert report["verdict"]["kind"] == "FiniteAlmostSurely"
+        # 1.3e9 positive-probability stop paths at size 40
+        config = write_config(tmp_path, STOP_PATH_BUDGET, name="paths.json")
         started = time.monotonic()
-        code = run(
-            ["simulate", "--config", config, "--depth", "2", "--replicates", "10", "--seed", "1"]
-        )
+        code = run(["simulate", "--config", config] + argv)
         assert time.monotonic() - started < 10.0
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "enumeration too large" in captured.err
-        assert run(["analyze", "--config", config]) == 0
-        report = json.loads(capsys.readouterr().out)
-        assert len(report["mean_matrix"]) == 58
-        assert report["verdict"]["kind"] == "FiniteAlmostSurely"
 
     def test_roundtrip(self, tmp_path, capsys):
         run(

@@ -17,10 +17,13 @@ from cliquecascade import (
     clique_cascade_size,
     clique_outcome_law,
     clique_outcome_prob,
+)
+from cliquecascade.clique_dynamics import (
+    ENUMERATION_BUDGET,
+    iter_enumerated_outcomes,
     order_stat_pmf,
     run_lengths,
 )
-from cliquecascade.clique_dynamics import ENUMERATION_BUDGET, iter_enumerated_outcomes
 from cliquecascade.errors import InvalidOutcome, UnsortedInput
 
 from conftest import model

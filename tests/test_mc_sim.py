@@ -1,4 +1,13 @@
-"""Graph sampler structure, contagion fixpoint, replication, process sampler."""
+"""Graph sampler structure, contagion fixpoint, replication, process sampler.
+
+The census engine is checked against the sorted-tuple engine it replaced,
+kept at the end of this file as the reference.
+"""
+
+from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations_with_replacement
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -6,12 +15,13 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cliquecascade import (
-    ActivationProcess,
     CensusOverflow,
     ConfigInvalid,
     EnumerationTooLarge,
     LocalGraph,
+    Pmf,
     SimConfig,
+    SimReport,
     Threshold,
     child_count_pmf,
     clique_outcome_law,
@@ -22,14 +32,29 @@ from cliquecascade import (
     sample_local_graph,
     survival_by_threshold,
 )
-from cliquecascade.mc_sim import _BLOCK, _tables
+from cliquecascade import clique_dynamics, mc_sim
+from cliquecascade.clique_dynamics import (
+    clique_cascade_size,
+    order_stat_pmf,
+    require_enumerable,
+)
+from cliquecascade.mc_sim import (
+    _BLOCK,
+    ActivationProcess,
+    _DrawTable,
+    _blocks,
+    _census_tables,
+    _check_next_level,
+    _laws,
+    _spread,
+)
 from cliquecascade.verification import (
     branching_root_counts,
     depth1_active_counts,
     histogram_match,
 )
 
-from conftest import model
+from conftest import model, models
 
 MIXTURE = model({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "3/10")
 
@@ -146,9 +171,7 @@ def _tree(forest, t: int) -> LocalGraph:
 
 def _single_root_sampler(params, depth, rng):
     """Reference sampler for a single graph: the draws roots=1 must reproduce."""
-    root_table, extra_table, size_table, child_table = _tables(
-        params.memberships, params.community_sizes
-    )
+    root_table, extra_table, size_table, child_table = _laws(params)
     vdepth, vparent, vclique = [np.zeros(1, int)], [np.full(1, -1)], [np.full(1, -1)]
     vchild, cparent, csize, cstart = [], [], [], []
     next_vertex, next_clique = 1, 0
@@ -544,3 +567,252 @@ class TestActivationProcess:
         large = model({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}, {w: 1 / 19 for w in range(2, 21)}, "1/5")
         with pytest.raises(EnumerationTooLarge):
             ActivationProcess(large)
+
+
+# Reference census engine: the sorted-tuple clique tables and level loop that
+# the stop-path engine replaced.  One category per sorted child-count tuple,
+# all members of every clique resolved through an int64 product.
+
+
+@dataclass(frozen=True)
+class _TupleTables:
+    n_types: int
+    root_table: _DrawTable
+    size_probs: np.ndarray
+    type_probs: np.ndarray
+    type_values: np.ndarray
+    clique_probs: tuple
+    active_members: tuple
+    all_members: tuple
+    config_probs: dict
+    config_sizes: dict
+
+
+@lru_cache(maxsize=None)
+def reference_tuple_tables(params) -> _TupleTables:
+    params.require_contagion_assumptions()
+    p, q = params.memberships, params.community_sizes
+    lam, mu = params.mean_memberships, params.mean_community_size
+    xp = child_count_pmf(params)
+    tuples = sum(comb(len(xp.support) + w - 2, w - 1) for w in q.support)
+    tuples += sum(comb(len(q.support) + d - 2, d - 1) for d in p.support)
+    require_enumerable(tuples, "sorted clique and configuration tuples")
+    n_types = params.max_child_count + 1
+    size_index = {w: i for i, w in enumerate(q.support)}
+
+    def normalized(raw):
+        arr = np.array(raw, dtype=np.float64)
+        return arr / arr.sum()
+
+    clique_probs, active_members, all_members = [], [], []
+    for w in q.support:
+        probs, act, full = [], [], []
+        for members in combinations_with_replacement(xp.support, w - 1):
+            probs.append(order_stat_pmf(xp, w - 1, members))
+            ell = clique_cascade_size(params.threshold, w, members)
+            arr = np.array(members, dtype=np.int64)
+            act.append(np.bincount(arr[:ell], minlength=n_types))
+            full.append(np.bincount(arr, minlength=n_types))
+        clique_probs.append(normalized(probs))
+        active_members.append(np.array(act, dtype=np.int64))
+        all_members.append(np.array(full, dtype=np.int64))
+
+    sized = Pmf.from_pairs([(w, w * q(w) / mu) for w in q.support], tol=1e-9)
+    by_type = {}
+    for d in p.support:
+        for combo in combinations_with_replacement(q.support, d - 1):
+            weight = d * p(d) / lam * order_stat_pmf(sized, d - 1, combo)
+            counts = np.zeros(len(q.support), dtype=np.int64)
+            for w in combo:
+                counts[size_index[w]] += 1
+            by_type.setdefault(sum(w - 1 for w in combo), []).append((weight, counts))
+    return _TupleTables(
+        n_types=n_types,
+        root_table=_DrawTable(p),
+        size_probs=normalized([w * q(w) / mu for w in q.support]),
+        type_probs=normalized([xp(t) for t in range(n_types)]),
+        type_values=np.arange(n_types, dtype=np.int64),
+        clique_probs=tuple(clique_probs),
+        active_members=tuple(active_members),
+        all_members=tuple(all_members),
+        config_probs={x: normalized([wt for wt, _ in v]) for x, v in sorted(by_type.items())},
+        config_sizes={x: np.array([c for _, c in v]) for x, v in sorted(by_type.items())},
+    )
+
+
+def _reference_resolve(tables, cliques_by_size, rng):
+    rows = cliques_by_size.shape[0]
+    active = np.zeros((rows, tables.n_types), dtype=np.int64)
+    total = np.zeros((rows, tables.n_types), dtype=np.int64)
+    for wi in range(cliques_by_size.shape[1]):
+        counts = cliques_by_size[:, wi]
+        if not counts.any():
+            continue
+        drawn = _spread(rng, counts, tables.clique_probs[wi])
+        active += drawn @ tables.active_members[wi]
+        total += drawn @ tables.all_members[wi]
+    return active, total
+
+
+def _reference_block(tables, depth, rows, rng):
+    vertices = [rows] + [0] * depth
+    active_tally = [rows] + [0] * depth
+    cliques_by_size = _spread(rng, tables.root_table.draw(rng, rows), tables.size_probs)
+    active, from_active = _reference_resolve(tables, cliques_by_size, rng)
+    inactive = from_active - active
+    for level in range(1, depth + 1):
+        level_active = active.sum(axis=1)
+        level_vertices = level_active + inactive.sum(axis=1)
+        vertices[level] = int(level_vertices.sum(dtype=object))
+        active_tally[level] = int(level_active.sum(dtype=object))
+        if level == depth or not vertices[level]:
+            break
+        _check_next_level(active + inactive, tables.type_values, level)
+        cliques_by_size = np.zeros_like(cliques_by_size)
+        for x, probs in tables.config_probs.items():
+            counts = active[:, x]
+            if x and counts.any():
+                cliques_by_size += _spread(rng, counts, probs) @ tables.config_sizes[x]
+        next_active, from_active = _reference_resolve(tables, cliques_by_size, rng)
+        idle = rng.multinomial(inactive @ tables.type_values, tables.type_probs)
+        active, inactive = next_active, (from_active - next_active) + idle
+    return (
+        vertices,
+        active_tally,
+        int(np.count_nonzero(level_active)),
+        int(np.count_nonzero(level_vertices)),
+    )
+
+
+def reference_estimate(params, config):
+    """estimate's report, computed by the reference engine."""
+    tables = reference_tuple_tables(params)
+    vertices = [0] * (config.depth + 1)
+    active = [0] * (config.depth + 1)
+    survived = alive = 0
+    for rows, rng in _blocks(config.replicates, config.seed):
+        vc, ac, s, a = _reference_block(tables, config.depth, rows, rng)
+        vertices = [t + v for t, v in zip(vertices, vc)]
+        active = [t + v for t, v in zip(active, ac)]
+        survived += s
+        alive += a
+    n = config.replicates
+    return SimReport(
+        survival_frequency=survived / n,
+        graph_alive_frequency=alive / n,
+        mean_active_by_depth=tuple(v / n for v in active),
+        mean_vertices_by_depth=tuple(v / n for v in vertices),
+    )
+
+
+def _multinomial_law(count, probs):
+    """Exact law of multinomial(count, probs) as {counts tuple: probability}."""
+    law = {}
+    for combo in combinations_with_replacement(range(len(probs)), count):
+        counts = np.bincount(combo, minlength=len(probs)).astype(int)
+        ways = factorial(count) // prod(factorial(int(k)) for k in counts)
+        law[tuple(counts)] = ways * prod(float(p) ** int(k) for p, k in zip(probs, counts))
+    return law
+
+
+def path_table_law(clique, type_values):
+    """Law of (active-by-type, total-by-type) that one clique's stop paths induce."""
+    n_types = int(type_values[-1]) + 1
+    law = {}
+    for prob, members in zip(clique.probs, clique.members):
+        partial = {((0,) * n_types, (0,) * n_types): float(prob)}
+        for count, (is_active, types, probs) in zip(members.tolist(), clique.slots):
+            if not count:
+                continue
+            grown = {}
+            for (act, tot), p0 in partial.items():
+                for drawn, p1 in _multinomial_law(count, probs).items():
+                    add = np.zeros(n_types, dtype=int)
+                    add[type_values[types]] = drawn
+                    key = (
+                        tuple(np.add(act, add * is_active)),
+                        tuple(np.add(tot, add)),
+                    )
+                    grown[key] = grown.get(key, 0.0) + p0 * p1
+            partial = grown
+        for key, p in partial.items():
+            law[key] = law.get(key, 0.0) + p
+    return law
+
+
+def tuple_table_law(tables, wi):
+    law = {}
+    for prob, act, full in zip(
+        tables.clique_probs[wi], tables.active_members[wi], tables.all_members[wi]
+    ):
+        key = (tuple(act.tolist()), tuple(full.tolist()))
+        law[key] = law.get(key, 0.0) + float(prob)
+    return law
+
+
+# Models whose every community size has a single stop path, so the two
+# engines consume the same draws: (params, depth, replicates, seed).
+SINGLE_PATH = {
+    "census-deep": (model({1: 0.5, 3: 0.5}, {2: 1.0}, "1/10"), 30, 2 * _BLOCK + 3, 61),
+    "triangle": (model({3: 1.0}, {3: 1.0}, "1/10"), 8, _BLOCK + 1, 62),
+    "path": (model({2: 1.0}, {2: 1.0}, "2/5"), 12, 3 * _BLOCK, 63),
+}
+
+
+class TestStopPathEngine:
+    @given(params=models(range(1, 4), range(2, 6), max_points=3))
+    @example(params=MIXTURE)
+    @example(params=model({2: 0.5, 3: 0.5}, {2: 0.5, 5: 0.5}, "1/4"))
+    def test_path_tables_induce_the_tuple_law(self, params):
+        tables = _census_tables(params)
+        reference = reference_tuple_tables(params)
+        for wi, clique in enumerate(tables.cliques):
+            law = path_table_law(clique, tables.type_values)
+            expected = tuple_table_law(reference, wi)
+            for key in set(law) | set(expected):
+                assert abs(law.get(key, 0.0) - expected.get(key, 0.0)) <= 1e-12, key
+
+    @pytest.mark.parametrize("name", sorted(SINGLE_PATH))
+    def test_single_path_models_match_reference_engine(self, name):
+        params, depth, replicates, seed = SINGLE_PATH[name]
+        assert all(c.probs.size == 1 for c in _census_tables(params).cliques)
+        for k in range(3):
+            config = SimConfig(depth=depth, replicates=replicates, seed=seed + 100 * k)
+            assert estimate(params, config) == reference_estimate(params, config)
+
+    def test_multi_path_model_has_several_paths(self):
+        # guards the law property against a table that never branches
+        params = model({2: 0.5, 3: 0.5}, {2: 0.5, 5: 0.5}, "1/4")
+        assert max(c.probs.size for c in _census_tables(params).cliques) > 1
+
+    def test_budget_refuses_before_listing_paths(self, monkeypatch):
+        # 1.3e9 positive-probability stop paths at size 40: counted, never listed
+        params = model({d: 0.1 for d in range(1, 11)}, {40: 1.0}, "1/40")
+
+        def listed(*args):
+            raise AssertionError("a path was listed")
+
+        monkeypatch.setattr(mc_sim, "_clique_table", listed)
+        with pytest.raises(EnumerationTooLarge, match="stop paths"):
+            _census_tables(params)
+
+    def test_large_communities_run(self):
+        # p uniform {2,3,4}, q uniform 2..20: about 3e17 sorted clique tuples
+        params = model({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}, {w: 1 / 19 for w in range(2, 21)}, "1/5")
+        report = estimate(params, SimConfig(depth=10, replicates=2 * _BLOCK, seed=7))
+        assert report.mean_vertices_by_depth[0] == 1.0
+        assert report.survival_frequency <= report.graph_alive_frequency
+
+
+class TestForestBudget:
+    def test_oversized_forest_raises(self, monkeypatch):
+        # the triangle at 1/10 grows fourfold per level: 256 trees of depth 4
+        # hold 256 * 511 vertices
+        monkeypatch.setattr(clique_dynamics, "ENUMERATION_BUDGET", 100_000)
+        params = model({3: 1.0}, {3: 1.0}, "1/10")
+        config = SimConfig(depth=4, replicates=_BLOCK, seed=1)
+        with pytest.raises(EnumerationTooLarge, match="forest vertices"):
+            survival_by_threshold(params, [params.threshold], config)
+        # one level less fits: 256 * 127 vertices
+        shallow = SimConfig(depth=3, replicates=_BLOCK, seed=1)
+        assert survival_by_threshold(params, [params.threshold], shallow) == (1.0,)
