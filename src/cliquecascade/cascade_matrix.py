@@ -15,7 +15,7 @@ clique_dynamics.mean_active_column, a DP over floor levels in O(w^3).  Rows
 mix those columns by the configuration law: convolution powers of the
 extra-members law, i.e. pgf compositions, give each parent type's mass and
 the weight of a size-w community among its others.  Sorted-tuple
-enumeration survives in the oracles and ActivationProcess.
+enumeration survives only in the oracles.
 
 The Perron root is found by power iteration on each strongly connected
 component.  Its only randomness is the perturbation of a stalled bracket,

@@ -12,15 +12,21 @@ order statistics, and stop at the first position whose requirement exceeds the
 number of vertices already available.  That reduces the joint law of (number
 activated, their sorted child counts) to a closed form over order statistics,
 implemented here next to a brute-force round-based enumeration used to verify
-it.  The mean activated count by type needs no enumeration: mean_active_column
-computes it by a DP over floor levels.
+it.
+
+The same monotonicity gives a walk over floor levels f(x) = floor(threshold *
+(x + w - 1)), and this module is the only one that knows it: _levels holds
+its tables for one clique size, mean_active_column runs it as a DP for the
+mean activated count of every type, and _count_paths and _stop_paths count
+and list its stop paths, which the census engine in mc_sim maps to draw slots.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from functools import lru_cache
-from math import comb, factorial
+from math import comb, factorial, lgamma, log
 from typing import NamedTuple
 
 import numpy as np
@@ -76,56 +82,35 @@ def clique_cascade_size(threshold: Threshold, clique_size: int, sorted_child_cou
     return clique_size - 1
 
 
-def run_lengths(sorted_values) -> tuple[int, ...]:
-    """Length of the tie run starting at each position (1 off a run start).
-
-    For (1, 2, 2, 2, 5, 5) this is (1, 3, 1, 1, 2, 1); the product of
-    factorials over positions 1..n-1 is the number of permutations collapsed
-    by sorting, i.e. the product of multiplicities' factorials.
-    """
-    vals = _check_sorted(sorted_values)
-    n = len(vals)
-    out = []
-    for i in range(n):
-        if i > 0 and vals[i] == vals[i - 1]:
-            out.append(1)
-        else:
-            j = i
-            while j + 1 < n and vals[j + 1] == vals[i]:
-                j += 1
-            out.append(j - i + 1)
-    return tuple(out)
-
-
-def order_stat_pmf(base: Pmf, n: int, sorted_values) -> float:
-    """Joint pmf of the order statistics of n iid draws at the sorted point."""
-    vals = _check_sorted(sorted_values)
-    if len(vals) != n:
-        raise InvalidOutcome(f"expected {n} values, got {len(vals)}")
-    runs = run_lengths(vals)
-    ties = 1
-    for s in runs[:-1]:
-        ties *= factorial(s)
-    weight = factorial(n) // ties
-    prob = float(weight)
-    for v in vals:
-        prob *= base(v)
-    return prob
+def _orderings(sorted_values) -> int:
+    """Distinct orderings of a sorted multiset, e.g. 6! / (3! 2!) = 60 for (1, 2, 2, 2, 5, 5)."""
+    ways = factorial(len(sorted_values))
+    for _, run in itertools.groupby(sorted_values):
+        ways //= factorial(len(list(run)))
+    return ways
 
 
 @lru_cache(maxsize=None)
-def _context(params: ModelParams, clique_size: int):
-    """Per-(model, clique size) tables: child-count law, floors, tail probabilities.
+def _levels(params: ModelParams, clique_size: int) -> tuple[Pmf, dict, tuple, tuple]:
+    """The floor-level walk of one clique size: (xp, floors, mass, tail), cached.
 
-    tail[m] = P(floor(threshold * (X + w - 1)) > m): the chance a fresh child
-    is out of reach even with m activated brothers plus the parent.
+    A child of type x sits on level floors[x] = floor(threshold * (x + w - 1)).
+    mass[m] = P(f(X) = m) on the w - 1 levels a cascade can reach; tail[m] =
+    P(f(X) > m), m = 0..w-1, is the chance a fresh child is out of reach even
+    with m activated brothers plus the parent.  Raises EnumerationTooLarge
+    when the walk's largest binomial coefficient, C(w - 1, (w - 1) // 2),
+    passes the float range (w >= 1031), before any table is built.
     """
+    n = clique_size - 1
+    if lgamma(n + 1) - lgamma(n // 2 + 1) - lgamma(n - n // 2 + 1) > log(sys.float_info.max):
+        raise EnumerationTooLarge(
+            f"community size {clique_size} needs binomial coefficients beyond the float range"
+        )
     xp = child_count_pmf(params)
-    floors = {x: params.threshold.floor_times(x + clique_size - 1) for x in xp.support}
-    tail = tuple(
-        sum(p for x, p in xp.items if floors[x] > m) for m in range(clique_size)
-    )
-    return xp, floors, tail
+    floors = {x: params.threshold.floor_times(x + n) for x in xp.support}
+    mass = tuple(sum(p for x, p in xp.items if floors[x] == m) for m in range(n))
+    tail = tuple(sum(p for x, p in xp.items if floors[x] > m) for m in range(n + 1))
+    return xp, floors, mass, tail
 
 
 @lru_cache(maxsize=None)
@@ -156,30 +141,78 @@ def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
     N_j > j for all j <= m).  Within a level, types follow the child-count law
     conditioned on the level.  O(w^3); cached and read-only.
     """
-    xp, floors, tail = _context(params, clique_size)
+    xp, floors, mass, tail = _levels(params, clique_size)
     n = clique_size - 1
-    level_mass = [0.0] * n  # levels >= n are never reached
-    for x, p in xp.items:
-        if floors[x] < n:
-            level_mass[floors[x]] += p
     placed, stay, ways = _level_steps(n)
     alive = np.zeros(n + 1)
     alive[0] = 1.0
     expected = np.zeros(n)
     for m in range(n):
-        reach = level_mass[m] + tail[m]
+        reach = mass[m] + tail[m]
         if reach == 0.0:
             break
-        joint = alive[:, None] * ways * (level_mass[m] / reach) ** placed * (tail[m] / reach) ** stay
+        joint = alive[:, None] * ways * (mass[m] / reach) ** placed * (tail[m] / reach) ** stay
         joint[:, : m + 1] = 0.0
         expected[m] = (joint * placed).sum()
         alive = joint.sum(axis=0)
     column = np.zeros(xp.support_max + 1)
     for x, p in xp.items:
         if floors[x] < n:
-            column[x] = expected[floors[x]] * p / level_mass[floors[x]]
+            column[x] = expected[floors[x]] * p / mass[floors[x]]
     column.flags.writeable = False
     return column
+
+
+def _placements(rest: int, mass: float, tail: float) -> list[int]:
+    """Children a level takes, out of rest unplaced, with positive probability."""
+    return [k for k in range(rest + 1) if (k == 0 or mass) and (k == rest or tail)]
+
+
+def _count_paths(params: ModelParams, clique_size: int) -> int:
+    """Stop paths of positive probability of the level walk, by a DP over N_m."""
+    _, _, mass, tail = _levels(params, clique_size)
+    n, alive, paths = len(mass), {0: 1}, 0
+    for m in range(n):
+        after = {}
+        for i, ways in alive.items():
+            for k in _placements(n - i, mass[m], tail[m]):
+                if i + k in (m, n):
+                    paths += ways
+                else:
+                    after[i + k] = after.get(i + k, 0) + ways
+        alive = after
+    return paths
+
+
+def _stop_paths(params: ModelParams, clique_size: int) -> tuple[list[float], list[list[int]]]:
+    """List the stop paths of mean_active_column's walk over N_m.
+
+    Level m takes k of the rest unplaced children with probability
+    C(rest, k) (mass_m / reach)^k (tail_m / reach)^(rest - k); the cascade
+    stops at the first m with N_m = m, or once every child is placed.
+    Returns each path's probability and its row of 2n counts: column j < n
+    counts the children on level j, column n + m those a stop at m leaves
+    inactive.
+    """
+    _, _, mass, tail = _levels(params, clique_size)
+    n = len(mass)
+    alive, probs, rows = [(1.0, 0, [])], [], []
+    for m in range(n):
+        reach = mass[m] + tail[m]
+        after = []
+        for prob, i, counts in alive:
+            rest = n - i
+            for k in _placements(rest, mass[m], tail[m]):
+                step = prob * comb(rest, k) * (mass[m] / reach) ** k
+                step *= (tail[m] / reach) ** (rest - k)
+                if i + k not in (m, n):
+                    after.append((step, i + k, counts + [k]))
+                    continue
+                rows.append(counts + [k] + [0] * (2 * n - m - 1))
+                rows[-1][n + m] = rest - k
+                probs.append(step)
+        alive = after
+    return probs, rows
 
 
 def _validate_outcome(clique_size: int, outcome: CliqueOutcome) -> CliqueOutcome:
@@ -209,17 +242,11 @@ def clique_outcome_prob(params: ModelParams, clique_size: int, outcome: CliqueOu
     params.require_contagion_assumptions()
     ell, types = _validate_outcome(clique_size, outcome)
     w = clique_size
-    xp, floors, tail = _context(params, w)
-    if ell == 0:
-        return tail[0] ** (w - 1)
+    xp, floors, _, tail = _levels(params, w)
     for i, x in enumerate(types, start=1):
-        if floors.get(x, params.threshold.floor_times(x + w - 1)) + 1 > i:
+        if x not in floors or floors[x] >= i:
             return 0.0
-    ties = 1
-    for s in run_lengths(types)[:-1]:
-        ties *= factorial(s)
-    weight = factorial(w - 1) // (factorial(w - 1 - ell) * ties)
-    prob = float(weight)
+    prob = float(comb(w - 1, ell) * _orderings(types))
     for x in types:
         prob *= xp(x)
         if prob == 0.0:
@@ -230,13 +257,10 @@ def clique_outcome_prob(params: ModelParams, clique_size: int, outcome: CliqueOu
 def clique_outcome_law(params: ModelParams, clique_size: int) -> dict[CliqueOutcome, float]:
     """Full outcome law from the closed form, over the child-count support."""
     params.require_contagion_assumptions()
-    xp, _, _ = _context(params, clique_size)
+    xp = child_count_pmf(params)
     require_enumerable(comb(len(xp.support) + clique_size - 2, clique_size - 1), "sorted tuples")
     law: dict[CliqueOutcome, float] = {}
-    empty = clique_outcome_prob(params, clique_size, CliqueOutcome(0, ()))
-    if empty > 0.0:
-        law[CliqueOutcome(0, ())] = empty
-    for ell in range(1, clique_size):
+    for ell in range(clique_size):
         for types in itertools.combinations_with_replacement(xp.support, ell):
             prob = clique_outcome_prob(params, clique_size, CliqueOutcome(ell, types))
             if prob > 0.0:
@@ -267,7 +291,7 @@ def _round_based_active(numerator: int, denominator: int, clique_size: int, chil
 def iter_enumerated_outcomes(params: ModelParams, clique_size: int):
     """Yield (child-count tuple, weight, round-based outcome) over the full cube."""
     params.require_contagion_assumptions()
-    xp, _, _ = _context(params, clique_size)
+    xp = child_count_pmf(params)
     values = xp.support
     n_children = clique_size - 1
     require_enumerable(len(values) ** n_children, "child-count tuples")

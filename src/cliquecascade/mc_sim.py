@@ -11,13 +11,13 @@ Two sampling routes produce the same law.  sample_local_graph plus
 run_contagion materialise the graphs and iterate synchronous rounds; this is
 the reference route and the one survival_by_threshold uses to couple several
 thresholds on a shared graph.  estimate instead evolves per-level census
-counts of vertex types: a clique's outcome is a stop path of the walk over
-floor levels that clique_dynamics.mean_active_column runs, and given the
-path the types on each level are iid, so a level costs one multinomial per
-size with several paths and one per draw slot with members, rather than
-work proportional to the population or to the sorted child-count tuples.
-Tests cross-check the two routes, and keep the sorted-tuple engine as the
-reference for the census tables.
+counts of vertex types: a clique's outcome is a stop path of the floor-level
+walk that clique_dynamics counts and lists, and given the path the types on
+each level are iid, so a level costs one multinomial per size with several
+paths and one per draw slot with members, rather than work proportional to
+the population or to the sorted child-count tuples.  This module only maps
+the paths to draw slots.  Tests cross-check the two routes, and keep the
+sorted-tuple engine and a scalar activation-process sampler as references.
 
 Both routes run replicates in blocks of a fixed size.  estimate advances
 every row of a block one level per step with one array draw per table; the
@@ -29,16 +29,15 @@ depends only on the model, the depth, the replicate count and the seed.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement
 from math import comb
 from typing import NamedTuple
 
 import numpy as np
 
-from .clique_dynamics import clique_outcome_law, order_stat_pmf, require_enumerable
+from .clique_dynamics import _count_paths, _levels, _orderings, _stop_paths, require_enumerable
 from .dist_core import DERIVED_MASS_TOL, ModelParams, Pmf, Threshold, child_count_pmf
 from .errors import CensusOverflow, ConfigInvalid
 
@@ -297,52 +296,11 @@ class _CensusTables(NamedTuple):
     varied_sizes: tuple  # (type, probs, size counts) per type with several
 
 
-def _placements(rest: int, mass: float, tail: float) -> list[int]:
-    """Members a level takes, out of rest unplaced, with positive probability."""
-    return [k for k in range(rest + 1) if (k == 0 or mass) and (k == rest or tail)]
-
-
-def _count_paths(mass: list[float], tail: list[float]) -> int:
-    """Stop paths of positive probability, by a DP over N_m."""
-    n, alive, paths = len(mass), {0: 1}, 0
-    for m in range(n):
-        after = {}
-        for i, ways in alive.items():
-            for k in _placements(n - i, mass[m], tail[m]):
-                if i + k in (m, n):
-                    paths += ways
-                else:
-                    after[i + k] = after.get(i + k, 0) + ways
-        alive = after
-    return paths
-
-
-def _clique_table(floors: dict, mass: list[float], tail: list[float], xp: Pmf) -> _CliqueTable:
-    """List the stop paths of mean_active_column's walk over N_m.
-
-    Level m takes k of the rest unplaced children with probability
-    C(rest, k) (mass_m / reach)^k (tail_m / reach)^(rest - k); the cascade
-    stops at the first m with N_m = m, or once every child is placed.
-    Column j < n counts members on level j, column n + m those a stop at m
-    leaves inactive.
-    """
+def _clique_table(params: ModelParams, clique_size: int) -> _CliqueTable:
+    """Map the stop paths of one community size to draw slots."""
+    xp, floors, mass, _ = _levels(params, clique_size)
+    probs, rows = _stop_paths(params, clique_size)
     n = len(mass)
-    alive, probs, rows = [(1.0, 0, [])], [], []
-    for m in range(n):
-        reach = mass[m] + tail[m]
-        after = []
-        for prob, i, counts in alive:
-            rest = n - i
-            for k in _placements(rest, mass[m], tail[m]):
-                step = prob * comb(rest, k) * (mass[m] / reach) ** k
-                step *= (tail[m] / reach) ** (rest - k)
-                if i + k not in (m, n):
-                    after.append((step, i + k, counts + [k]))
-                    continue
-                rows.append(counts + [k] + [0] * (2 * n - m - 1))
-                rows[-1][n + m] = rest - k
-                probs.append(step)
-        alive = after
     members = np.array(rows, dtype=np.int64)
     used = np.flatnonzero(members.any(axis=0)).tolist()
     slots, level = [], [floors[x] for x in xp.support]
@@ -359,13 +317,7 @@ def _census_tables(params: ModelParams) -> _CensusTables:
     p, q = params.memberships, params.community_sizes
     laws = _laws(params)
     xp = laws.child.pmf
-    walks = []
-    for w in q.support:
-        floors = {x: params.threshold.floor_times(x + w - 1) for x in xp.support}
-        mass = [sum(px for x, px in xp.items if floors[x] == m) for m in range(w - 1)]
-        tail = [sum(px for x, px in xp.items if floors[x] > m) for m in range(w - 1)]
-        walks.append((floors, mass, tail))
-    count = sum(_count_paths(mass, tail) for _, mass, tail in walks)
+    count = sum(_count_paths(params, w) for w in q.support)
     count += sum(comb(len(q.support) + d - 2, d - 1) for d in p.support)
     require_enumerable(count, "stop paths and configuration tuples")
     type_index = {x: i for i, x in enumerate(xp.support)}
@@ -376,11 +328,12 @@ def _census_tables(params: ModelParams) -> _CensusTables:
         weight_d = laws.extra.pmf(d - 1)
         for combo in combinations_with_replacement(q.support, d - 1):
             x = sum(w - 1 for w in combo)
-            weight = weight_d * order_stat_pmf(laws.size.pmf, d - 1, combo)
+            weight = float(_orderings(combo))
             counts = np.zeros(len(q.support), dtype=np.int64)
             for w in combo:
+                weight *= laws.size.pmf(w)
                 counts[size_index[w]] += 1
-            by_type.setdefault(x, []).append((weight, counts))
+            by_type.setdefault(x, []).append((weight_d * weight, counts))
     fixed_sizes = np.zeros((len(xp.support), len(q.support)), dtype=np.int64)
     varied_sizes = []
     for x, weighted in sorted(by_type.items()):
@@ -393,7 +346,7 @@ def _census_tables(params: ModelParams) -> _CensusTables:
     return _CensusTables(
         type_values=laws.child.values,
         laws=laws,
-        cliques=tuple(_clique_table(*walk, xp) for walk in walks),
+        cliques=tuple(_clique_table(params, w) for w in q.support),
         fixed_sizes=fixed_sizes,
         varied_sizes=tuple(varied_sizes),
     )
@@ -435,6 +388,15 @@ def _root_level(tables: _CensusTables, rows: int, rng: np.random.Generator):
     """Active and inactive depth-1 children-by-type below each of rows roots."""
     laws = tables.laws
     cliques_by_size = _spread(rng, laws.root.draw(rng, rows), laws.size.probs)
+    return _resolve_cliques(tables, cliques_by_size, rng)
+
+
+def _next_level(tables: _CensusTables, active: np.ndarray, rng: np.random.Generator):
+    """Active and inactive children-by-type of each row's active vertices."""
+    cliques_by_size = active @ tables.fixed_sizes
+    for x, probs, sizes in tables.varied_sizes:
+        if active[:, x].any():
+            cliques_by_size += rng.multinomial(active[:, x], probs) @ sizes
     return _resolve_cliques(tables, cliques_by_size, rng)
 
 
@@ -487,11 +449,7 @@ def _census_block(tables: _CensusTables, depth: int, rows: int, rng: np.random.G
         fits = vertices[level] * int(types[-1]) <= _INT64_MAX
         if not fits:
             _check_next_level(active + inactive, types, level)
-        cliques_by_size = active @ tables.fixed_sizes
-        for x, probs, sizes in tables.varied_sizes:
-            if active[:, x].any():
-                cliques_by_size += rng.multinomial(active[:, x], probs) @ sizes
-        next_active, next_inactive = _resolve_cliques(tables, cliques_by_size, rng)
+        next_active, next_inactive = _next_level(tables, active, rng)
         if vertices[level] > active_tally[level]:
             next_inactive += _spread(rng, inactive @ types, tables.laws.child.probs)
         active, inactive = next_active, next_inactive
@@ -572,98 +530,29 @@ def survival_by_threshold(
     return tuple(s / config.replicates for s in survived)
 
 
-def _cumulative(weighted: list[tuple[float, object]]):
-    outcomes = [o for _, o in weighted]
-    cum = []
-    acc = 0.0
-    for p, _ in weighted:
-        acc += p
-        cum.append(acc)
-    return cum, outcomes
-
-
 class ActivationProcess:
-    """Generation sampler for the type-annotated activation branching process.
+    """One replicate of the activation process at a time, drawn by the census engine.
 
-    Matches the graph contagion in law, level by level: the root spawns
-    communities from the raw membership law, each community draws a cascade
-    outcome from the exact clique law for its size, and every later active
-    vertex of type x draws its community sizes from the configuration law
-    conditioned on total extra members x.  Tables are enumerated once and
-    sampled by inverse cdf.  It draws one replicate per call and serves as
-    the scalar reference for the block draws of the census tables.
+    A census maps a child-count type to its number of active vertices.  The
+    class only gives the census tables' root level and next-level step this
+    per-replicate form, which bench/tracing.py wraps by name.
     """
 
     def __init__(self, params: ModelParams):
-        params.require_contagion_assumptions()
-        self.params = params
-        q = params.community_sizes
-        mu = params.mean_community_size
-        lam = params.mean_memberships
-        configurations = sum(len(q.support) ** (d - 1) for d in params.memberships.support)
-        require_enumerable(configurations, "configurations")
+        self._tables = _census_tables(params)
 
-        # largest size first: an oversized clique law fails before any work
-        self._outcomes = {}
-        for w in reversed(q.support):
-            law = clique_outcome_law(params, w)
-            ordered = sorted(law.items())
-            self._outcomes[w] = _cumulative([(p, o) for o, p in ordered])
-
-        self._root_cliques = _cumulative(
-            [(params.memberships(d), d) for d in params.memberships.support]
-        )
-        self._clique_size = _cumulative([(w * q(w) / mu, w) for w in q.support])
-
-        # configuration law of community sizes given total extra members
-        by_type: dict[int, list[tuple[float, tuple[int, ...]]]] = {}
-        for d in params.memberships.support:
-            if d < 1:
-                continue
-            weight_d = d * params.memberships(d) / lam
-            for sizes in product(q.support, repeat=d - 1):
-                x = sum(w - 1 for w in sizes)
-                weight = weight_d
-                for w in sizes:
-                    weight *= w * q(w) / mu
-                by_type.setdefault(x, []).append((weight, sizes))
-        self._configurations = {}
-        for x, weighted in sorted(by_type.items()):
-            total = sum(p for p, _ in weighted)
-            self._configurations[x] = _cumulative(
-                [(p / total, sizes) for p, sizes in weighted]
-            )
-
-    @staticmethod
-    def _draw(table, rng: np.random.Generator):
-        cum, outcomes = table
-        idx = bisect_right(cum, rng.random())
-        return outcomes[min(idx, len(outcomes) - 1)]
-
-    def _clique_types(self, w: int, rng: np.random.Generator) -> tuple[int, ...]:
-        return self._draw(self._outcomes[w], rng).types
+    def _census(self, active: np.ndarray) -> dict[int, int]:
+        values = self._tables.type_values
+        return {int(values[i]): int(active[0, i]) for i in np.flatnonzero(active[0])}
 
     def root_step(self, rng: np.random.Generator) -> dict[int, int]:
         """Types of the active depth-1 vertices below a fresh root."""
-        census: dict[int, int] = {}
-        d = self._draw(self._root_cliques, rng)
-        for _ in range(d):
-            w = self._draw(self._clique_size, rng)
-            for t in self._clique_types(w, rng):
-                census[t] = census.get(t, 0) + 1
-        return census
+        return self._census(_root_level(self._tables, 1, rng)[0])
 
     def step(self, census: dict[int, int], rng: np.random.Generator) -> dict[int, int]:
         """One generation: active vertices by type to active children by type."""
-        out: dict[int, int] = {}
-        for x in sorted(census):
-            copies = census[x]
-            if copies < 0:
-                raise ValueError("census counts must be non-negative")
-            if copies and x not in self._configurations:
-                raise ValueError(f"type {x} has zero probability under this model")
-            for _ in range(copies):
-                for w in self._draw(self._configurations[x], rng):
-                    for t in self._clique_types(w, rng):
-                        out[t] = out.get(t, 0) + 1
-        return out
+        values = self._tables.type_values.tolist()
+        if any(c < 0 or (c and x not in values) for x, c in census.items()):
+            raise ValueError(f"census {census} has a negative count or an impossible type")
+        active = np.array([[census.get(x, 0) for x in values]], dtype=np.int64)
+        return self._census(_next_level(self._tables, active, rng)[0])

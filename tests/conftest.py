@@ -1,3 +1,6 @@
+from itertools import groupby
+from math import factorial
+
 import hypothesis
 import pytest
 from hypothesis import strategies as st
@@ -15,6 +18,23 @@ hypothesis.settings.load_profile("ci")
 
 def model(p: dict, q: dict, theta: str) -> ModelParams:
     return ModelParams.create(p, q, Threshold.from_string(theta))
+
+
+def order_stat_pmf(base, n: int, sorted_values) -> float:
+    """Joint pmf of the order statistics of n iid draws at the sorted point.
+
+    The reference for the census configuration weights, which must equal it
+    exactly: an integer count of orderings, then one float product in order.
+    """
+    vals = tuple(sorted_values)
+    assert len(vals) == n and list(vals) == sorted(vals)
+    ties = 1
+    for _, run in groupby(vals):
+        ties *= factorial(len(list(run)))
+    prob = float(factorial(n) // ties)
+    for v in vals:
+        prob *= base(v)
+    return prob
 
 
 # thresholds for the properties; most of them put theta * degree exactly on

@@ -28,7 +28,7 @@ from cliquecascade.cascade_matrix import (
     POWER_REL_TOL,
     mean_active_by_type_oracle,
 )
-from cliquecascade.clique_dynamics import _context, mean_active_column
+from cliquecascade.clique_dynamics import mean_active_column
 from cliquecascade.verification import standard_model_suite
 
 from conftest import model, models
@@ -44,7 +44,7 @@ def active_count_prob(params, x, clique_size, k, ell, i):
     w = clique_size
     if k < 1 or ell > w - 1 or i < 0 or k + i > ell:
         return 0.0
-    xp, _, _ = _context(params, w)
+    xp = child_count_pmf(params)
     if xp(x) == 0.0:
         return 0.0
     below = [v for v in xp.support if v < x]

@@ -33,6 +33,12 @@ STOP_PATH_BUDGET = {
     "community_sizes": [[40, 1.0]],
     "threshold": "1/40",
 }
+# C(1999, 999) binomial coefficients in the level walk, far past the float range
+PAST_FLOAT_RANGE = {
+    "memberships": [[1, 0.5], [2, 0.5]],
+    "community_sizes": [[2000, 1.0]],
+    "threshold": "1/3000",
+}
 MIXTURE = {
     "memberships": [[2, 0.5], [4, 0.5]],
     "community_sizes": [[2, 0.5], [3, 0.5]],
@@ -327,6 +333,30 @@ def test_log_env_accepted(tmp_path, capsys, monkeypatch):
     assert run(["analyze", "--config", write_config(tmp_path, TRIANGLE)]) == 0
     monkeypatch.setenv("CLIQUECASCADE_LOG", "garbage")
     assert run(["analyze", "--config", write_config(tmp_path, TRIANGLE)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["simulate", "--depth", "2", "--replicates", "10", "--seed", "1"]],
+    ids=["analyze", "simulate"],
+)
+def test_float_range_guard_exit_1(tmp_path, argv):
+    # a fresh interpreter, so the exit code and stderr are the real ones
+    config = write_config(tmp_path, PAST_FLOAT_RANGE)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    started = time.monotonic()
+    result = subprocess.run(
+        [sys.executable, "-m", "cliquecascade.cli", *argv, "--config", config],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert time.monotonic() - started < 5.0
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "enumeration too large" in result.stderr
+    assert "float range" in result.stderr
+    assert "Traceback" not in result.stderr
 
 
 def test_analytic_commands_never_import_numpy_random(tmp_path):

@@ -1,6 +1,7 @@
 """Within-community cascade law against hand-derived values and the oracle."""
 
 import math
+import sys
 
 import pytest
 from hypothesis import given
@@ -20,13 +21,13 @@ from cliquecascade import (
 )
 from cliquecascade.clique_dynamics import (
     ENUMERATION_BUDGET,
+    _levels,
+    _orderings,
     iter_enumerated_outcomes,
-    order_stat_pmf,
-    run_lengths,
 )
 from cliquecascade.errors import InvalidOutcome, UnsortedInput
 
-from conftest import model
+from conftest import model, order_stat_pmf
 
 # two-point child law: X = 1 or 2 with equal mass (memberships 2, sizes 2 or 3)
 TWO_POINT = model({2: 1.0}, {2: 0.5, 3: 0.5}, "1/4")
@@ -82,21 +83,33 @@ class TestCascadeSize:
         assert hi <= lo
 
 
-class TestRunLengths:
+class TestOrderings:
     def test_documented_example(self):
-        assert run_lengths((1, 2, 2, 2, 5, 5)) == (1, 3, 1, 1, 2, 1)
+        assert _orderings((1, 2, 2, 2, 5, 5)) == 60
 
     def test_distinct_values(self):
-        assert run_lengths((1, 2, 3)) == (1, 1, 1)
+        assert _orderings((1, 2, 3)) == 6
 
     def test_single_run(self):
-        assert run_lengths((7, 7, 7)) == (3, 1, 1)
+        assert _orderings((7, 7, 7)) == 1
 
     def test_empty(self):
-        assert run_lengths(()) == ()
+        assert _orderings(()) == 1
+
+    @given(st.integers(1, 4))
+    def test_sorted_tuple_law_sums_to_one(self, n):
+        from itertools import combinations_with_replacement
+
+        base = Pmf.from_pairs({0: 0.2, 1: 0.3, 4: 0.5})
+        total = sum(
+            _orderings(xs) * math.prod(base(x) for x in xs)
+            for xs in combinations_with_replacement(base.support, n)
+        )
+        assert total == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOrderStatPmf:
+    # the reference for the orderings weights (conftest.order_stat_pmf)
     @given(st.integers(1, 4))
     def test_sums_to_one(self, n):
         from itertools import combinations_with_replacement
@@ -113,6 +126,15 @@ class TestOrderStatPmf:
         # (1,2) arises from two orderings, (1,1) from one
         assert order_stat_pmf(base, 2, (1, 2)) == pytest.approx(0.5)
         assert order_stat_pmf(base, 2, (1, 1)) == pytest.approx(0.25)
+
+
+class TestFloatRangeGuard:
+    def test_first_size_past_the_float_range(self):
+        # the walk's largest binomial coefficient is C(w - 1, (w - 1) // 2)
+        assert math.comb(1029, 514) < sys.float_info.max < math.comb(1030, 515)
+        _levels(model({1: 0.5, 2: 0.5}, {1030: 1.0}, "1/3000"), 1030)
+        with pytest.raises(EnumerationTooLarge, match="float range"):
+            _levels(model({1: 0.5, 2: 0.5}, {1031: 1.0}, "1/3000"), 1031)
 
 
 class TestOutcomeLaw:

@@ -1,12 +1,14 @@
 """Graph sampler structure, contagion fixpoint, replication, process sampler.
 
-The census engine is checked against the sorted-tuple engine it replaced,
-kept at the end of this file as the reference.
+The census engine is checked against the sorted-tuple engine it replaced and
+against the scalar activation-process sampler, both kept at the end of this
+file as references.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb, factorial, prod
 
 import numpy as np
@@ -33,11 +35,7 @@ from cliquecascade import (
     survival_by_threshold,
 )
 from cliquecascade import clique_dynamics, mc_sim
-from cliquecascade.clique_dynamics import (
-    clique_cascade_size,
-    order_stat_pmf,
-    require_enumerable,
-)
+from cliquecascade.clique_dynamics import clique_cascade_size, require_enumerable
 from cliquecascade.mc_sim import (
     _BLOCK,
     ActivationProcess,
@@ -54,7 +52,7 @@ from cliquecascade.verification import (
     histogram_match,
 )
 
-from conftest import model, models
+from conftest import model, models, order_stat_pmf
 
 MIXTURE = model({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "3/10")
 
@@ -546,7 +544,7 @@ class TestActivationProcess:
             model({2: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, "1/5"),
         ]
         for i, params in enumerate(models):
-            proc = ActivationProcess(params)
+            proc = ReferenceActivationProcess(params)
             rng = np.random.default_rng(3000 + i)
             scalar: dict[int, int] = {}
             for _ in range(n):
@@ -557,16 +555,159 @@ class TestActivationProcess:
             ok, worst = histogram_match(scalar, batched, sigmas=5.0)
             assert ok, (i, worst)
 
+    def test_step_matches_reference(self):
+        # the census engine's next-level step and the scalar reference share
+        # one law for every parent type; a bin is one whole census, 5 sigma
+        # per bin, fixed before any run
+        params = model({2: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, "1/5")
+        # a type-2 parent has one size-3 community or two size-2 ones
+        assert _census_tables(params).varied_sizes
+        n = 10_000
+        view, reference = ActivationProcess(params), ReferenceActivationProcess(params)
+        for x in child_count_pmf(params).support:
+            histograms = []
+            for proc, seed in ((view, 5000 + x), (reference, 6000 + x)):
+                rng = np.random.default_rng(seed)
+                hist: dict = {}
+                for _ in range(n):
+                    key = tuple(sorted(proc.step({x: 1}, rng).items()))
+                    hist[key] = hist.get(key, 0) + 1
+                histograms.append(hist)
+            ok, worst = histogram_match(*histograms, sigmas=5.0)
+            assert ok, (x, worst)
+
     def test_enumeration_budget(self):
         # configurations alone: 20^12 ordered size tuples at 13 memberships
         wide = model({13: 1.0}, {w: 1 / 20 for w in range(2, 22)}, "1/10")
         with pytest.raises(EnumerationTooLarge):
-            ActivationProcess(wide)
+            ReferenceActivationProcess(wide)
         # 6859 configurations, but about 3e17 sorted clique tuples at size 20,
         # refused before any smaller size is enumerated
         large = model({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}, {w: 1 / 19 for w in range(2, 21)}, "1/5")
         with pytest.raises(EnumerationTooLarge):
-            ActivationProcess(large)
+            ReferenceActivationProcess(large)
+
+
+def reference_configurations(params) -> dict:
+    """Per parent type, its configuration law weighted by order_stat_pmf."""
+    laws = _laws(params)
+    by_type: dict[int, list[float]] = {}
+    for d in params.memberships.support:
+        for combo in combinations_with_replacement(params.community_sizes.support, d - 1):
+            weight = laws.extra.pmf(d - 1) * order_stat_pmf(laws.size.pmf, d - 1, combo)
+            by_type.setdefault(sum(w - 1 for w in combo), []).append(weight)
+    return {x: np.array(v) / np.array(v).sum() for x, v in by_type.items()}
+
+
+class TestConfigurationWeights:
+    @given(params=models(range(1, 6), range(2, 6), max_points=3))
+    @example(params=model({5: 1.0}, {2: 0.5, 3: 0.5}, "1/5"))
+    def test_orderings_weights_equal_order_stat_pmf(self, params):
+        # exact equality: the census draws from these floats, so any change
+        # in them would change every multi-configuration report
+        tables = _census_tables(params)
+        expected = reference_configurations(params)
+        varied = {int(tables.type_values[x]): probs for x, probs, _ in tables.varied_sizes}
+        assert set(varied) == {x for x, probs in expected.items() if probs.size > 1}
+        for x, probs in varied.items():
+            assert probs.tolist() == expected[x].tolist()
+
+
+def _cumulative(weighted: list[tuple[float, object]]):
+    outcomes = [o for _, o in weighted]
+    cum = []
+    acc = 0.0
+    for p, _ in weighted:
+        acc += p
+        cum.append(acc)
+    return cum, outcomes
+
+
+class ReferenceActivationProcess:
+    """Scalar generation sampler for the type-annotated activation process.
+
+    The scalar reference for the census tables and mc_sim.ActivationProcess:
+    the root spawns communities from the raw membership law, each community
+    draws a cascade outcome from the exact clique law for its size, and every
+    later active vertex of type x draws its community sizes from the
+    configuration law conditioned on total extra members x, enumerated over
+    ordered size tuples.  Tables are enumerated once and sampled by inverse
+    cdf, one replicate per call.
+    """
+
+    def __init__(self, params):
+        params.require_contagion_assumptions()
+        self.params = params
+        q = params.community_sizes
+        mu = params.mean_community_size
+        lam = params.mean_memberships
+        configurations = sum(len(q.support) ** (d - 1) for d in params.memberships.support)
+        require_enumerable(configurations, "configurations")
+
+        # largest size first: an oversized clique law fails before any work
+        self._outcomes = {}
+        for w in reversed(q.support):
+            law = clique_outcome_law(params, w)
+            ordered = sorted(law.items())
+            self._outcomes[w] = _cumulative([(p, o) for o, p in ordered])
+
+        self._root_cliques = _cumulative(
+            [(params.memberships(d), d) for d in params.memberships.support]
+        )
+        self._clique_size = _cumulative([(w * q(w) / mu, w) for w in q.support])
+
+        # configuration law of community sizes given total extra members
+        by_type: dict[int, list[tuple[float, tuple[int, ...]]]] = {}
+        for d in params.memberships.support:
+            if d < 1:
+                continue
+            weight_d = d * params.memberships(d) / lam
+            for sizes in product(q.support, repeat=d - 1):
+                x = sum(w - 1 for w in sizes)
+                weight = weight_d
+                for w in sizes:
+                    weight *= w * q(w) / mu
+                by_type.setdefault(x, []).append((weight, sizes))
+        self._configurations = {}
+        for x, weighted in sorted(by_type.items()):
+            total = sum(p for p, _ in weighted)
+            self._configurations[x] = _cumulative(
+                [(p / total, sizes) for p, sizes in weighted]
+            )
+
+    @staticmethod
+    def _draw(table, rng):
+        cum, outcomes = table
+        idx = bisect_right(cum, rng.random())
+        return outcomes[min(idx, len(outcomes) - 1)]
+
+    def _clique_types(self, w, rng):
+        return self._draw(self._outcomes[w], rng).types
+
+    def root_step(self, rng):
+        """Types of the active depth-1 vertices below a fresh root."""
+        census: dict[int, int] = {}
+        d = self._draw(self._root_cliques, rng)
+        for _ in range(d):
+            w = self._draw(self._clique_size, rng)
+            for t in self._clique_types(w, rng):
+                census[t] = census.get(t, 0) + 1
+        return census
+
+    def step(self, census, rng):
+        """One generation: active vertices by type to active children by type."""
+        out: dict[int, int] = {}
+        for x in sorted(census):
+            copies = census[x]
+            if copies < 0:
+                raise ValueError("census counts must be non-negative")
+            if copies and x not in self._configurations:
+                raise ValueError(f"type {x} has zero probability under this model")
+            for _ in range(copies):
+                for w in self._draw(self._configurations[x], rng):
+                    for t in self._clique_types(w, rng):
+                        out[t] = out.get(t, 0) + 1
+        return out
 
 
 # Reference census engine: the sorted-tuple clique tables and level loop that
@@ -792,7 +933,7 @@ class TestStopPathEngine:
         def listed(*args):
             raise AssertionError("a path was listed")
 
-        monkeypatch.setattr(mc_sim, "_clique_table", listed)
+        monkeypatch.setattr(mc_sim, "_stop_paths", listed)
         with pytest.raises(EnumerationTooLarge, match="stop paths"):
             _census_tables(params)
 

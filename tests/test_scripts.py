@@ -1,6 +1,7 @@
 """Smoke runs of the experiment scripts, as subprocesses with tiny inputs."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -44,3 +45,28 @@ def test_depth_convergence():
     rows = [line.split() for line in lines[2:]]
     assert [int(row[0]) for row in rows] == [1, 2, 4]
     assert all(0.0 <= float(row[2]) <= float(row[1]) <= 1.0 for row in rows)
+
+
+def test_compare_cli_same_tree():
+    src = str(ROOT / "src")
+    result = run_script("compare_cli.py", src, src)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout.strip().splitlines() == ["42 commands compared, 0 differ"]
+
+
+def test_compare_cli_reports_a_difference(tmp_path):
+    # a copy whose reports carry 16 significant digits instead of 17
+    shutil.copytree(
+        ROOT / "src" / "cliquecascade",
+        tmp_path / "cliquecascade",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    cli = tmp_path / "cliquecascade" / "cli.py"
+    text = cli.read_text(encoding="utf-8")
+    assert text.count('".17g"') == 1
+    cli.write_text(text.replace('".17g"', '".16g"'), encoding="utf-8")
+    result = run_script("compare_cli.py", str(ROOT / "src"), str(tmp_path))
+    assert result.returncode == 1, result.stdout + result.stderr
+    lines = result.stdout.strip().splitlines()
+    assert "triangle analyze: stdout first differs" in result.stdout
+    assert lines[-1].startswith("42 commands compared, ") and not lines[-1].endswith(" 0 differ")
