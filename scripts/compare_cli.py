@@ -28,24 +28,22 @@ def uniform(values) -> list:
     return [[v, 1.0 / len(values)] for v in values]
 
 
-# name: (memberships, community sizes, threshold, run verify).  On the two
-# wide models verify's brute-force oracle exceeds the enumeration budget, and
-# only after 10 to 50 s spent on the smaller sizes, so verify is skipped there.
-# p23-q23 is the one model whose simulate draws from a configuration table
-# with several rows (a type-2 vertex has one size-3 or two size-2 further
-# communities); the wide models have such tables but die out too soon.
+# name: (memberships, community sizes, threshold).  p23-q23 is the one model
+# whose simulate draws from a configuration table with several rows (a type-2
+# vertex has one size-3 or two size-2 further communities); the wide models
+# have such tables but die out too soon.
 MODELS = {
-    "census-deep": ([[1, 0.5], [3, 0.5]], [[2, 1.0]], "1/10", True),
-    "mixture": ([[2, 0.5], [4, 0.5]], [[2, 0.5], [3, 0.5]], "3/10", True),
-    "wide": (uniform([2, 3, 4]), uniform(range(2, 8)), "1/3", False),
-    "near-critical": ([[1, 0.75 - 1e-4], [3, 0.25 + 1e-4]], [[2, 1.0]], "1/10", True),
-    "qmax-20": (uniform([2, 3, 4]), uniform(range(2, 21)), "1/5", False),
-    "triangle": ([[3, 1.0]], [[3, 1.0]], "1/10", True),
-    "all-2s-path": ([[2, 1.0]], [[2, 1.0]], "2/5", True),
-    "p23-q25": ([[2, 0.5], [3, 0.5]], [[2, 0.5], [5, 0.5]], "1/4", True),
-    "p13-q23": ([[1, 0.5], [3, 0.5]], [[2, 0.5], [3, 0.5]], "1/5", True),
-    "p3-q24": ([[3, 1.0]], [[2, 0.3], [4, 0.7]], "1/4", True),
-    "p23-q23": ([[2, 0.5], [3, 0.5]], [[2, 0.5], [3, 0.5]], "1/5", True),
+    "census-deep": ([[1, 0.5], [3, 0.5]], [[2, 1.0]], "1/10"),
+    "mixture": ([[2, 0.5], [4, 0.5]], [[2, 0.5], [3, 0.5]], "3/10"),
+    "wide": (uniform([2, 3, 4]), uniform(range(2, 8)), "1/3"),
+    "near-critical": ([[1, 0.75 - 1e-4], [3, 0.25 + 1e-4]], [[2, 1.0]], "1/10"),
+    "qmax-20": (uniform([2, 3, 4]), uniform(range(2, 21)), "1/5"),
+    "triangle": ([[3, 1.0]], [[3, 1.0]], "1/10"),
+    "all-2s-path": ([[2, 1.0]], [[2, 1.0]], "2/5"),
+    "p23-q25": ([[2, 0.5], [3, 0.5]], [[2, 0.5], [5, 0.5]], "1/4"),
+    "p13-q23": ([[1, 0.5], [3, 0.5]], [[2, 0.5], [3, 0.5]], "1/5"),
+    "p3-q24": ([[3, 1.0]], [[2, 0.3], [4, 0.7]], "1/4"),
+    "p23-q23": ([[2, 0.5], [3, 0.5]], [[2, 0.5], [3, 0.5]], "1/5"),
 }
 
 RUNNER = """
@@ -68,13 +66,12 @@ print(json.dumps({"package": cliquecascade.__file__, "results": results}))
 
 def commands(config_dir: Path) -> list[tuple[str, list[str]]]:
     out = []
-    for name, (_, _, _, verify) in MODELS.items():
+    for name in MODELS:
         config = ["--config", str(config_dir / f"{name}.json")]
         out.append((f"{name} analyze", ["analyze"] + config))
         out.append((f"{name} sweep", ["sweep", "--grid", GRID] + config))
         out.append((f"{name} simulate", ["simulate"] + SIMULATE + config))
-        if verify:
-            out.append((f"{name} verify", ["verify"] + config))
+        out.append((f"{name} verify", ["verify"] + config))
     return out
 
 
@@ -104,7 +101,7 @@ def main() -> None:
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
         config_dir = Path(tmp)
-        for name, (p, q, theta, _) in MODELS.items():
+        for name, (p, q, theta) in MODELS.items():
             payload = {"memberships": p, "community_sizes": q, "threshold": theta}
             (config_dir / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
         named = commands(config_dir)

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clique_dynamics import brute_force_clique_law, mean_active_column
+from .clique_dynamics import CliqueOutcome, mean_active_column
 from .dist_core import ModelParams, child_count_series, pgf_compose
 from .errors import NoConvergence
 
@@ -54,10 +54,10 @@ def mean_active_of_type(params: ModelParams, x: int, clique_size: int) -> float:
     return float(column[x]) if 0 <= x < column.shape[0] else 0.0
 
 
-def mean_active_by_type_oracle(params: ModelParams, clique_size: int) -> dict[int, float]:
-    """Expected activated children of every type, from one brute-force law."""
+def mean_active_by_type_oracle(law: dict[CliqueOutcome, float]) -> dict[int, float]:
+    """Expected activated children of every type under one clique outcome law."""
     means: dict[int, float] = {}
-    for outcome, prob in brute_force_clique_law(params, clique_size).items():
+    for outcome, prob in law.items():
         for x in set(outcome.types):
             means[x] = means.get(x, 0) + prob * outcome.types.count(x)
     return means
@@ -157,7 +157,7 @@ def strongly_connected_components(adjacency: np.ndarray) -> list[list[int]]:
     return components
 
 
-def _perron_root(block: np.ndarray, rel_tol: float, max_iter: int) -> float:
+def _perron_root(block: np.ndarray) -> float:
     """Perron root of an irreducible non-negative block by power iteration.
 
     A diagonal shift by the max row sum makes the block primitive (periodic
@@ -179,12 +179,12 @@ def _perron_root(block: np.ndarray, rel_tol: float, max_iter: int) -> float:
     best_width = np.inf
     stalled = 0
     lo = hi = 0.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         y = shifted @ x
         ratios = y / x
         lo = float(ratios.min())
         hi = float(ratios.max())
-        if hi - lo <= rel_tol * hi:
+        if hi - lo <= POWER_REL_TOL * hi:
             return 0.5 * (lo + hi) - shift
         if hi - lo < best_width * (1.0 - 1e-6):
             best_width = hi - lo
@@ -205,9 +205,7 @@ def _perron_root(block: np.ndarray, rel_tol: float, max_iter: int) -> float:
     )
 
 
-def spectral_radius(
-    matrix, *, rel_tol: float = POWER_REL_TOL, max_iter: int = POWER_MAX_ITER
-) -> float:
+def spectral_radius(matrix) -> float:
     """Largest eigenvalue modulus of a non-negative matrix.
 
     Condense into strongly connected components; the radius is the maximum of
@@ -228,7 +226,7 @@ def spectral_radius(
             best = max(best, float(arr[i, i]))
             continue
         idx = np.array(sorted(comp))
-        best = max(best, _perron_root(arr[np.ix_(idx, idx)], rel_tol, max_iter))
+        best = max(best, _perron_root(arr[np.ix_(idx, idx)]))
     return best
 
 

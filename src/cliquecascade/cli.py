@@ -15,15 +15,12 @@ count beyond int64, 2 model violates the contagion assumptions, 3 iteration
 failed to converge, 4 verification checks failed.
 
 Floats in reports carry 17 significant digits so they round-trip exactly.
-The only environment coupling is CLIQUECASCADE_LOG, which sets the log level.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import logging
-import os
 import sys
 
 from .analytic_graph import (
@@ -50,6 +47,14 @@ from .errors import (
 from .mc_sim import SimConfig, estimate
 from .verification import oracle_equivalence_checks
 
+_FAILURES = (
+    (AssumptionViolated, 2, "model violates contagion assumptions: "),
+    (NoConvergence, 3, "iteration did not converge: "),
+    (EnumerationTooLarge, 1, "enumeration too large: "),
+    (CensusOverflow, 1, "simulation overflow: "),
+)
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise ConfigInvalid(message)
@@ -58,26 +63,21 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cliquecascade", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True)
+    common.add_argument("--out")
 
-    analyze = sub.add_parser("analyze", help="analytic report for one model")
-    analyze.add_argument("--config", required=True)
-    analyze.add_argument("--out")
+    sub.add_parser("analyze", parents=[common], help="analytic report for one model")
 
-    simulate = sub.add_parser("simulate", help="Monte Carlo survival estimate")
-    simulate.add_argument("--config", required=True)
+    simulate = sub.add_parser("simulate", parents=[common], help="Monte Carlo survival estimate")
     simulate.add_argument("--depth", required=True, type=int)
     simulate.add_argument("--replicates", required=True, type=int)
     simulate.add_argument("--seed", required=True, type=int)
-    simulate.add_argument("--out")
 
-    sweep = sub.add_parser("sweep", help="rho and verdict across thresholds")
-    sweep.add_argument("--config", required=True)
+    sweep = sub.add_parser("sweep", parents=[common], help="rho and verdict across thresholds")
     sweep.add_argument("--grid", required=True, help="comma-separated thresholds")
-    sweep.add_argument("--out")
 
-    verify = sub.add_parser("verify", help="oracle cross-checks")
-    verify.add_argument("--config", required=True)
-    verify.add_argument("--out")
+    sub.add_parser("verify", parents=[common], help="oracle cross-checks")
     return parser
 
 
@@ -290,67 +290,39 @@ def _scalar(node) -> str:
     raise TypeError(f"cannot serialize {type(node).__name__}")
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _dispatch(args) -> int:
     params = load_model(args.config)
+    code = 0
     if args.command == "analyze":
-        _write_output(emit_json(cmd_analyze(params)), args.out)
-        return 0
-    if args.command == "simulate":
+        text = emit_json(cmd_analyze(params))
+    elif args.command == "simulate":
         config = SimConfig(depth=args.depth, replicates=args.replicates, seed=args.seed)
-        _write_output(emit_json(cmd_simulate(params, config)), args.out)
-        return 0
-    if args.command == "sweep":
+        text = emit_json(cmd_simulate(params, config))
+    elif args.command == "sweep":
         tokens = [t.strip() for t in args.grid.split(",") if t.strip()]
         if not tokens:
             raise ConfigInvalid("sweep grid is empty")
-        _write_output(cmd_sweep(params, tokens), args.out)
-        return 0
-    if args.command == "verify":
+        text = cmd_sweep(params, tokens)
+    else:
         report = cmd_verify(params)
-        _write_output(emit_json(report), args.out)
-        return 0 if report["all_passed"] else 4
-    raise ConfigInvalid(f"unknown command {args.command!r}")
+        text = emit_json(report)
+        code = 0 if report["all_passed"] else 4
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return code
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("CLIQUECASCADE_LOG", "WARNING").upper()
-    if level not in ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL"):
-        level = "WARNING"
-    logging.basicConfig(
-        level=level,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _dispatch(args)
-    except ConfigInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except AssumptionViolated as exc:
-        print(f"error: model violates contagion assumptions: {exc}", file=sys.stderr)
-        return 2
-    except NoConvergence as exc:
-        print(f"error: iteration did not converge: {exc}", file=sys.stderr)
-        return 3
-    except EnumerationTooLarge as exc:
-        print(f"error: enumeration too large: {exc}", file=sys.stderr)
-        return 1
-    except CensusOverflow as exc:
-        print(f"error: simulation overflow: {exc}", file=sys.stderr)
-        return 1
+        return _dispatch(parser.parse_args(argv))
     except CascadeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, prefix = next(((c, p) for kind, c, p in _FAILURES if isinstance(exc, kind)), (1, ""))
+        print(f"error: {prefix}{exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

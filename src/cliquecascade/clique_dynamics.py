@@ -238,6 +238,7 @@ def clique_outcome_prob(params: ModelParams, clique_size: int, outcome: CliqueOu
     vertices), the exact integer count of child orderings collapsing to the
     sorted vector, the iid masses, and the probability that each of the
     remaining children is unreachable even with the whole activated set.
+    Raises EnumerationTooLarge when that count passes the float range.
     """
     params.require_contagion_assumptions()
     ell, types = _validate_outcome(clique_size, outcome)
@@ -246,7 +247,10 @@ def clique_outcome_prob(params: ModelParams, clique_size: int, outcome: CliqueOu
     for i, x in enumerate(types, start=1):
         if x not in floors or floors[x] >= i:
             return 0.0
-    prob = float(comb(w - 1, ell) * _orderings(types))
+    try:
+        prob = float(comb(w - 1, ell) * _orderings(types))
+    except OverflowError:
+        raise EnumerationTooLarge(f"community size {w} has weights beyond the float range") from None
     for x in types:
         prob *= xp(x)
         if prob == 0.0:

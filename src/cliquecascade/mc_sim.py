@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .clique_dynamics import _count_paths, _levels, _orderings, _stop_paths, require_enumerable
-from .dist_core import DERIVED_MASS_TOL, ModelParams, Pmf, Threshold, child_count_pmf
+from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf
 from .errors import CensusOverflow, ConfigInvalid
 
 # Replicates per random stream.  Part of the report contract: changing it
@@ -76,7 +76,7 @@ class LocalGraph:
 
     Vertices are numbered breadth-first with the roots at 0..n_roots-1; tree
     gives each vertex the id of its root.  The members born into one clique
-    occupy a contiguous id range starting at member_start.
+    occupy a contiguous id range, in the order of the clique ids.
     """
 
     truncation_depth: int
@@ -86,9 +86,7 @@ class LocalGraph:
     clique_of: np.ndarray
     child_count: np.ndarray
     active: np.ndarray
-    clique_parent: np.ndarray
     clique_size: np.ndarray
-    member_start: np.ndarray
 
     @property
     def n_vertices(self) -> int:
@@ -96,7 +94,7 @@ class LocalGraph:
 
     @property
     def n_cliques(self) -> int:
-        return self.clique_parent.shape[0]
+        return self.clique_size.shape[0]
 
     @property
     def n_roots(self) -> int:
@@ -133,7 +131,7 @@ class _Laws(NamedTuple):
 
     root: _DrawTable  # communities of the root
     extra: _DrawTable  # further communities of a non-root vertex
-    size: _DrawTable  # size-biased community size
+    members: _DrawTable  # further members of a community
     child: _DrawTable  # children of a non-root vertex
 
 
@@ -143,14 +141,10 @@ def _laws(params: ModelParams) -> _Laws:
 
 @lru_cache(maxsize=None)
 def _laws_of(memberships: Pmf, community_sizes: Pmf, child_counts: Pmf) -> _Laws:
-    sizes = Pmf.from_pairs(
-        [(v + 1, p) for v, p in community_sizes.size_biased_shifted().items],
-        tol=DERIVED_MASS_TOL,
-    )
     return _Laws(
         _DrawTable(memberships),
         _DrawTable(memberships.size_biased_shifted()),
-        _DrawTable(sizes),
+        _DrawTable(community_sizes.size_biased_shifted()),
         _DrawTable(child_counts),
     )
 
@@ -171,16 +165,14 @@ def sample_local_graph(
         raise ValueError("depth must be at least 1")
     if roots < 1:
         raise ValueError("roots must be at least 1")
-    root_table, extra_table, size_table, child_table = _laws(params)
+    root_table, extra_table, member_table, child_table = _laws(params)
     level_ids = np.arange(roots, dtype=np.int64)
     vdepth = [np.zeros(roots, dtype=np.int64)]
     vtree = [level_ids]
     vparent = [np.full(roots, -1, dtype=np.int64)]
     vclique = [np.full(roots, -1, dtype=np.int64)]
     vchild: list[np.ndarray] = []
-    cparent: list[np.ndarray] = []
     csize: list[np.ndarray] = []
-    cstart: list[np.ndarray] = []
     next_vertex = roots
     next_clique = 0
     level_trees = level_ids
@@ -189,18 +181,14 @@ def sample_local_graph(
         table = root_table if level == 0 else extra_table
         counts = table.draw(rng, n_here)
         n_new_cliques = int(counts.sum())
-        sizes = size_table.draw(rng, n_new_cliques)
-        members = sizes - 1
+        members = member_table.draw(rng, n_new_cliques)
         n_new = int(members.sum())
         require_enumerable(next_vertex + n_new, "forest vertices")
         owner = np.repeat(np.arange(n_here), counts)
         vchild.append(
             np.bincount(owner, weights=members, minlength=n_here).astype(np.int64)
         )
-        cparent.append(level_ids[owner])
-        csize.append(sizes)
-        offsets = np.cumsum(members) - members
-        cstart.append(next_vertex + offsets)
+        csize.append(members + 1)
         vdepth.append(np.full(n_new, level + 1, dtype=np.int64))
         vparent.append(np.repeat(level_ids[owner], members))
         level_trees = np.repeat(level_trees[owner], members)
@@ -219,9 +207,7 @@ def sample_local_graph(
         clique_of=_joined(vclique),
         child_count=_joined(vchild),
         active=np.zeros(next_vertex, dtype=bool),
-        clique_parent=_joined(cparent),
         clique_size=_joined(csize),
-        member_start=_joined(cstart),
     )
 
 
@@ -331,7 +317,7 @@ def _census_tables(params: ModelParams) -> _CensusTables:
             weight = float(_orderings(combo))
             counts = np.zeros(len(q.support), dtype=np.int64)
             for w in combo:
-                weight *= laws.size.pmf(w)
+                weight *= laws.members.pmf(w - 1)
                 counts[size_index[w]] += 1
             by_type.setdefault(x, []).append((weight_d * weight, counts))
     fixed_sizes = np.zeros((len(xp.support), len(q.support)), dtype=np.int64)
@@ -387,7 +373,7 @@ def _resolve_cliques(tables: _CensusTables, cliques_by_size: np.ndarray, rng):
 def _root_level(tables: _CensusTables, rows: int, rng: np.random.Generator):
     """Active and inactive depth-1 children-by-type below each of rows roots."""
     laws = tables.laws
-    cliques_by_size = _spread(rng, laws.root.draw(rng, rows), laws.size.probs)
+    cliques_by_size = _spread(rng, laws.root.draw(rng, rows), laws.members.probs)
     return _resolve_cliques(tables, cliques_by_size, rng)
 
 
@@ -401,16 +387,12 @@ def _next_level(tables: _CensusTables, active: np.ndarray, rng: np.random.Genera
 
 
 def _check_next_level(census: np.ndarray, types: np.ndarray, level: int) -> None:
-    """Raise if some replicate's next level could exceed the int64 range.
+    """Raise if some replicate's next level would exceed the int64 range.
 
     types holds the child count of each column, and a type-x vertex has
     exactly x children, so row r's next level holds census[r] @ types
-    vertices.  Float rounding moves that sum by far less than a factor of
-    two, so below 2**62 it surely fits and only near the limit is the exact
-    integer sum needed.
+    vertices, summed here in exact integers.
     """
-    if (census @ types.astype(np.float64)).max() < 2.0**62:
-        return
     worst = int((census.astype(object) @ types.astype(object)).max())
     if worst > _INT64_MAX:
         raise CensusOverflow(

@@ -8,16 +8,17 @@ routes and are used both by the test suite and by the `verify` CLI command.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
+from math import comb, sqrt
 
 import numpy as np
 
 from .cascade_matrix import mean_active_by_type_oracle, mean_active_of_type
 from .clique_dynamics import (
-    brute_force_clique_law,
+    _levels,
     clique_cascade_size,
     clique_outcome_law,
     iter_enumerated_outcomes,
+    require_enumerable,
 )
 from .dist_core import ModelParams, Threshold, child_count_pmf
 from .mc_sim import _blocks, _census_tables, _root_level, run_contagion, sample_local_graph
@@ -36,42 +37,33 @@ class OracleCheck:
         return self.worst <= self.tolerance
 
 
-def clique_oracle_checks(params: ModelParams) -> list[OracleCheck]:
-    """Closed-form clique law vs direct enumeration, for every community size."""
-    checks = []
+def oracle_equivalence_checks(params: ModelParams) -> list[OracleCheck]:
+    """Closed forms vs one walk per size's child-count cube, every budget checked first."""
+    params.require_contagion_assumptions()
+    xp = child_count_pmf(params)
+    for w in params.community_sizes.support:
+        require_enumerable(comb(len(xp.support) + w - 2, w - 1), "sorted tuples")
+        _levels(params, w)  # clique_outcome_law's float-range guard
+        require_enumerable(len(xp.support) ** (w - 1), "child-count tuples")
+    checks, mean_checks = [], []
     for w in params.community_sizes.support:
         law = clique_outcome_law(params, w)
-        brute = brute_force_clique_law(params, w)
+        brute, worst_size = {}, 0.0
+        for xs, weight, outcome in iter_enumerated_outcomes(params, w):
+            brute[outcome] = brute.get(outcome, 0.0) + weight
+            direct = clique_cascade_size(params.threshold, w, tuple(sorted(xs)))
+            worst_size = max(worst_size, float(abs(direct - outcome.ell)))
         keys = set(law) | set(brute)
         worst = max(abs(law.get(k, 0.0) - brute.get(k, 0.0)) for k in keys)
         checks.append(OracleCheck(f"clique_law_w{w}", worst, ORACLE_TOL))
         checks.append(
             OracleCheck(f"clique_law_mass_w{w}", abs(sum(law.values()) - 1.0), ORACLE_TOL)
         )
-        worst_size = 0.0
-        for xs, _, outcome in iter_enumerated_outcomes(params, w):
-            direct = clique_cascade_size(params.threshold, w, tuple(sorted(xs)))
-            worst_size = max(worst_size, float(abs(direct - outcome.ell)))
         checks.append(OracleCheck(f"cascade_size_w{w}", worst_size, 0.0))
-    return checks
-
-
-def matrix_oracle_checks(params: ModelParams) -> list[OracleCheck]:
-    """Per-type mean counts vs expectation over the enumerated clique law."""
-    checks = []
-    xp = child_count_pmf(params)
-    for w in params.community_sizes.support:
-        brute = mean_active_by_type_oracle(params, w)
-        worst = 0.0
-        for x in xp.support:
-            closed = mean_active_of_type(params, x, w)
-            worst = max(worst, abs(closed - brute.get(x, 0)))
-        checks.append(OracleCheck(f"mean_active_w{w}", worst, ORACLE_TOL))
-    return checks
-
-
-def oracle_equivalence_checks(params: ModelParams) -> list[OracleCheck]:
-    return clique_oracle_checks(params) + matrix_oracle_checks(params)
+        means = mean_active_by_type_oracle(brute)
+        worst = max(abs(mean_active_of_type(params, x, w) - means.get(x, 0)) for x in xp.support)
+        mean_checks.append(OracleCheck(f"mean_active_w{w}", worst, ORACLE_TOL))
+    return checks + mean_checks
 
 
 def standard_model_suite() -> list[ModelParams]:

@@ -84,7 +84,7 @@ def test_2_mean_count_agreement():
         for w in params.community_sizes.support:
             for x in xp.support:
                 closed = mean_active_of_type(params, x, w)
-                brute = mean_active_by_type_oracle(params, w).get(x, 0.0)
+                brute = mean_active_by_type_oracle(brute_force_clique_law(params, w)).get(x, 0.0)
                 worst = max(worst, abs(closed - brute))
     ok = worst <= 1e-9
     report(2, "per-type mean counts vs enumeration", ok)

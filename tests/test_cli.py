@@ -39,6 +39,19 @@ PAST_FLOAT_RANGE = {
     "community_sizes": [[2000, 1.0]],
     "threshold": "1/3000",
 }
+# size 1025 passes the level walk's guard, but some clique outcomes have
+# more orderings than a float holds, and the child-count cube has 2^1024 tuples
+PAST_WEIGHT_RANGE = {
+    "memberships": [[1, 0.5], [2, 0.5]],
+    "community_sizes": [[1025, 1.0]],
+    "threshold": "1/3000",
+}
+# 18 child-count types: 18^6 = 34012224 tuples in the size-7 cube
+WIDE = {
+    "memberships": [[d, 1 / 3] for d in (2, 3, 4)],
+    "community_sizes": [[w, 1 / 6] for w in range(2, 8)],
+    "threshold": "1/3",
+}
 MIXTURE = {
     "memberships": [[2, 0.5], [4, 0.5]],
     "community_sizes": [[2, 0.5], [3, 0.5]],
@@ -328,21 +341,9 @@ class TestVerify:
         assert report["all_passed"] is False
 
 
-def test_log_env_accepted(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CLIQUECASCADE_LOG", "DEBUG")
-    assert run(["analyze", "--config", write_config(tmp_path, TRIANGLE)]) == 0
-    monkeypatch.setenv("CLIQUECASCADE_LOG", "garbage")
-    assert run(["analyze", "--config", write_config(tmp_path, TRIANGLE)]) == 0
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [["analyze"], ["simulate", "--depth", "2", "--replicates", "10", "--seed", "1"]],
-    ids=["analyze", "simulate"],
-)
-def test_float_range_guard_exit_1(tmp_path, argv):
-    # a fresh interpreter, so the exit code and stderr are the real ones
-    config = write_config(tmp_path, PAST_FLOAT_RANGE)
+def fresh_cli(argv, config):
+    """Run the CLI in a fresh interpreter, so the exit code and stderr are the
+    real ones; returns the completed process and its wall time."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -351,11 +352,39 @@ def test_float_range_guard_exit_1(tmp_path, argv):
         [sys.executable, "-m", "cliquecascade.cli", *argv, "--config", config],
         capture_output=True, text=True, env=env, timeout=120,
     )
-    assert time.monotonic() - started < 5.0
+    return result, time.monotonic() - started
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["simulate", "--depth", "2", "--replicates", "10", "--seed", "1"]],
+    ids=["analyze", "simulate"],
+)
+def test_float_range_guard_exit_1(tmp_path, argv):
+    result, seconds = fresh_cli(argv, write_config(tmp_path, PAST_FLOAT_RANGE))
+    assert seconds < 5.0
     assert result.returncode == 1
     assert result.stdout == ""
     assert "enumeration too large" in result.stderr
     assert "float range" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        (WIDE, "enumeration too large: 34012224 child-count tuples exceed the 10000000 budget"),
+        (PAST_WEIGHT_RANGE, "enumeration too large: "),
+    ],
+    ids=["wide", "past-weight-range"],
+)
+def test_verify_refuses_before_enumerating(tmp_path, payload, message):
+    # every size's budgets are checked before any cube is walked
+    result, seconds = fresh_cli(["verify"], write_config(tmp_path, payload))
+    assert seconds < 2.0
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: " + message)
     assert "Traceback" not in result.stderr
 
 

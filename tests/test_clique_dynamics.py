@@ -136,6 +136,15 @@ class TestFloatRangeGuard:
         with pytest.raises(EnumerationTooLarge, match="float range"):
             _levels(model({1: 0.5, 2: 0.5}, {1031: 1.0}, "1/3000"), 1031)
 
+    def test_outcome_weight_past_the_float_range(self):
+        # size 1025 passes the walk's guard, but 683 active children, 341 of
+        # type 0 and 342 of type 1024, have more orderings than a float holds
+        params = model({1: 0.5, 2: 0.5}, {1025: 1.0}, "1/3000")
+        assert math.comb(1024, 683) * math.comb(683, 341) > sys.float_info.max
+        outcome = CliqueOutcome(683, (0,) * 341 + (1024,) * 342)
+        with pytest.raises(EnumerationTooLarge, match="float range"):
+            clique_outcome_prob(params, 1025, outcome)
+
 
 class TestOutcomeLaw:
     def test_triangle_full_cascade(self, triangle_model):

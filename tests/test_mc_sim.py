@@ -121,6 +121,20 @@ class TestSampler:
             sample_local_graph(triangle_model, 1, np.random.default_rng(0), roots=0)
 
 
+def _clique_layout(graph):
+    """Each clique's first member and parent, derived from clique_of and parent.
+
+    Every clique of the tested models has members, and breadth-first
+    numbering gives clique c the id range after clique c - 1's, so a clique
+    starts where the members of the cliques before it end and its parent is
+    its first member's parent.
+    """
+    members = graph.clique_size - 1
+    assert np.all(members > 0)
+    start = graph.n_roots + np.cumsum(members) - members
+    return start, graph.parent[start]
+
+
 def _assert_structure(graph):
     """Breadth-first tree-of-cliques invariants, checked for every vertex and clique."""
     roots = graph.n_roots
@@ -129,18 +143,19 @@ def _assert_structure(graph):
     assert np.all(graph.tree[:roots] == np.arange(roots))
     assert np.all(np.diff(graph.depth) >= 0)
     members = graph.clique_size - 1
+    member_start, clique_parent = _clique_layout(graph)
     owner = np.repeat(np.arange(graph.n_cliques), members)
-    first = np.repeat(graph.member_start, members)
+    first = np.repeat(member_start, members)
     offset = np.arange(owner.size) - np.repeat(np.cumsum(members) - members, members)
     ids = first + offset
     # every non-root vertex is a member of exactly one clique
     assert np.array_equal(np.sort(ids), np.arange(roots, graph.n_vertices))
     assert np.all(graph.clique_of[ids] == owner)
-    assert np.all(graph.parent[ids] == graph.clique_parent[owner])
-    assert np.all(graph.depth[ids] == graph.depth[graph.clique_parent[owner]] + 1)
-    assert np.all(graph.tree[ids] == graph.tree[graph.clique_parent[owner]])
+    assert np.all(graph.parent[ids] == clique_parent[owner])
+    assert np.all(graph.depth[ids] == graph.depth[clique_parent[owner]] + 1)
+    assert np.all(graph.tree[ids] == graph.tree[clique_parent[owner]])
     # expanded vertices: child count equals members of owned cliques
-    owned = np.bincount(graph.clique_parent, weights=members, minlength=graph.n_vertices)
+    owned = np.bincount(clique_parent, weights=members, minlength=graph.n_vertices)
     expanded = graph.depth < graph.truncation_depth
     assert np.all(graph.child_count[expanded] == owned[expanded])
 
@@ -148,7 +163,7 @@ def _assert_structure(graph):
 def _tree(forest, t: int) -> LocalGraph:
     """Tree t of a forest as a graph of its own, ids relabelled in order."""
     ids = np.flatnonzero(forest.tree == t)
-    cliques = np.flatnonzero(forest.tree[forest.clique_parent] == t)
+    cliques = np.unique(forest.clique_of[ids[1:]])
     parent = forest.parent[ids].copy()
     parent[1:] = np.searchsorted(ids, parent[1:])
     clique_of = forest.clique_of[ids].copy()
@@ -161,15 +176,13 @@ def _tree(forest, t: int) -> LocalGraph:
         clique_of=clique_of,
         child_count=forest.child_count[ids],
         active=np.zeros(ids.size, dtype=bool),
-        clique_parent=np.searchsorted(ids, forest.clique_parent[cliques]),
         clique_size=forest.clique_size[cliques],
-        member_start=np.searchsorted(ids, forest.member_start[cliques]),
     )
 
 
 def _single_root_sampler(params, depth, rng):
     """Reference sampler for a single graph: the draws roots=1 must reproduce."""
-    root_table, extra_table, size_table, child_table = _laws(params)
+    root_table, extra_table, member_table, child_table = _laws(params)
     vdepth, vparent, vclique = [np.zeros(1, int)], [np.full(1, -1)], [np.full(1, -1)]
     vchild, cparent, csize, cstart = [], [], [], []
     next_vertex, next_clique = 1, 0
@@ -178,8 +191,8 @@ def _single_root_sampler(params, depth, rng):
         n_here = level_ids.size
         table = root_table if level == 0 else extra_table
         counts = table.draw(rng, n_here)
-        sizes = size_table.draw(rng, int(counts.sum()))
-        members = sizes - 1
+        members = member_table.draw(rng, int(counts.sum()))
+        sizes = members + 1
         owner = np.repeat(np.arange(n_here), counts)
         vchild.append(np.bincount(owner, weights=members, minlength=n_here))
         cparent.append(level_ids[owner])
@@ -251,8 +264,11 @@ class TestForest:
         graph = sample_local_graph(params, depth, rng, roots=1)
         reference_rng = np.random.default_rng(seed)
         reference = _single_root_sampler(params, depth, reference_rng)
+        member_start, clique_parent = _clique_layout(graph)
+        derived = {"member_start": member_start, "clique_parent": clique_parent}
         for field, values in reference.items():
-            assert np.array_equal(getattr(graph, field), values), field
+            actual = derived[field] if field in derived else getattr(graph, field)
+            assert np.array_equal(actual, values), field
         assert np.all(graph.tree == 0)
         # both consumed the same draws
         assert rng.random() == reference_rng.random()
@@ -591,10 +607,14 @@ class TestActivationProcess:
 def reference_configurations(params) -> dict:
     """Per parent type, its configuration law weighted by order_stat_pmf."""
     laws = _laws(params)
+
+    def size_pmf(w):
+        return laws.members.pmf(w - 1)
+
     by_type: dict[int, list[float]] = {}
     for d in params.memberships.support:
         for combo in combinations_with_replacement(params.community_sizes.support, d - 1):
-            weight = laws.extra.pmf(d - 1) * order_stat_pmf(laws.size.pmf, d - 1, combo)
+            weight = laws.extra.pmf(d - 1) * order_stat_pmf(size_pmf, d - 1, combo)
             by_type.setdefault(sum(w - 1 for w in combo), []).append(weight)
     return {x: np.array(v) / np.array(v).sum() for x, v in by_type.items()}
 

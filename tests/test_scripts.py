@@ -51,7 +51,7 @@ def test_compare_cli_same_tree():
     src = str(ROOT / "src")
     result = run_script("compare_cli.py", src, src)
     assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.strip().splitlines() == ["42 commands compared, 0 differ"]
+    assert result.stdout.strip().splitlines() == ["44 commands compared, 0 differ"]
 
 
 def test_compare_cli_reports_a_difference(tmp_path):
@@ -69,4 +69,4 @@ def test_compare_cli_reports_a_difference(tmp_path):
     assert result.returncode == 1, result.stdout + result.stderr
     lines = result.stdout.strip().splitlines()
     assert "triangle analyze: stdout first differs" in result.stdout
-    assert lines[-1].startswith("42 commands compared, ") and not lines[-1].endswith(" 0 differ")
+    assert lines[-1].startswith("44 commands compared, ") and not lines[-1].endswith(" 0 differ")
