@@ -1,0 +1,81 @@
+"""List the package statements that no CLI command or sampler check runs.
+
+Under sys.settrace, runs every compare_cli.py command, then
+depth1_active_counts, branching_root_counts, histogram_match and
+survival_by_threshold, on each model, and prints module:line: statement for
+each statement in a package function that nothing ran (docstrings skipped).
+
+Example:
+    PYTHONPATH=src python3 scripts/unreached.py
+"""
+
+import ast
+import contextlib
+import io
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+import cliquecascade
+from cliquecascade import SimConfig, Threshold, cli, survival_by_threshold
+from cliquecascade.verification import branching_root_counts, depth1_active_counts, histogram_match
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import compare_cli  # noqa: E402
+
+PACKAGE = Path(cliquecascade.__file__).parent
+SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef)
+
+
+def statements(path: Path) -> dict[int, str]:
+    """First line -> its text, for each statement inside a function."""
+    source = path.read_text(encoding="utf-8")
+    lines, tree = source.splitlines(), ast.parse(source)
+    docs = {id(n.body[0]) for n in ast.walk(tree) if isinstance(n, SCOPES) and ast.get_docstring(n)}
+    functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
+    nodes = [n for fn in functions for n in ast.walk(fn) if isinstance(n, ast.stmt) and n is not fn]
+    return {n.lineno: lines[n.lineno - 1].strip() for n in nodes if id(n) not in docs}
+
+
+def exercise(models: dict, config_dir: Path) -> None:
+    for name, (p, q, theta) in models.items():
+        payload = {"memberships": p, "community_sizes": q, "threshold": theta}
+        (config_dir / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
+    for label, argv in compare_cli.commands(config_dir):
+        if label.split()[0] in models:
+            cli.main(argv)
+    for name in models:
+        params = cli.load_model(str(config_dir / f"{name}.json"))
+        graph = depth1_active_counts(params, 300, 1)
+        histogram_match(graph, branching_root_counts(params, 300, 2))
+        survival_by_threshold(params, [Threshold(1, 10), params.threshold], SimConfig(2, 300, 3))
+
+
+def unreached(models: dict) -> list[str]:
+    """Unrun statements as module:line: text; package caches are cleared first."""
+    for module in [m for name, m in sys.modules.items() if name.startswith("cliquecascade.")]:
+        for obj in vars(module).values():
+            getattr(obj, "cache_clear", lambda: None)()
+    hits, prefix, quiet, previous = set(), str(PACKAGE), io.StringIO(), sys.gettrace()
+
+    def trace(frame, event, arg):
+        if frame.f_code.co_filename.startswith(prefix):
+            hits.add((frame.f_code.co_filename, frame.f_lineno))
+            return trace
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(quiet):
+        sys.settrace(trace)
+        try:
+            with contextlib.redirect_stderr(quiet):
+                exercise(models, Path(tmp))
+        finally:
+            sys.settrace(previous)
+    return [
+        f"{path.stem}:{line}: {text}" for path in sorted(PACKAGE.glob("*.py"))
+        for line, text in sorted(statements(path).items()) if (str(path), line) not in hits
+    ]
+
+
+if __name__ == "__main__":
+    print("\n".join(unreached(compare_cli.MODELS)))

@@ -39,8 +39,6 @@ class BranchingCriterion:
 
 @dataclass(frozen=True)
 class ExtinctionReport:
-    criterion_lhs: float
-    criterion_rhs: float
     fixed_point: float
     extinction: float
     degenerate: bool
@@ -103,8 +101,6 @@ def extinction_probability(params: ModelParams) -> ExtinctionReport:
         fixed = smallest_fixed_point(params)
         extinct = params.memberships.pgf(params.extra_members.pgf(fixed))
     return ExtinctionReport(
-        criterion_lhs=crit.lhs,
-        criterion_rhs=crit.rhs,
         fixed_point=fixed,
         extinction=extinct,
         degenerate=degenerate,

@@ -17,11 +17,9 @@ extra-members law, i.e. pgf compositions, give each parent type's mass and
 the weight of a size-w community among its others.  Sorted-tuple
 enumeration survives only in the oracles.
 
-The Perron root is found by power iteration on each strongly connected
-component.  Its only randomness is the perturbation of a stalled bracket,
-drawn from a generator seeded with 0 and built on the first stall, so rho is
-a function of the matrix alone and the analytic path does not import
-numpy.random.
+The Perron root is found by a deterministic power iteration on each
+strongly connected component, from the uniform vector: rho is a function of
+the matrix alone and the analytic path does not import numpy.random.
 """
 
 from __future__ import annotations
@@ -37,11 +35,9 @@ from .clique_dynamics import CliqueOutcome, mean_active_column
 from .dist_core import ModelParams, child_count_series, pgf_compose
 from .errors import NoConvergence
 
-# Perron solver knobs: relative bracket width, iteration budget, restart
-# patience when the bracket stalls.
+# Perron solver knobs: relative bracket width and iteration budget.
 POWER_REL_TOL = 1e-10
 POWER_MAX_ITER = 10**5
-POWER_RESTART_AFTER = 500
 
 # abs(rho - 1) within this is reported as the boundary and classified as
 # subcritical (the dichotomy puts rho == 1 on the finite side).
@@ -163,21 +159,14 @@ def _perron_root(block: np.ndarray) -> float:
     A diagonal shift by the max row sum makes the block primitive (periodic
     blocks would otherwise cycle); the spectrum shifts by exactly that amount.
     Positive iterates give certified ratio brackets around the root at every
-    step, so the stop rule is bracket width.  A bracket that stops narrowing
-    for POWER_RESTART_AFTER steps restarts from a perturbed iterate.  The
-    perturbation generator is np.random.default_rng(0), built on the first
-    stall: the root stays a function of the block alone, and a solve that
-    never stalls never imports numpy.random.
+    step, so the stop rule is bracket width.  The iteration starts from the
+    uniform vector and draws nothing: the root is a function of the block
+    alone.  The bracket closes at the rate of the shifted block's spectral gap.
     """
     n = block.shape[0]
-    if n == 1:
-        return float(block[0, 0])
     shift = float(block.sum(axis=1).max())
     shifted = block + shift * np.eye(n)
     x = np.full(n, 1.0 / n)
-    rng = None
-    best_width = np.inf
-    stalled = 0
     lo = hi = 0.0
     for _ in range(POWER_MAX_ITER):
         y = shifted @ x
@@ -186,18 +175,6 @@ def _perron_root(block: np.ndarray) -> float:
         hi = float(ratios.max())
         if hi - lo <= POWER_REL_TOL * hi:
             return 0.5 * (lo + hi) - shift
-        if hi - lo < best_width * (1.0 - 1e-6):
-            best_width = hi - lo
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled > POWER_RESTART_AFTER:
-                if rng is None:
-                    rng = np.random.default_rng(0)
-                x = x * (1.0 + 0.01 * rng.random(n))
-                x /= x.sum()
-                stalled = 0
-                continue
         x = y / y.sum()
     raise NoConvergence(
         "power iteration exhausted its budget",

@@ -87,7 +87,7 @@ def load_model(path: str) -> ModelParams:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigInvalid(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigInvalid("config must be a JSON object")
@@ -308,8 +308,11 @@ def _dispatch(args) -> int:
         text = emit_json(report)
         code = 0 if report["all_passed"] else 4
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigInvalid(f"cannot write output: {exc}") from exc
     else:
         sys.stdout.write(text)
     return code

@@ -45,9 +45,13 @@ class CliqueOutcome(NamedTuple):
 
 
 def require_enumerable(count: int, what: str) -> None:
-    """Raise EnumerationTooLarge before an enumeration of count items starts."""
+    """Raise EnumerationTooLarge before an enumeration of count items starts.
+
+    A count past the int64 range is named by a power-of-two lower bound.
+    """
     if count > ENUMERATION_BUDGET:
-        raise EnumerationTooLarge(f"{count} {what} exceed the {ENUMERATION_BUDGET} budget")
+        shown = count if count < 2**63 else f"at least 2^{count.bit_length() - 1}"
+        raise EnumerationTooLarge(f"{shown} {what} exceed the {ENUMERATION_BUDGET} budget")
 
 
 def activation_requirement(threshold: Threshold, child_count: int, clique_size: int) -> int:
@@ -253,8 +257,6 @@ def clique_outcome_prob(params: ModelParams, clique_size: int, outcome: CliqueOu
         raise EnumerationTooLarge(f"community size {w} has weights beyond the float range") from None
     for x in types:
         prob *= xp(x)
-        if prob == 0.0:
-            return 0.0
     return prob * tail[ell] ** (w - 1 - ell)
 
 

@@ -67,8 +67,8 @@ class Pmf:
             if v != value or v < 0:
                 raise ValueError(f"support values must be non-negative integers, got {value!r}")
             prob = float(prob)
-            if prob < 0.0:
-                raise NegativeProbability(f"mass at {v} is negative: {prob}")
+            if not prob >= 0.0:
+                raise NegativeProbability(f"mass at {v} must be a non-negative number, got {prob}")
             if v in cleaned:
                 raise ValueError(f"duplicate support value {v}")
             cleaned[v] = prob

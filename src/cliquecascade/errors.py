@@ -6,7 +6,7 @@ class CascadeError(Exception):
 
 
 class NegativeProbability(CascadeError):
-    """A probability mass entry is negative."""
+    """A probability mass entry is negative or NaN."""
 
 
 class MassNotOne(CascadeError):

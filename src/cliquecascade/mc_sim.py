@@ -273,13 +273,14 @@ class _CliqueTable(NamedTuple):
 class _CensusTables(NamedTuple):
     """Per-model census tables, with types indexed by their position in the
     child-count support: the laws, one clique table per community size, and
-    per parent type the community-size counts given its extra members."""
+    for each type with communities, in increasing order, its configuration
+    law given its extra members: one row of community-size counts per
+    configuration, rows in sorted-tuple order."""
 
     type_values: np.ndarray  # the child-count support
     laws: _Laws
     cliques: tuple[_CliqueTable, ...]
-    fixed_sizes: np.ndarray  # (types, sizes), rows of types with one configuration
-    varied_sizes: tuple  # (type, probs, size counts) per type with several
+    configs: tuple  # (type, probs, size counts) per type with communities
 
 
 def _clique_table(params: ModelParams, clique_size: int) -> _CliqueTable:
@@ -320,21 +321,17 @@ def _census_tables(params: ModelParams) -> _CensusTables:
                 weight *= laws.members.pmf(w - 1)
                 counts[size_index[w]] += 1
             by_type.setdefault(x, []).append((weight_d * weight, counts))
-    fixed_sizes = np.zeros((len(xp.support), len(q.support)), dtype=np.int64)
-    varied_sizes = []
+    configs = []
     for x, weighted in sorted(by_type.items()):
-        probs = np.array([wt for wt, _ in weighted])
-        sizes = np.array([c for _, c in weighted], dtype=np.int64)
-        if len(weighted) == 1:
-            fixed_sizes[type_index[x]] = sizes[0]
-        else:
-            varied_sizes.append((type_index[x], probs / probs.sum(), sizes))
+        if x > 0:
+            probs = np.array([wt for wt, _ in weighted])
+            sizes = np.array([c for _, c in weighted], dtype=np.int64)
+            configs.append((type_index[x], probs / probs.sum(), sizes))
     return _CensusTables(
         type_values=laws.child.values,
         laws=laws,
         cliques=tuple(_clique_table(params, w) for w in q.support),
-        fixed_sizes=fixed_sizes,
-        varied_sizes=tuple(varied_sizes),
+        configs=tuple(configs),
     )
 
 
@@ -379,10 +376,9 @@ def _root_level(tables: _CensusTables, rows: int, rng: np.random.Generator):
 
 def _next_level(tables: _CensusTables, active: np.ndarray, rng: np.random.Generator):
     """Active and inactive children-by-type of each row's active vertices."""
-    cliques_by_size = active @ tables.fixed_sizes
-    for x, probs, sizes in tables.varied_sizes:
-        if active[:, x].any():
-            cliques_by_size += rng.multinomial(active[:, x], probs) @ sizes
+    cliques_by_size = np.zeros((active.shape[0], len(tables.cliques)), dtype=np.int64)
+    for x, probs, sizes in tables.configs:  # a multinomial of zero draws nothing
+        cliques_by_size += _spread(rng, active[:, x], probs) @ sizes
     return _resolve_cliques(tables, cliques_by_size, rng)
 
 

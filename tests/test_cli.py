@@ -91,6 +91,7 @@ class TestConfigParsing:
             dict(TRIANGLE, threshold="0.0"),
             dict(TRIANGLE, threshold="1.0"),
             dict(TRIANGLE, threshold="nope"),
+            dict(TRIANGLE, memberships=[[3, float("nan")], [4, 1.0]]),
         ],
     )
     def test_rejects_malformed(self, tmp_path, payload):
@@ -104,6 +105,14 @@ class TestConfigParsing:
 
         with pytest.raises(ConfigInvalid):
             cli.load_model(str(tmp_path / "absent.json"))
+
+    def test_undecodable_file_is_config_error(self, tmp_path):
+        from cliquecascade import ConfigInvalid
+
+        path = tmp_path / "model.json"
+        path.write_bytes(b"\xff\xfe" + json.dumps(TRIANGLE).encode("utf-8"))
+        with pytest.raises(ConfigInvalid, match="config is not valid JSON"):
+            cli.load_model(str(path))
 
 
 class TestEmitter:
@@ -174,6 +183,14 @@ class TestAnalyze:
         out = tmp_path / "report.json"
         run(["analyze", "--config", config, "--out", str(out)])
         assert out.read_text(encoding="utf-8") == stdout_text
+
+    def test_unwritable_out_exit_1(self, tmp_path, capsys):
+        config = write_config(tmp_path, TRIANGLE)
+        for out in (tmp_path, tmp_path / "absent" / "report.json"):
+            assert run(["analyze", "--config", config, "--out", str(out)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: cannot write output: ")
 
     def test_assumption_violation_exit_2(self, tmp_path, capsys):
         payload = dict(TRIANGLE, memberships=[[0, 0.5], [3, 0.5]])
@@ -374,7 +391,10 @@ def test_float_range_guard_exit_1(tmp_path, argv):
     "payload, message",
     [
         (WIDE, "enumeration too large: 34012224 child-count tuples exceed the 10000000 budget"),
-        (PAST_WEIGHT_RANGE, "enumeration too large: "),
+        (
+            PAST_WEIGHT_RANGE,
+            "enumeration too large: at least 2^1024 child-count tuples exceed the 10000000 budget",
+        ),
     ],
     ids=["wide", "past-weight-range"],
 )
@@ -386,6 +406,9 @@ def test_verify_refuses_before_enumerating(tmp_path, payload, message):
     assert result.stdout == ""
     assert result.stderr.startswith("error: " + message)
     assert "Traceback" not in result.stderr
+    # a count past int64 is shown as a bound, so the refusal is one short line
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and len(lines[0]) < 120
 
 
 def test_analytic_commands_never_import_numpy_random(tmp_path):

@@ -42,6 +42,8 @@ class TestPmf:
     def test_rejects_negative_mass(self):
         with pytest.raises(NegativeProbability):
             Pmf.from_pairs({1: 1.2, 2: -0.2})
+        with pytest.raises(NegativeProbability, match="mass at 3 .* got nan"):
+            Pmf.from_pairs([(3, float("nan")), (4, 1.0)])
 
     def test_rejects_bad_total(self):
         with pytest.raises(MassNotOne):

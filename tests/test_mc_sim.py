@@ -35,7 +35,11 @@ from cliquecascade import (
     survival_by_threshold,
 )
 from cliquecascade import clique_dynamics, mc_sim
-from cliquecascade.clique_dynamics import clique_cascade_size, require_enumerable
+from cliquecascade.clique_dynamics import (
+    clique_cascade_size,
+    mean_active_column,
+    require_enumerable,
+)
 from cliquecascade.mc_sim import (
     _BLOCK,
     ActivationProcess,
@@ -50,6 +54,7 @@ from cliquecascade.verification import (
     branching_root_counts,
     depth1_active_counts,
     histogram_match,
+    standard_model_suite,
 )
 
 from conftest import model, models, order_stat_pmf
@@ -511,6 +516,26 @@ class TestCensusMeanMatrixIdentity:
         t = (means.mean(axis=0) - expected) / se
         assert np.all(np.abs(t) <= self.T_BOUND), t
 
+    @pytest.mark.parametrize(
+        "params",
+        standard_model_suite()
+        + [
+            model({d: 1 / 3 for d in (2, 3, 4)}, {w: 1 / 6 for w in range(2, 8)}, "1/3"),
+            model({d: 1 / 3 for d in (2, 3, 4)}, {w: 1 / 19 for w in range(2, 21)}, "1/5"),
+        ],
+    )
+    def test_configuration_tables_give_mean_matrix_rows(self, params):
+        # the exact form of the identity above: each parent type's expected
+        # community-size counts, mixed with the per-size mean columns, give
+        # its mean-matrix row; types without a configuration table have none
+        tables = _census_tables(params)
+        entries = mean_matrix(params).entries
+        expected = np.zeros_like(entries)
+        for x, probs, sizes in tables.configs:
+            for w, count in zip(params.community_sizes.support, probs @ sizes):
+                expected[tables.type_values[x]] += count * mean_active_column(params, w)
+        assert np.abs(expected - entries).max() <= 1e-12
+
 
 class TestActivationProcess:
     def test_triangle_census_step(self, triangle_model):
@@ -577,7 +602,7 @@ class TestActivationProcess:
         # per bin, fixed before any run
         params = model({2: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, "1/5")
         # a type-2 parent has one size-3 community or two size-2 ones
-        assert _census_tables(params).varied_sizes
+        assert any(probs.size > 1 for _, probs, _ in _census_tables(params).configs)
         n = 10_000
         view, reference = ActivationProcess(params), ReferenceActivationProcess(params)
         for x in child_count_pmf(params).support:
@@ -627,9 +652,9 @@ class TestConfigurationWeights:
         # in them would change every multi-configuration report
         tables = _census_tables(params)
         expected = reference_configurations(params)
-        varied = {int(tables.type_values[x]): probs for x, probs, _ in tables.varied_sizes}
-        assert set(varied) == {x for x, probs in expected.items() if probs.size > 1}
-        for x, probs in varied.items():
+        configs = {int(tables.type_values[x]): probs for x, probs, _ in tables.configs}
+        assert set(configs) == set(expected) - {0}  # type 0 has no communities
+        for x, probs in configs.items():
             assert probs.tolist() == expected[x].tolist()
 
 

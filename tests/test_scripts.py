@@ -1,9 +1,11 @@
-"""Smoke runs of the experiment scripts, as subprocesses with tiny inputs."""
+"""Smoke runs of the experiment scripts with tiny inputs, as subprocesses or in process."""
 
+import inspect
 import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -70,3 +72,23 @@ def test_compare_cli_reports_a_difference(tmp_path):
     lines = result.stdout.strip().splitlines()
     assert "triangle analyze: stdout first differs" in result.stdout
     assert lines[-1].startswith("44 commands compared, ") and not lines[-1].endswith(" 0 differ")
+
+
+def test_unreached_in_process(monkeypatch):
+    # one model, in this interpreter: the census overflow guard never fires,
+    # and the Perron solve leaves only its budget-exhausted raise unrun
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import unreached
+    from cliquecascade.cascade_matrix import _perron_root
+
+    started = time.monotonic()
+    lines = unreached.unreached({"mixture": unreached.compare_cli.MODELS["mixture"]})
+    assert time.monotonic() - started < 2.0
+    assert any(line.startswith("mc_sim:") and "raise CensusOverflow(" in line for line in lines)
+    body, first = inspect.getsourcelines(_perron_root)
+    perron = [
+        line for line in lines
+        if line.startswith("cascade_matrix:")
+        and first <= int(line.split(":")[1]) < first + len(body)
+    ]
+    assert perron and all(line.split(": ", 1)[1].startswith("raise ") for line in perron)
