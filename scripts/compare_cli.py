@@ -2,10 +2,12 @@
 
 Runs analyze, sweep, simulate and verify on a fixed set of models, once with
 each tree alone on PYTHONPATH, and compares the stdout, the stderr and the
-exit code of every command.  Each tree runs in one fresh interpreter that
-calls cli.main once per command; an exception that escapes cli.main is
-recorded as exit code 1 plus its last traceback line.  Prints one line per
-difference and exits 1 if there is any, 0 if the trees agree.
+exit code of every command.  Each model's analyze also runs once with --out;
+the file it writes is appended to that command's stdout.  Each tree runs in
+one fresh interpreter that calls cli.main once per command; an exception
+that escapes cli.main is recorded as exit code 1 plus its last traceback
+line.  Prints one line per difference and exits 1 if there is any, 0 if the
+trees agree.
 
 Example:
     git archive HEAD~1 | tar -x -C /tmp/parent
@@ -31,7 +33,10 @@ def uniform(values) -> list:
 # name: (memberships, community sizes, threshold).  p23-q23 is the one model
 # whose simulate draws from a configuration table with several rows (a type-2
 # vertex has one size-3 or two size-2 further communities); the wide models
-# have such tables but die out too soon.
+# have such tables but die out too soon.  subcritical is the one model whose
+# extinction probability is 1 without iterating.  No model reaches the gcd
+# reduction in Threshold: the CLI parses thresholds through Fraction, which
+# has already reduced them.
 MODELS = {
     "census-deep": ([[1, 0.5], [3, 0.5]], [[2, 1.0]], "1/10"),
     "mixture": ([[2, 0.5], [4, 0.5]], [[2, 0.5], [3, 0.5]], "3/10"),
@@ -44,14 +49,18 @@ MODELS = {
     "p13-q23": ([[1, 0.5], [3, 0.5]], [[2, 0.5], [3, 0.5]], "1/5"),
     "p3-q24": ([[3, 1.0]], [[2, 0.3], [4, 0.7]], "1/4"),
     "p23-q23": ([[2, 0.5], [3, 0.5]], [[2, 0.5], [3, 0.5]], "1/5"),
+    "subcritical": ([[1, 0.9], [2, 0.1]], [[2, 1.0]], "1/10"),
 }
 
 RUNNER = """
-import contextlib, io, json, sys, traceback
+import contextlib, io, json, os, sys, traceback
 import cliquecascade
 from cliquecascade import cli
 results = []
 for argv in json.loads(sys.argv[1]):
+    path = argv[argv.index("--out") + 1] if "--out" in argv else None
+    if path and os.path.exists(path):
+        os.remove(path)
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -59,6 +68,9 @@ for argv in json.loads(sys.argv[1]):
         except Exception as exc:
             err.write(traceback.format_exception_only(type(exc), exc)[-1])
             code = 1
+    if path and os.path.exists(path):
+        with open(path, "rb") as fh:
+            out.write(fh.read().decode("utf-8"))
     results.append([code, out.getvalue(), err.getvalue()])
 print(json.dumps({"package": cliquecascade.__file__, "results": results}))
 """
@@ -69,6 +81,8 @@ def commands(config_dir: Path) -> list[tuple[str, list[str]]]:
     for name in MODELS:
         config = ["--config", str(config_dir / f"{name}.json")]
         out.append((f"{name} analyze", ["analyze"] + config))
+        out_file = ["--out", str(config_dir / f"{name}.out")]
+        out.append((f"{name} analyze --out", ["analyze"] + config + out_file))
         out.append((f"{name} sweep", ["sweep", "--grid", GRID] + config))
         out.append((f"{name} simulate", ["simulate"] + SIMULATE + config))
         out.append((f"{name} verify", ["verify"] + config))

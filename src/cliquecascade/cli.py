@@ -20,7 +20,9 @@ Floats in reports carry 17 significant digits so they round-trip exactly.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 from .analytic_graph import (
@@ -60,7 +62,9 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigInvalid(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The parser, built once per process: parse_args keeps no state between calls."""
     parser = _Parser(prog="cliquecascade", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     common = argparse.ArgumentParser(add_help=False)
@@ -171,7 +175,7 @@ def cmd_analyze(params: ModelParams) -> dict:
             "degenerate": clustering.degenerate_triples,
         },
         "child_count_pmf": _pmf_pairs(child_count_pmf(params)),
-        "mean_matrix": [[float(v) for v in row] for row in matrix.entries],
+        "mean_matrix": matrix.entries.tolist(),
         "spectral_radius": rho,
         "verdict": {
             "kind": verdict.kind.value,
@@ -232,10 +236,10 @@ def cmd_verify(params: ModelParams) -> dict:
 
 
 def _float_token(x: float) -> str:
-    if x != x or x in (float("inf"), float("-inf")):
+    if not math.isfinite(x):
         raise ValueError("non-finite float in report")
     token = format(float(x), ".17g")
-    if token.lstrip("-").isdigit():
+    if "." not in token and "e" not in token:
         token += ".0"
     return token
 

@@ -161,6 +161,7 @@ class Threshold:
             raise ValueError("threshold terms must be integers")
         if den <= 0 or not 0 < num < den:
             raise ValueError(f"threshold must lie strictly between 0 and 1, got {num}/{den}")
+        # reduces library input such as Threshold(2, 10); from_string arrives reduced
         g = gcd(num, den)
         if g > 1:
             object.__setattr__(self, "numerator", num // g)

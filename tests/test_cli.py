@@ -437,3 +437,72 @@ def test_analytic_commands_never_import_numpy_random(tmp_path):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+class TestParserReuse:
+    def test_one_parser_per_process(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_reused_parser_matches_fresh_interpreters(self, tmp_path, capsys):
+        # a --out write, stdout, a usage refusal and a CSV, in one process
+        config = write_config(tmp_path, MIXTURE)
+        simulate = ["simulate", "--replicates", "50", "--seed", "5"]
+        commands = [
+            simulate + ["--depth", "3", "--out"],
+            ["analyze"],
+            simulate,  # no --depth
+            ["sweep", "--grid", "0.1,0.3"],
+        ]
+
+        def outcomes(run_one, prefix):
+            results = []
+            for i, argv in enumerate(commands):
+                path = tmp_path / f"{prefix}{i}.json"
+                if argv[-1] == "--out":
+                    argv = argv + [str(path)]
+                code, out, err = run_one(argv)
+                written = path.read_text(encoding="utf-8") if path.exists() else None
+                results.append((code, out, err, written))
+            return results
+
+        def fresh(argv):
+            result, _ = fresh_cli(argv, config)
+            return result.returncode, result.stdout, result.stderr
+
+        def reused(argv):
+            code = cli.main(argv + ["--config", config])
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        expected = outcomes(fresh, "fresh")
+        assert [r[0] for r in expected] == [0, 0, 1, 0]
+        assert expected[0][3] and expected[2][2].startswith("error: ")
+        assert outcomes(reused, "reused") == expected
+
+
+def test_parser_is_built_on_the_first_main_call(tmp_path):
+    # a fresh interpreter, so no earlier test has built the parser
+    config = write_config(tmp_path, TRIANGLE)
+    script = (
+        "import argparse, os\n"
+        "roots = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "def counting(self, *args, **kwargs):\n"
+        "    roots.extend([1] if kwargs.get('prog') == 'cliquecascade' else [])\n"
+        "    init(self, *args, **kwargs)\n"
+        "argparse.ArgumentParser.__init__ = counting\n"
+        "from cliquecascade import cli\n"
+        "counts = [len(roots)]\n"
+        "for _ in range(2):\n"
+        f"    assert cli.main(['analyze', '--config', {config!r}, '--out', os.devnull]) == 0\n"
+        "    counts.append(len(roots))\n"
+        "print(counts)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    result = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[0, 1, 1]"
