@@ -11,7 +11,7 @@ half kills every cascade, and the all-2s degenerate model is an infinite path
 that activates surely.
 
 Nothing here enumerates tuples.  Each clique size w contributes one column,
-clique_dynamics.mean_active_column, a DP over floor levels in O(w^3).  Rows
+clique_dynamics.mean_active_column, a fold over the floor-level walk.  Rows
 mix those columns by the configuration law: convolution powers of the
 extra-members law, i.e. pgf compositions, give each parent type's mass and
 the weight of a size-w community among its others.  Sorted-tuple

@@ -16,9 +16,10 @@ it.
 
 The same monotonicity gives a walk over floor levels f(x) = floor(threshold *
 (x + w - 1)), and this module is the only one that knows it: _levels holds
-its tables for one clique size, mean_active_column runs it as a DP for the
-mean activated count of every type, and _count_paths and _stop_paths count
-and list its stop paths, which the census engine in mc_sim maps to draw slots.
+its tables for one clique size and _walk steps through its reachable states.
+Three folds read that one walk: mean_active_column for the mean activated
+count of every type, and _count_paths and _stop_paths to count and list its
+stop paths, which the census engine in mc_sim maps to draw slots.
 """
 
 from __future__ import annotations
@@ -117,21 +118,31 @@ def _levels(params: ModelParams, clique_size: int) -> tuple[Pmf, dict, tuple, tu
     return xp, floors, mass, tail
 
 
-@lru_cache(maxsize=None)
-def _level_steps(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step tables of the level DP over n children, shared by every model.
+def _walk(params: ModelParams, clique_size: int):
+    """Walk one clique size's floor levels: yield (m, moves) while a state is alive.
 
-    A step goes from N_{m-1} = i (rows) to N_m = j (columns): placed = j - i
-    of the n - i children above level m - 1 land on level m, stay = n - j
-    stay above it, in ways = C(n - i, j - i) orders (0 where j < i).
-    Cached and read-only.
+    moves maps each alive state i = N_{m-1} to its moves of positive
+    probability, (j, C(rest, k) (mass_m / reach)^k (tail_m / reach)^(rest - k))
+    with j = i + k and k ascending: k of the rest = n - i unplaced children
+    land on level m and the others stay above it.  A move exists iff k = 0
+    or mass_m > 0, and k = rest or tail_m > 0.  The cascade stops at j = m
+    (too few to go on) or j = n (every child placed); the other states stay
+    alive.
     """
-    i, j = np.arange(n + 1)[:, None], np.arange(n + 1)[None, :]
-    placed, stay = np.maximum(j - i, 0), n - np.maximum(i, j)
-    ways = np.vectorize(comb, otypes=[float])(n - i, placed) * (j >= i)
-    for table in (placed, stay, ways):
-        table.flags.writeable = False
-    return placed, stay, ways
+    _, _, mass, tail = _levels(params, clique_size)
+    n, m, alive = len(mass), 0, [0]
+    while alive:  # alive states lie in m..n-1, so m < n and reach > 0
+        reach, moves = mass[m] + tail[m], {}
+        up, stay = mass[m] / reach, tail[m] / reach
+        for i in alive:
+            rest = n - i
+            moves[i] = [
+                (i + k, comb(rest, k) * up**k * stay ** (rest - k))
+                for k in range(0 if tail[m] else rest, rest + 1 if mass[m] else 1)
+            ]
+        yield m, moves
+        alive = sorted({j for steps in moves.values() for j, _ in steps if j not in (m, n)})
+        m += 1
 
 
 @lru_cache(maxsize=None)
@@ -140,25 +151,21 @@ def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
 
     A child of type x sits on level f(x) = floor(threshold * (x + w - 1)), and
     with N_m children on levels <= m it is active iff N_j > j for all j <=
-    f(x).  Level counts are binomial in turn, each over the children not yet
-    placed with the level's mass conditioned on f >= m; alive[k] is P(N_m = k,
-    N_j > j for all j <= m).  Within a level, types follow the child-count law
-    conditioned on the level.  O(w^3); cached and read-only.
+    f(x).  A fold over _walk: alive[i] is P(N_m = i, N_j > j for all j <= m),
+    and every child a move places on level m is active (a stop at N_m = m
+    places none there).  Within a level, types follow the child-count law
+    conditioned on the level.  Cached and read-only.
     """
-    xp, floors, mass, tail = _levels(params, clique_size)
-    n = clique_size - 1
-    placed, stay, ways = _level_steps(n)
-    alive = np.zeros(n + 1)
-    alive[0] = 1.0
-    expected = np.zeros(n)
-    for m in range(n):
-        reach = mass[m] + tail[m]
-        if reach == 0.0:
-            break
-        joint = alive[:, None] * ways * (mass[m] / reach) ** placed * (tail[m] / reach) ** stay
-        joint[:, : m + 1] = 0.0
-        expected[m] = (joint * placed).sum()
-        alive = joint.sum(axis=0)
+    xp, floors, mass, _ = _levels(params, clique_size)
+    n, alive, expected = clique_size - 1, {0: 1.0}, [0.0] * (clique_size - 1)
+    for m, moves in _walk(params, clique_size):
+        after = {}
+        for i, steps in moves.items():
+            for j, weight in steps:
+                expected[m] += alive[i] * weight * (j - i)
+                if j not in (m, n):
+                    after[j] = after.get(j, 0.0) + alive[i] * weight
+        alive = after
     column = np.zeros(xp.support_max + 1)
     for x, p in xp.items:
         if floors[x] < n:
@@ -167,54 +174,40 @@ def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
     return column
 
 
-def _placements(rest: int, mass: float, tail: float) -> list[int]:
-    """Children a level takes, out of rest unplaced, with positive probability."""
-    return [k for k in range(rest + 1) if (k == 0 or mass) and (k == rest or tail)]
-
-
 def _count_paths(params: ModelParams, clique_size: int) -> int:
-    """Stop paths of positive probability of the level walk, by a DP over N_m."""
-    _, _, mass, tail = _levels(params, clique_size)
-    n, alive, paths = len(mass), {0: 1}, 0
-    for m in range(n):
+    """Count the positive-probability stop paths of _walk, in Python ints."""
+    n, alive, paths = clique_size - 1, {0: 1}, 0
+    for m, moves in _walk(params, clique_size):
         after = {}
-        for i, ways in alive.items():
-            for k in _placements(n - i, mass[m], tail[m]):
-                if i + k in (m, n):
-                    paths += ways
+        for i, steps in moves.items():
+            for j, _ in steps:
+                if j in (m, n):
+                    paths += alive[i]
                 else:
-                    after[i + k] = after.get(i + k, 0) + ways
+                    after[j] = after.get(j, 0) + alive[i]
         alive = after
     return paths
 
 
 def _stop_paths(params: ModelParams, clique_size: int) -> tuple[list[float], list[list[int]]]:
-    """List the stop paths of mean_active_column's walk over N_m.
+    """List the stop paths of _walk, each path's moves in level order.
 
-    Level m takes k of the rest unplaced children with probability
-    C(rest, k) (mass_m / reach)^k (tail_m / reach)^(rest - k); the cascade
-    stops at the first m with N_m = m, or once every child is placed.
     Returns each path's probability and its row of 2n counts: column j < n
     counts the children on level j, column n + m those a stop at m leaves
     inactive.
     """
-    _, _, mass, tail = _levels(params, clique_size)
-    n = len(mass)
+    n = clique_size - 1
     alive, probs, rows = [(1.0, 0, [])], [], []
-    for m in range(n):
-        reach = mass[m] + tail[m]
+    for m, moves in _walk(params, clique_size):
         after = []
         for prob, i, counts in alive:
-            rest = n - i
-            for k in _placements(rest, mass[m], tail[m]):
-                step = prob * comb(rest, k) * (mass[m] / reach) ** k
-                step *= (tail[m] / reach) ** (rest - k)
-                if i + k not in (m, n):
-                    after.append((step, i + k, counts + [k]))
+            for j, weight in moves[i]:
+                if j not in (m, n):
+                    after.append((prob * weight, j, counts + [j - i]))
                     continue
-                rows.append(counts + [k] + [0] * (2 * n - m - 1))
-                rows[-1][n + m] = rest - k
-                probs.append(step)
+                rows.append(counts + [j - i] + [0] * (2 * n - m - 1))
+                rows[-1][n + m] = n - j
+                probs.append(prob * weight)
         alive = after
     return probs, rows
 

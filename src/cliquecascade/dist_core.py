@@ -170,7 +170,10 @@ class Threshold:
     @classmethod
     def from_string(cls, text: str) -> "Threshold":
         """Parse a decimal string ("0.3") or a ratio ("3/10") exactly."""
-        frac = Fraction(str(text).strip())
+        try:
+            frac = Fraction(str(text).strip())
+        except ZeroDivisionError:
+            raise ValueError(f"threshold {text!r} has a zero denominator") from None
         return cls(frac.numerator, frac.denominator)
 
     def floor_times(self, n: int) -> int:

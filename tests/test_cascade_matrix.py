@@ -1,10 +1,11 @@
 """Mean matrix, Perron root, and the cascade verdict."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from cliquecascade import (
     CliqueOutcome,
@@ -24,7 +25,7 @@ from cliquecascade import (
     strongly_connected_components,
 )
 from cliquecascade.cascade_matrix import mean_active_by_type_oracle
-from cliquecascade.clique_dynamics import mean_active_column
+from cliquecascade.clique_dynamics import _levels, mean_active_column
 from cliquecascade.verification import standard_model_suite
 
 from conftest import model, models
@@ -98,6 +99,36 @@ def product_mean_matrix(params):
     return entries
 
 
+def reference_mean_active_column(params, clique_size):
+    """Mean activated children by type from the dense level DP, in O(w^3).
+
+    The slow path the sparse walk replaced: alive[k] = P(N_m = k, N_j > j
+    for all j <= m) over every count k at every level, stepped through its
+    own (w x w) tables of placed children, staying children and orderings.
+    """
+    xp, floors, mass, tail = _levels(params, clique_size)
+    n = clique_size - 1
+    i, j = np.arange(n + 1)[:, None], np.arange(n + 1)[None, :]
+    placed, stay = np.maximum(j - i, 0), n - np.maximum(i, j)
+    ways = np.vectorize(math.comb, otypes=[float])(n - i, placed) * (j >= i)
+    alive = np.zeros(n + 1)
+    alive[0] = 1.0
+    expected = np.zeros(n)
+    for m in range(n):
+        reach = mass[m] + tail[m]
+        if reach == 0.0:
+            break
+        joint = alive[:, None] * ways * (mass[m] / reach) ** placed * (tail[m] / reach) ** stay
+        joint[:, : m + 1] = 0.0
+        expected[m] = (joint * placed).sum()
+        alive = joint.sum(axis=0)
+    column = np.zeros(xp.support_max + 1)
+    for x, p in xp.items:
+        if floors[x] < n:
+            column[x] = expected[floors[x]] * p / mass[floors[x]]
+    return column
+
+
 def wide_model(theta):
     """p uniform on {2,3,4}, q uniform on 2..7: 101k sorted tuples at size 7."""
     return model({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}, {w: 1 / 6 for w in range(2, 8)}, theta)
@@ -144,6 +175,21 @@ class TestMeanActive:
                 assert abs(
                     mean_active_of_type(params, x, w) - paper_mean_active_of_type(params, x, w)
                 ) <= 1e-12
+
+    # community sizes up to 40 are far past the brute-force cube; the examples
+    # are the qmax-20 model and the analytic_phase model at its six thresholds
+    @given(models(range(1, 5), range(2, 41), max_points=3))
+    @example(model({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}, {w: 1 / 19 for w in range(2, 21)}, "1/5"))
+    @example(wide_model("1/4"))
+    @example(wide_model("3/10"))
+    @example(wide_model("7/20"))
+    @example(wide_model("2/5"))
+    @example(wide_model("9/20"))
+    @example(wide_model("1/3"))
+    def test_column_matches_dense_reference(self, params):
+        for w in params.community_sizes.support:
+            column = mean_active_column(params, w)
+            assert np.abs(column - reference_mean_active_column(params, w)).max() <= 1e-12
 
     def test_column_is_read_only(self, triangle_model):
         with pytest.raises(ValueError):

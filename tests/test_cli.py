@@ -91,6 +91,7 @@ class TestConfigParsing:
             dict(TRIANGLE, threshold="0.0"),
             dict(TRIANGLE, threshold="1.0"),
             dict(TRIANGLE, threshold="nope"),
+            dict(TRIANGLE, threshold="1/0"),
             dict(TRIANGLE, memberships=[[3, float("nan")], [4, 1.0]]),
         ],
     )
@@ -330,6 +331,12 @@ class TestSweep:
     def test_out_of_range_theta_exit_1(self, tmp_path, capsys):
         assert run(["sweep", "--config", write_config(tmp_path, TRIANGLE),
                     "--grid", "0.2,1.5"]) == 1
+
+    def test_zero_denominator_theta_exit_1(self, tmp_path, capsys):
+        assert run(["sweep", "--config", write_config(tmp_path, TRIANGLE),
+                    "--grid", "1/10,1/0"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad sweep threshold '1/0'")
 
 
 class TestVerify:

@@ -3,8 +3,9 @@
 import math
 import sys
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cliquecascade import (
@@ -21,13 +22,16 @@ from cliquecascade import (
 )
 from cliquecascade.clique_dynamics import (
     ENUMERATION_BUDGET,
+    _count_paths,
     _levels,
     _orderings,
+    _stop_paths,
     iter_enumerated_outcomes,
+    mean_active_column,
 )
 from cliquecascade.errors import InvalidOutcome, UnsortedInput
 
-from conftest import model, order_stat_pmf
+from conftest import model, models, order_stat_pmf
 
 # two-point child law: X = 1 or 2 with equal mass (memberships 2, sizes 2 or 3)
 TWO_POINT = model({2: 1.0}, {2: 0.5, 3: 0.5}, "1/4")
@@ -144,6 +148,27 @@ class TestFloatRangeGuard:
         outcome = CliqueOutcome(683, (0,) * 341 + (1024,) * 342)
         with pytest.raises(EnumerationTooLarge, match="float range"):
             clique_outcome_prob(params, 1025, outcome)
+
+
+class TestWalkReaders:
+    @given(models(range(1, 5), range(2, 9), max_points=3))
+    @example(model({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "3/10"))
+    @example(model({2: 0.5, 3: 0.5}, {2: 0.5, 5: 0.5}, "1/4"))
+    def test_count_listing_and_column_agree(self, params):
+        # the three folds over one walk: the count is the listing's length,
+        # the listing is a law, and its mean level counts give the column
+        for w in params.community_sizes.support:
+            xp, floors, mass, _ = _levels(params, w)
+            n = w - 1
+            probs, rows = _stop_paths(params, w)
+            assert _count_paths(params, w) == len(rows)
+            assert abs(sum(probs) - 1.0) <= 1e-12
+            on_level = np.array(probs) @ np.array(rows)[:, :n]
+            column = np.zeros(xp.support_max + 1)
+            for x, p in xp.items:
+                if floors[x] < n:
+                    column[x] = on_level[floors[x]] * p / mass[floors[x]]
+            assert np.abs(column - mean_active_column(params, w)).max() <= 1e-12
 
 
 class TestOutcomeLaw:

@@ -133,7 +133,7 @@ class TestThreshold:
         theta = Threshold(30, 100)
         assert (theta.numerator, theta.denominator) == (3, 10)
 
-    @pytest.mark.parametrize("bad", ["0", "1", "1.5", "-0.1", "3/2", "abc", ""])
+    @pytest.mark.parametrize("bad", ["0", "1", "1.5", "-0.1", "3/2", "abc", "", "1/0", "0/0"])
     def test_rejects_outside_open_interval(self, bad):
         with pytest.raises(ValueError):
             Threshold.from_string(bad)

@@ -79,6 +79,7 @@ def test_unreached_in_process(monkeypatch):
     # and the Perron solve leaves only its budget-exhausted raise unrun
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import unreached
+    from cliquecascade import clique_dynamics
     from cliquecascade.cascade_matrix import _perron_root
 
     started = time.monotonic()
@@ -92,3 +93,11 @@ def test_unreached_in_process(monkeypatch):
         and first <= int(line.split(":")[1]) < first + len(body)
     ]
     assert perron and all(line.split(": ", 1)[1].startswith("raise ") for line in perron)
+    # the floor-level walk and its three folds run every statement
+    for fold in ("_walk", "mean_active_column", "_count_paths", "_stop_paths"):
+        body, first = inspect.getsourcelines(getattr(clique_dynamics, fold))
+        assert not [
+            line for line in lines
+            if line.startswith("clique_dynamics:")
+            and first <= int(line.split(":")[1]) < first + len(body)
+        ], fold
