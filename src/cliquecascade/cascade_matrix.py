@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .clique_dynamics import CliqueOutcome, mean_active_column
-from .dist_core import ModelParams, child_count_series, pgf_compose
+from .dist_core import ModelParams, child_count_series, pgf_compose, require_enumerable
 from .errors import NoConvergence
 
 # Perron solver knobs: relative bracket width and iteration budget.
@@ -74,6 +74,7 @@ class MeanMatrix:
 def _mean_matrix_cached(params: ModelParams) -> "MeanMatrix":
     params.require_contagion_assumptions()
     dim = params.max_child_count + 1
+    require_enumerable(dim * dim, "mean matrix entries")
     extra = params.extra_members.dense()
     # a parent holds K further communities, their extra members summing to its
     # type, so the type's mass is the child-count law.  Singling out one of

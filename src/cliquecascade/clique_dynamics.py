@@ -17,9 +17,9 @@ it.
 The same monotonicity gives a walk over floor levels f(x) = floor(threshold *
 (x + w - 1)), and this module is the only one that knows it: _levels holds
 its tables for one clique size and _walk steps through its reachable states.
-Three folds read that one walk: mean_active_column for the mean activated
-count of every type, and _count_paths and _stop_paths to count and list its
-stop paths, which the census engine in mc_sim maps to draw slots.
+Two modules read that one walk: mean_active_column here folds it into the
+mean activated count of every type, and the census engine in mc_sim turns
+its levels into draw tables.
 """
 
 from __future__ import annotations
@@ -32,10 +32,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf
+from .dist_core import ENUMERATION_BUDGET, ModelParams, Pmf, Threshold  # budget re-exported
+from .dist_core import child_count_pmf, require_enumerable
 from .errors import EnumerationTooLarge, InvalidOutcome, UnsortedInput
-
-ENUMERATION_BUDGET = 10**7
 
 
 class CliqueOutcome(NamedTuple):
@@ -43,16 +42,6 @@ class CliqueOutcome(NamedTuple):
 
     ell: int
     types: tuple[int, ...]
-
-
-def require_enumerable(count: int, what: str) -> None:
-    """Raise EnumerationTooLarge before an enumeration of count items starts.
-
-    A count past the int64 range is named by a power-of-two lower bound.
-    """
-    if count > ENUMERATION_BUDGET:
-        shown = count if count < 2**63 else f"at least 2^{count.bit_length() - 1}"
-        raise EnumerationTooLarge(f"{shown} {what} exceed the {ENUMERATION_BUDGET} budget")
 
 
 def activation_requirement(threshold: Threshold, child_count: int, clique_size: int) -> int:
@@ -172,44 +161,6 @@ def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
             column[x] = expected[floors[x]] * p / mass[floors[x]]
     column.flags.writeable = False
     return column
-
-
-def _count_paths(params: ModelParams, clique_size: int) -> int:
-    """Count the positive-probability stop paths of _walk, in Python ints."""
-    n, alive, paths = clique_size - 1, {0: 1}, 0
-    for m, moves in _walk(params, clique_size):
-        after = {}
-        for i, steps in moves.items():
-            for j, _ in steps:
-                if j in (m, n):
-                    paths += alive[i]
-                else:
-                    after[j] = after.get(j, 0) + alive[i]
-        alive = after
-    return paths
-
-
-def _stop_paths(params: ModelParams, clique_size: int) -> tuple[list[float], list[list[int]]]:
-    """List the stop paths of _walk, each path's moves in level order.
-
-    Returns each path's probability and its row of 2n counts: column j < n
-    counts the children on level j, column n + m those a stop at m leaves
-    inactive.
-    """
-    n = clique_size - 1
-    alive, probs, rows = [(1.0, 0, [])], [], []
-    for m, moves in _walk(params, clique_size):
-        after = []
-        for prob, i, counts in alive:
-            for j, weight in moves[i]:
-                if j not in (m, n):
-                    after.append((prob * weight, j, counts + [j - i]))
-                    continue
-                rows.append(counts + [j - i] + [0] * (2 * n - m - 1))
-                rows[-1][n + m] = n - j
-                probs.append(prob * weight)
-        alive = after
-    return probs, rows
 
 
 def _validate_outcome(clique_size: int, outcome: CliqueOutcome) -> CliqueOutcome:

@@ -30,6 +30,7 @@ import numpy as np
 from .errors import (
     AssumptionViolated,
     EmptySupport,
+    EnumerationTooLarge,
     MassNotOne,
     NegativeProbability,
     ZeroMean,
@@ -38,6 +39,18 @@ from .errors import (
 # Mass-sum tolerance for user-supplied pmfs vs. laws derived by arithmetic.
 INPUT_MASS_TOL = 1e-12
 DERIVED_MASS_TOL = 1e-9
+
+ENUMERATION_BUDGET = 10**7
+
+
+def require_enumerable(count: int, what: str) -> None:
+    """Raise EnumerationTooLarge before an enumeration of count items starts.
+
+    A count past the int64 range is named by a power-of-two lower bound.
+    """
+    if count > ENUMERATION_BUDGET:
+        shown = count if count < 2**63 else f"at least 2^{count.bit_length() - 1}"
+        raise EnumerationTooLarge(f"{shown} {what} exceed the {ENUMERATION_BUDGET} budget")
 
 
 @dataclass(frozen=True)
@@ -99,7 +112,11 @@ class Pmf:
         return self.items[-1][0]
 
     def dense(self) -> np.ndarray:
-        """Coefficient vector indexed 0..support_max (zeros fill the gaps)."""
+        """Coefficient vector indexed 0..support_max (zeros fill the gaps).
+
+        Raises EnumerationTooLarge before allocating past ENUMERATION_BUDGET.
+        """
+        require_enumerable(self.support_max + 1, "dense coefficients")
         out = np.zeros(self.support_max + 1)
         for v, p in self.items:
             out[v] = p

@@ -11,13 +11,14 @@ Two sampling routes produce the same law.  sample_local_graph plus
 run_contagion materialise the graphs and iterate synchronous rounds; this is
 the reference route and the one survival_by_threshold uses to couple several
 thresholds on a shared graph.  estimate instead evolves per-level census
-counts of vertex types: a clique's outcome is a stop path of the floor-level
-walk that clique_dynamics counts and lists, and given the path the types on
-each level are iid, so a level costs one multinomial per size with several
-paths and one per draw slot with members, rather than work proportional to
-the population or to the sorted child-count tuples.  This module only maps
-the paths to draw slots.  Tests cross-check the two routes, and keep the
-sorted-tuple engine and a scalar activation-process sampler as references.
+counts of vertex types: a clique's cascade is the floor-level walk of
+clique_dynamics, and this module turns its levels into draw tables.  A size's
+cliques move through the walk's alive states together, one multinomial per
+state with several moves, and given the moves the types placed on a level are
+iid, so a level costs a few draws per size rather than work proportional to
+the population or to the sorted child-count tuples.  Tests cross-check the
+two routes, and keep the sorted-tuple engine and a scalar activation-process
+sampler as references.
 
 Both routes run replicates in blocks of a fixed size.  estimate advances
 every row of a block one level per step with one array draw per table; the
@@ -37,8 +38,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clique_dynamics import _count_paths, _levels, _orderings, _stop_paths, require_enumerable
-from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf
+from .clique_dynamics import _levels, _orderings, _walk
+from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf, require_enumerable
 from .errors import CensusOverflow, ConfigInvalid
 
 # Replicates per random stream.  Part of the report contract: changing it
@@ -255,47 +256,49 @@ def run_contagion(graph: LocalGraph, threshold: Threshold) -> LocalGraph:
     return graph
 
 
-class _CliqueTable(NamedTuple):
-    """Stop paths of the floor-level walk in one community size.
-
-    Row i of members gives path i's member counts per draw slot: one slot per
-    level j the cascade reaches, whose types are iid from the child-count law
-    given f(X) = j, and one per stop level m, whose members stay inactive
-    with types given f(X) > m.  Exact by exchangeability.  f is monotone, so
-    a slot's types are a run of the child-count support.
-    """
-
-    probs: np.ndarray  # (paths,)
-    members: np.ndarray  # (paths, slots)
-    slots: tuple  # (active, slice of the support, probs) per slot
-
-
 class _CensusTables(NamedTuple):
     """Per-model census tables, with types indexed by their position in the
-    child-count support: the laws, one clique table per community size, and
-    for each type with communities, in increasing order, its configuration
-    law given its extra members: one row of community-size counts per
-    configuration, rows in sorted-tuple order."""
+    child-count support: the laws, the walk levels of each community size,
+    and for each type with communities, in increasing order, its
+    configuration law given its extra members: one row of community-size
+    counts per configuration, rows in sorted-tuple order."""
 
     type_values: np.ndarray  # the child-count support
     laws: _Laws
-    cliques: tuple[_CliqueTable, ...]
+    cliques: tuple  # the walk levels of each community size
     configs: tuple  # (type, probs, size counts) per type with communities
 
 
-def _clique_table(params: ModelParams, clique_size: int) -> _CliqueTable:
-    """Map the stop paths of one community size to draw slots."""
-    xp, floors, mass, _ = _levels(params, clique_size)
-    probs, rows = _stop_paths(params, clique_size)
-    n = len(mass)
-    members = np.array(rows, dtype=np.int64)
-    used = np.flatnonzero(members.any(axis=0)).tolist()
-    slots, level = [], [floors[x] for x in xp.support]
-    for col in used:
-        types = [i for i, f in enumerate(level) if (f == col if col < n else f > col - n)]
-        weights = np.array([xp.items[i][1] for i in types])
-        slots.append((col < n, slice(types[0], types[-1] + 1), weights / weights.sum()))
-    return _CliqueTable(np.array(probs) / sum(probs), members[:, used], tuple(slots))
+def _walk_levels(params: ModelParams, clique_size: int) -> tuple:
+    """The floor-level walk of one community size as census draw tables.
+
+    Level m is (moves, on, above).  moves gives each alive state i (members
+    placed so far) as (i, probs, members, onward): its moves' normalised
+    probabilities, their member counts (columns: placed on level m, left
+    inactive by a stop) and the (move, next state) pairs that keep the
+    cascade alive.  on and above are (slice of the support, type probs) for
+    the types on level m and above it, runs since f is monotone.
+    Given the moves, the types placed on level m are iid given f(X) = m, and
+    the n - j members a stop at j leaves are iid given f(X) > m.
+    """
+    xp, floors, _, _ = _levels(params, clique_size)
+    n, level = clique_size - 1, np.array([floors[x] for x in xp.support])
+    weights = np.array([p for _, p in xp.items])
+
+    def run(types):
+        return types, weights[types] / weights[types].sum()
+
+    levels = []
+    for m, moves in _walk(params, clique_size):
+        lo, hi = np.searchsorted(level, [m, m + 1])  # f is monotone, so level is sorted
+        states = []
+        for i, steps in moves.items():
+            probs = np.array([p for _, p in steps])
+            members = np.array([(j - i, n - j if j == m else 0) for j, _ in steps], dtype=np.int64)
+            onward = tuple((col, j) for col, (j, _) in enumerate(steps) if j not in (m, n))
+            states.append((i, probs / probs.sum(), members, onward))
+        levels.append((tuple(states), run(slice(lo, hi)), run(slice(hi, None))))
+    return tuple(levels)
 
 
 @lru_cache(maxsize=None)
@@ -304,9 +307,8 @@ def _census_tables(params: ModelParams) -> _CensusTables:
     p, q = params.memberships, params.community_sizes
     laws = _laws(params)
     xp = laws.child.pmf
-    count = sum(_count_paths(params, w) for w in q.support)
-    count += sum(comb(len(q.support) + d - 2, d - 1) for d in p.support)
-    require_enumerable(count, "stop paths and configuration tuples")
+    count = sum(comb(len(q.support) + d - 2, d - 1) for d in p.support)
+    require_enumerable(count, "configuration tuples")
     type_index = {x: i for i, x in enumerate(xp.support)}
     size_index = {w: i for i, w in enumerate(q.support)}
 
@@ -330,7 +332,7 @@ def _census_tables(params: ModelParams) -> _CensusTables:
     return _CensusTables(
         type_values=laws.child.values,
         laws=laws,
-        cliques=tuple(_clique_table(params, w) for w in q.support),
+        cliques=tuple(_walk_levels(params, w) for w in q.support),
         configs=tuple(configs),
     )
 
@@ -345,25 +347,32 @@ def _spread(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray) -> 
 def _resolve_cliques(tables: _CensusTables, cliques_by_size: np.ndarray, rng):
     """Active and inactive children-by-type of cliques whose parent is active.
 
-    Draws nothing for a size with no cliques, the path of a size with one
-    path, or a slot with no members.
+    Moves each size's cliques through its walk levels, counting the cliques
+    of each row in each alive state.  Draws nothing for a size with no
+    cliques, a state with no cliques or one move, or a level run with no
+    members.
     """
     shape = (cliques_by_size.shape[0], tables.type_values.size)
     active, inactive = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
-    for wi, clique in enumerate(tables.cliques):
-        counts = cliques_by_size[:, wi]
-        if not counts.any():
-            continue
-        if clique.probs.shape[0] == 1:  # every slot of the one path has members
-            members = counts[:, None] * clique.members[0]
-            live = range(members.shape[1])
-        else:
-            members = rng.multinomial(counts, clique.probs) @ clique.members
-            live = np.flatnonzero(members.sum(axis=0)).tolist()
-        for slot in live:
-            is_active, types, probs = clique.slots[slot]
-            target = active if is_active else inactive
-            target[:, types] += _spread(rng, members[:, slot], probs)
+    for wi, levels in enumerate(tables.cliques):
+        alive = {0: cliques_by_size[:, wi]}
+        for moves, on, above in levels:
+            placed, after = np.zeros((shape[0], 2), dtype=np.int64), {}
+            for i, probs, members, onward in moves:
+                counts = alive.get(i)
+                if counts is None or not counts.any():
+                    continue
+                drawn = counts[:, None] if probs.shape[0] == 1 else rng.multinomial(counts, probs)
+                placed += drawn @ members
+                for col, j in onward:
+                    after[j] = after.get(j, 0) + drawn[:, col]
+            for run, target, count in zip((on, above), (active, inactive), placed.T):
+                if count.any():
+                    types, probs = run
+                    target[:, types] += _spread(rng, count, probs)
+            if not after:
+                break
+            alive = after
     return active, inactive
 
 
@@ -458,7 +467,7 @@ def estimate(params: ModelParams, config: SimConfig) -> SimReport:
     floats appear only in the final division: the report is a function of
     (params, depth, replicates, seed) alone.  Raises CensusOverflow when a
     replicate's level would outgrow int64, and EnumerationTooLarge before
-    listing more than ENUMERATION_BUDGET stop paths and configurations.
+    listing more than ENUMERATION_BUDGET configuration tuples.
     """
     tables = _census_tables(params)
     depth = config.depth

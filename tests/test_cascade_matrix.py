@@ -9,6 +9,7 @@ from hypothesis import example, given
 
 from cliquecascade import (
     CliqueOutcome,
+    EnumerationTooLarge,
     NoConvergence,
     Threshold,
     VerdictKind,
@@ -216,6 +217,12 @@ class TestMeanMatrix:
         entries = mean_matrix(params).entries
         assert entries.shape == (58, 58)
         assert np.abs(entries - product_mean_matrix(params)).max() <= 1e-12
+
+    def test_oversized_matrix_refused_before_allocation(self):
+        # 30000 types: 9e8 entries, a 7.2 GB matrix; 3000 types still fit
+        assert mean_matrix(model({3000: 1.0}, {2: 1.0}, "1/10")).dim == 3000
+        with pytest.raises(EnumerationTooLarge, match="900000000 mean matrix entries"):
+            mean_matrix(model({30000: 1.0}, {2: 1.0}, "1/10"))
 
     def test_triangle_single_entry(self, triangle_model):
         matrix = mean_matrix(triangle_model)

@@ -28,10 +28,23 @@ LARGE_COMMUNITIES = {
     "community_sizes": [[w, 1 / 19] for w in range(2, 21)],
     "threshold": "1/5",
 }
-STOP_PATH_BUDGET = {
+# 307 walk states at size 40, but 1.3e9 positive-probability stop paths
+WIDE_CLIQUE = {
     "memberships": [[d, 0.1] for d in range(1, 11)],
     "community_sizes": [[40, 1.0]],
     "threshold": "1/40",
+}
+# C(29, 11) = 34,597,290 configuration tuples at 12 memberships
+CONFIGURATION_BUDGET = {
+    "memberships": [[12, 1.0]],
+    "community_sizes": [[w, 1 / 19] for w in range(2, 21)],
+    "threshold": "1/10",
+}
+# a dense coefficient vector of 10^12 + 1 floats, about 7.3 TiB
+HUGE_MEMBERSHIP = {
+    "memberships": [[10**12, 1.0]],
+    "community_sizes": [[2, 1.0]],
+    "threshold": "1/10",
 }
 # C(1999, 999) binomial coefficients in the level walk, far past the float range
 PAST_FLOAT_RANGE = {
@@ -271,7 +284,7 @@ class TestSimulate:
         assert "overflow" in captured.err
 
     def test_enumeration_budget_exit_1(self, tmp_path, capsys):
-        # about 3e17 sorted clique tuples at size 20, but few stop paths
+        # about 3e17 sorted clique tuples at size 20, but a small walk
         config = write_config(tmp_path, LARGE_COMMUNITIES)
         argv = ["--depth", "10", "--replicates", "10", "--seed", "1"]
         assert run(["simulate", "--config", config] + argv) == 0
@@ -281,15 +294,26 @@ class TestSimulate:
         report = json.loads(capsys.readouterr().out)
         assert len(report["mean_matrix"]) == 58
         assert report["verdict"]["kind"] == "FiniteAlmostSurely"
-        # 1.3e9 positive-probability stop paths at size 40
-        config = write_config(tmp_path, STOP_PATH_BUDGET, name="paths.json")
+        config = write_config(tmp_path, CONFIGURATION_BUDGET, name="configs.json")
+        assert run(["simulate", "--config", config] + argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "enumeration too large: 34597290 configuration tuples" in captured.err
+
+    def test_wide_clique_simulates(self, tmp_path, capsys):
+        # the census walks the 307 states, so depth 3 runs, and depth 10
+        # would outgrow int64 at level 8
+        config = write_config(tmp_path, WIDE_CLIQUE)
+        argv = ["--replicates", "10", "--seed", "1"]
+        assert run(["simulate", "--config", config, "--depth", "3"] + argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["mean_active_by_depth"]) == 4
         started = time.monotonic()
-        code = run(["simulate", "--config", config] + argv)
+        code = run(["simulate", "--config", config, "--depth", "10"] + argv)
         assert time.monotonic() - started < 10.0
         assert code == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "enumeration too large" in captured.err
+        assert "simulation overflow" in captured.err
 
     def test_roundtrip(self, tmp_path, capsys):
         run(
@@ -391,6 +415,20 @@ def test_float_range_guard_exit_1(tmp_path, argv):
     assert result.stdout == ""
     assert "enumeration too large" in result.stderr
     assert "float range" in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["simulate", "--depth", "2", "--replicates", "10", "--seed", "1"], ["verify"]],
+    ids=["analyze", "simulate", "verify"],
+)
+def test_dense_table_guard_exit_1(tmp_path, argv):
+    result, _ = fresh_cli(argv, write_config(tmp_path, HUGE_MEMBERSHIP))
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: enumeration too large: ")
     assert "Traceback" not in result.stderr
 
 

@@ -22,14 +22,13 @@ from cliquecascade import (
 )
 from cliquecascade.clique_dynamics import (
     ENUMERATION_BUDGET,
-    _count_paths,
     _levels,
     _orderings,
-    _stop_paths,
     iter_enumerated_outcomes,
     mean_active_column,
 )
 from cliquecascade.errors import InvalidOutcome, UnsortedInput
+from cliquecascade.mc_sim import _census_tables
 
 from conftest import model, models, order_stat_pmf
 
@@ -154,20 +153,21 @@ class TestWalkReaders:
     @given(models(range(1, 5), range(2, 9), max_points=3))
     @example(model({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "3/10"))
     @example(model({2: 0.5, 3: 0.5}, {2: 0.5, 5: 0.5}, "1/4"))
-    def test_count_listing_and_column_agree(self, params):
-        # the three folds over one walk: the count is the listing's length,
-        # the listing is a law, and its mean level counts give the column
-        for w in params.community_sizes.support:
-            xp, floors, mass, _ = _levels(params, w)
-            n = w - 1
-            probs, rows = _stop_paths(params, w)
-            assert _count_paths(params, w) == len(rows)
-            assert abs(sum(probs) - 1.0) <= 1e-12
-            on_level = np.array(probs) @ np.array(rows)[:, :n]
-            column = np.zeros(xp.support_max + 1)
-            for x, p in xp.items:
-                if floors[x] < n:
-                    column[x] = on_level[floors[x]] * p / mass[floors[x]]
+    def test_census_levels_and_column_agree(self, params):
+        # the two readers of one walk: the census tables' expected placements
+        # on each level, spread over the level's types, give the mean column
+        tables = _census_tables(params)
+        for w, levels in zip(params.community_sizes.support, tables.cliques):
+            column = np.zeros(tables.type_values[-1] + 1)
+            alive = {0: 1.0}
+            for moves, on, _ in levels:
+                after, placed = {}, 0.0
+                for i, probs, members, onward in moves:
+                    placed += alive[i] * (probs @ members[:, 0])
+                    for col, j in onward:
+                        after[j] = after.get(j, 0.0) + alive[i] * probs[col]
+                column[tables.type_values[on[0]]] += placed * on[1]
+                alive = after
             assert np.abs(column - mean_active_column(params, w)).max() <= 1e-12
 
 

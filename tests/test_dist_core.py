@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cliquecascade import (
     EmptySupport,
+    EnumerationTooLarge,
     MassNotOne,
     ModelParams,
     NegativeProbability,
@@ -18,6 +19,7 @@ from cliquecascade import (
     ZeroMean,
     child_count_pmf,
     child_count_series,
+    dist_core,
     pgf_compose,
 )
 from cliquecascade.errors import AssumptionViolated
@@ -118,6 +120,12 @@ class TestPmf:
         pmf = Pmf.from_pairs({0: 0.25, 3: 0.75})
         dense = pmf.dense()
         assert list(dense) == pytest.approx([0.25, 0.0, 0.0, 0.75])
+
+    def test_dense_refused_past_the_budget(self, monkeypatch):
+        monkeypatch.setattr(dist_core, "ENUMERATION_BUDGET", 4)
+        assert Pmf.from_pairs({0: 0.25, 3: 0.75}).dense().shape == (4,)
+        with pytest.raises(EnumerationTooLarge, match="5 dense coefficients"):
+            Pmf.from_pairs({0: 0.25, 4: 0.75}).dense()
 
 
 class TestThreshold:

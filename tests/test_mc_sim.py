@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, prod
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -34,7 +35,7 @@ from cliquecascade import (
     sample_local_graph,
     survival_by_threshold,
 )
-from cliquecascade import clique_dynamics, mc_sim
+from cliquecascade import dist_core
 from cliquecascade.clique_dynamics import (
     clique_cascade_size,
     mean_active_column,
@@ -48,6 +49,7 @@ from cliquecascade.mc_sim import (
     _census_tables,
     _check_next_level,
     _laws,
+    _resolve_cliques,
     _spread,
 )
 from cliquecascade.verification import (
@@ -755,9 +757,9 @@ class ReferenceActivationProcess:
         return out
 
 
-# Reference census engine: the sorted-tuple clique tables and level loop that
-# the stop-path engine replaced.  One category per sorted child-count tuple,
-# all members of every clique resolved through an int64 product.
+# Reference census engine: sorted-tuple clique tables and their level loop.
+# One category per sorted child-count tuple, all members of every clique
+# resolved through an int64 product.
 
 
 @dataclass(frozen=True)
@@ -901,28 +903,36 @@ def _multinomial_law(count, probs):
     return law
 
 
-def path_table_law(clique, type_values):
-    """Law of (active-by-type, total-by-type) that one clique's stop paths induce."""
-    n_types = int(type_values[-1]) + 1
-    law = {}
-    for prob, members in zip(clique.probs, clique.members):
-        partial = {((0,) * n_types, (0,) * n_types): float(prob)}
-        for count, (is_active, types, probs) in zip(members.tolist(), clique.slots):
-            if not count:
-                continue
-            grown = {}
-            for (act, tot), p0 in partial.items():
-                for drawn, p1 in _multinomial_law(count, probs).items():
-                    add = np.zeros(n_types, dtype=int)
-                    add[type_values[types]] = drawn
-                    key = (
-                        tuple(np.add(act, add * is_active)),
-                        tuple(np.add(tot, add)),
-                    )
-                    grown[key] = grown.get(key, 0.0) + p0 * p1
-            partial = grown
-        for key, p in partial.items():
-            law[key] = law.get(key, 0.0) + p
+def _spread_law(partial, prob, count, run, is_active, type_values):
+    """Each outcome of partial, times prob, with count members spread over run."""
+    if not count:
+        return {key: p0 * prob for key, p0 in partial.items()}
+    types, probs = run
+    grown = {}
+    for (act, tot), p0 in partial.items():
+        for drawn, p1 in _multinomial_law(count, probs).items():
+            add = np.zeros(len(act), dtype=int)
+            add[type_values[types]] = drawn
+            key = (tuple(np.add(act, add * is_active)), tuple(np.add(tot, add)))
+            grown[key] = grown.get(key, 0.0) + p0 * prob * p1
+    return grown
+
+
+def level_table_law(levels, type_values):
+    """Law of (active-by-type, total-by-type) that one size's level tables induce."""
+    zero = (0,) * (int(type_values[-1]) + 1)
+    alive, law = {0: {(zero, zero): 1.0}}, {}
+    for moves, on, above in levels:
+        after = {}
+        for i, probs, members, onward in moves:
+            targets = dict(onward)
+            for col, (placed, left) in enumerate(members.tolist()):
+                grown = _spread_law(alive[i], probs[col], placed, on, True, type_values)
+                grown = _spread_law(grown, 1.0, left, above, False, type_values)
+                into = after.setdefault(targets[col], {}) if col in targets else law
+                for key, p in grown.items():
+                    into[key] = into.get(key, 0.0) + p
+        alive = after
     return law
 
 
@@ -936,51 +946,92 @@ def tuple_table_law(tables, wi):
     return law
 
 
-# Models whose every community size has a single stop path, so the two
-# engines consume the same draws: (params, depth, replicates, seed).
+def max_moves(params):
+    """The most moves out of one alive state in any community size's walk."""
+    levels = _census_tables(params).cliques
+    return max(probs.size for walk in levels for moves, _, _ in walk for _, probs, _, _ in moves)
+
+
+# Models in which no alive state of any community size has two moves, so the
+# two engines consume the same draws: (params, depth, replicates, seed).
 SINGLE_PATH = {
     "census-deep": (model({1: 0.5, 3: 0.5}, {2: 1.0}, "1/10"), 30, 2 * _BLOCK + 3, 61),
     "triangle": (model({3: 1.0}, {3: 1.0}, "1/10"), 8, _BLOCK + 1, 62),
     "path": (model({2: 1.0}, {2: 1.0}, "2/5"), 12, 3 * _BLOCK, 63),
 }
+# q = {40: 1}: 307 walk states, but 1.3e9 positive-probability stop paths
+WIDE_CLIQUE = model({d: 0.1 for d in range(1, 11)}, {40: 1.0}, "1/40")
 
 
-class TestStopPathEngine:
+class TestLevelEngine:
     @given(params=models(range(1, 4), range(2, 6), max_points=3))
     @example(params=MIXTURE)
     @example(params=model({2: 0.5, 3: 0.5}, {2: 0.5, 5: 0.5}, "1/4"))
-    def test_path_tables_induce_the_tuple_law(self, params):
+    def test_level_tables_induce_the_tuple_law(self, params):
         tables = _census_tables(params)
         reference = reference_tuple_tables(params)
-        for wi, clique in enumerate(tables.cliques):
-            law = path_table_law(clique, tables.type_values)
+        for wi, levels in enumerate(tables.cliques):
+            law = level_table_law(levels, tables.type_values)
             expected = tuple_table_law(reference, wi)
             for key in set(law) | set(expected):
                 assert abs(law.get(key, 0.0) - expected.get(key, 0.0)) <= 1e-12, key
 
+    @pytest.mark.parametrize(
+        "params",
+        [model({1: 0.5, 3: 0.5}, {6: 1.0}, "1/10"), model({2: 0.5, 3: 0.5}, {2: 0.5, 5: 0.5}, "1/10")],
+    )
+    def test_resolved_cliques_follow_the_level_law(self, params):
+        # one clique of the largest size per row; its walk keeps up to four
+        # moves of one state alive, so every route through the states is
+        # drawn.  5.5 sigma per bin, fixed before any run.
+        tables, rows = _census_tables(params), 20_000
+        law = level_table_law(tables.cliques[-1], tables.type_values)
+        cliques = np.zeros((rows, len(tables.cliques)), dtype=np.int64)
+        cliques[:, -1] = 1
+        active, inactive = _resolve_cliques(tables, cliques, np.random.default_rng(11))
+
+        def by_value(row):
+            out = np.zeros(int(tables.type_values[-1]) + 1, dtype=np.int64)
+            out[tables.type_values] = row
+            return tuple(out.tolist())
+
+        seen: dict = {}
+        for act, tot in zip(active, active + inactive):
+            key = (by_value(act), by_value(tot))
+            seen[key] = seen.get(key, 0) + 1
+        assert set(seen) <= {key for key, p in law.items() if p > 0.0}
+        for key, p in law.items():
+            se = (p * (1.0 - p) / rows) ** 0.5
+            assert abs(seen.get(key, 0) / rows - p) <= 5.5 * se + 1e-12, key
+
     @pytest.mark.parametrize("name", sorted(SINGLE_PATH))
     def test_single_path_models_match_reference_engine(self, name):
         params, depth, replicates, seed = SINGLE_PATH[name]
-        assert all(c.probs.size == 1 for c in _census_tables(params).cliques)
+        assert max_moves(params) == 1
         for k in range(3):
             config = SimConfig(depth=depth, replicates=replicates, seed=seed + 100 * k)
             assert estimate(params, config) == reference_estimate(params, config)
 
-    def test_multi_path_model_has_several_paths(self):
-        # guards the law property against a table that never branches
-        params = model({2: 0.5, 3: 0.5}, {2: 0.5, 5: 0.5}, "1/4")
-        assert max(c.probs.size for c in _census_tables(params).cliques) > 1
+    def test_multi_move_model_has_a_state_with_several_moves(self):
+        # guards the law property against tables that never branch
+        assert max_moves(model({2: 0.5, 3: 0.5}, {2: 0.5, 5: 0.5}, "1/4")) > 1
 
-    def test_budget_refuses_before_listing_paths(self, monkeypatch):
-        # 1.3e9 positive-probability stop paths at size 40: counted, never listed
-        params = model({d: 0.1 for d in range(1, 11)}, {40: 1.0}, "1/40")
+    def test_wide_clique_builds_its_tables(self):
+        tables = _census_tables(WIDE_CLIQUE)
+        assert len(tables.cliques) == 1
+        assert max_moves(WIDE_CLIQUE) > 1
 
-        def listed(*args):
-            raise AssertionError("a path was listed")
-
-        monkeypatch.setattr(mc_sim, "_stop_paths", listed)
-        with pytest.raises(EnumerationTooLarge, match="stop paths"):
-            _census_tables(params)
+    def test_configuration_tuples_refused_before_listing(self):
+        # p = {12: 1}, q uniform 2..20: C(29, 11) = 34,597,290 configuration tuples
+        params = model({12: 1.0}, {w: 1 / 19 for w in range(2, 21)}, "1/10")
+        assert comb(29, 11) == 34_597_290
+        timings = []
+        for _ in range(3):
+            started = perf_counter()
+            with pytest.raises(EnumerationTooLarge, match="34597290 configuration tuples"):
+                _census_tables(params)
+            timings.append(perf_counter() - started)
+        assert min(timings) < 1e-3
 
     def test_large_communities_run(self):
         # p uniform {2,3,4}, q uniform 2..20: about 3e17 sorted clique tuples
@@ -994,7 +1045,7 @@ class TestForestBudget:
     def test_oversized_forest_raises(self, monkeypatch):
         # the triangle at 1/10 grows fourfold per level: 256 trees of depth 4
         # hold 256 * 511 vertices
-        monkeypatch.setattr(clique_dynamics, "ENUMERATION_BUDGET", 100_000)
+        monkeypatch.setattr(dist_core, "ENUMERATION_BUDGET", 100_000)
         params = model({3: 1.0}, {3: 1.0}, "1/10")
         config = SimConfig(depth=4, replicates=_BLOCK, seed=1)
         with pytest.raises(EnumerationTooLarge, match="forest vertices"):

@@ -79,7 +79,7 @@ def test_unreached_in_process(monkeypatch):
     # and the Perron solve leaves only its budget-exhausted raise unrun
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import unreached
-    from cliquecascade import clique_dynamics
+    from cliquecascade import clique_dynamics, mc_sim
     from cliquecascade.cascade_matrix import _perron_root
 
     started = time.monotonic()
@@ -93,11 +93,17 @@ def test_unreached_in_process(monkeypatch):
         and first <= int(line.split(":")[1]) < first + len(body)
     ]
     assert perron and all(line.split(": ", 1)[1].startswith("raise ") for line in perron)
-    # the floor-level walk and its three folds run every statement
-    for fold in ("_walk", "mean_active_column", "_count_paths", "_stop_paths"):
-        body, first = inspect.getsourcelines(getattr(clique_dynamics, fold))
+    # the floor-level walk and its readers run every statement
+    for module, name in (
+        (clique_dynamics, "_walk"),
+        (clique_dynamics, "mean_active_column"),
+        (mc_sim, "_walk_levels"),
+        (mc_sim, "_resolve_cliques"),
+    ):
+        body, first = inspect.getsourcelines(getattr(module, name))
+        prefix = module.__name__.rsplit(".", 1)[1] + ":"
         assert not [
             line for line in lines
-            if line.startswith("clique_dynamics:")
+            if line.startswith(prefix)
             and first <= int(line.split(":")[1]) < first + len(body)
-        ], fold
+        ], name
