@@ -111,12 +111,12 @@ def _walk(params: ModelParams, clique_size: int):
     """Walk one clique size's floor levels: yield (m, moves) while a state is alive.
 
     moves maps each alive state i = N_{m-1} to its moves of positive
-    probability, (j, C(rest, k) (mass_m / reach)^k (tail_m / reach)^(rest - k))
-    with j = i + k and k ascending: k of the rest = n - i unplaced children
-    land on level m and the others stay above it.  A move exists iff k = 0
-    or mass_m > 0, and k = rest or tail_m > 0.  The cascade stops at j = m
-    (too few to go on) or j = n (every child placed); the other states stay
-    alive.
+    probability, (j, C(rest, k) (mass_m / reach)^k (tail_m / reach)^(rest - k),
+    live) with j = i + k and k ascending: k of the rest = n - i unplaced
+    children land on level m and the others stay above it.  A move exists
+    iff k = 0 or mass_m > 0, and k = rest or tail_m > 0.  The cascade stops
+    at j = m (too few to go on: n - j children stay inactive above m) or at
+    j = n (every child placed); live = m < j < n flags the other moves.
     """
     _, _, mass, tail = _levels(params, clique_size)
     n, m, alive = len(mass), 0, [0]
@@ -126,11 +126,11 @@ def _walk(params: ModelParams, clique_size: int):
         for i in alive:
             rest = n - i
             moves[i] = [
-                (i + k, comb(rest, k) * up**k * stay ** (rest - k))
+                (i + k, comb(rest, k) * up**k * stay ** (rest - k), m < i + k < n)
                 for k in range(0 if tail[m] else rest, rest + 1 if mass[m] else 1)
             ]
         yield m, moves
-        alive = sorted({j for steps in moves.values() for j, _ in steps if j not in (m, n)})
+        alive = sorted({j for steps in moves.values() for j, _, live in steps if live})
         m += 1
 
 
@@ -150,9 +150,9 @@ def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
     for m, moves in _walk(params, clique_size):
         after = {}
         for i, steps in moves.items():
-            for j, weight in steps:
+            for j, weight, live in steps:
                 expected[m] += alive[i] * weight * (j - i)
-                if j not in (m, n):
+                if live:
                     after[j] = after.get(j, 0.0) + alive[i] * weight
         alive = after
     column = np.zeros(xp.support_max + 1)

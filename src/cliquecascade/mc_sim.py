@@ -10,15 +10,15 @@ because their degree feeds the activation rule.
 Two sampling routes produce the same law.  sample_local_graph plus
 run_contagion materialise the graphs and iterate synchronous rounds; this is
 the reference route and the one survival_by_threshold uses to couple several
-thresholds on a shared graph.  estimate instead evolves per-level census
-counts of vertex types: a clique's cascade is the floor-level walk of
-clique_dynamics, and this module turns its levels into draw tables.  A size's
-cliques move through the walk's alive states together, one multinomial per
-state with several moves, and given the moves the types placed on a level are
-iid, so a level costs a few draws per size rather than work proportional to
-the population or to the sorted child-count tuples.  Tests cross-check the
-two routes, and keep the sorted-tuple engine and a scalar activation-process
-sampler as references.
+thresholds on a shared graph.  estimate instead steps ActivationProcess, the
+multi-type branching process of per-level census counts of vertex types: a
+clique's cascade is the floor-level walk of clique_dynamics, and this module
+turns its levels into draw tables.  A size's cliques move through the walk's
+alive states together, one multinomial per state with several moves, and
+given the moves the types placed on a level are iid, so a level costs a few
+draws per size rather than work proportional to the population or to the
+sorted child-count tuples.  Tests cross-check the two routes, and keep the
+sorted-tuple engine and a scalar activation-process sampler as references.
 
 Both routes run replicates in blocks of a fixed size.  estimate advances
 every row of a block one level per step with one array draw per table; the
@@ -61,6 +61,7 @@ class SimConfig:
             raise ConfigInvalid("replicates must be at least 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigInvalid("seed must be an unsigned 64-bit integer")
+        require_enumerable(self.depth + 1, "depth levels")  # tallies hold one entry per level
 
 
 @dataclass(frozen=True)
@@ -256,19 +257,6 @@ def run_contagion(graph: LocalGraph, threshold: Threshold) -> LocalGraph:
     return graph
 
 
-class _CensusTables(NamedTuple):
-    """Per-model census tables, with types indexed by their position in the
-    child-count support: the laws, the walk levels of each community size,
-    and for each type with communities, in increasing order, its
-    configuration law given its extra members: one row of community-size
-    counts per configuration, rows in sorted-tuple order."""
-
-    type_values: np.ndarray  # the child-count support
-    laws: _Laws
-    cliques: tuple  # the walk levels of each community size
-    configs: tuple  # (type, probs, size counts) per type with communities
-
-
 def _walk_levels(params: ModelParams, clique_size: int) -> tuple:
     """The floor-level walk of one community size as census draw tables.
 
@@ -293,48 +281,12 @@ def _walk_levels(params: ModelParams, clique_size: int) -> tuple:
         lo, hi = np.searchsorted(level, [m, m + 1])  # f is monotone, so level is sorted
         states = []
         for i, steps in moves.items():
-            probs = np.array([p for _, p in steps])
-            members = np.array([(j - i, n - j if j == m else 0) for j, _ in steps], dtype=np.int64)
-            onward = tuple((col, j) for col, (j, _) in enumerate(steps) if j not in (m, n))
+            probs = np.array([p for _, p, _ in steps])
+            members = np.array([(j - i, 0 if live else n - j) for j, _, live in steps], dtype=np.int64)
+            onward = tuple((col, j) for col, (j, _, live) in enumerate(steps) if live)
             states.append((i, probs / probs.sum(), members, onward))
         levels.append((tuple(states), run(slice(lo, hi)), run(slice(hi, None))))
     return tuple(levels)
-
-
-@lru_cache(maxsize=None)
-def _census_tables(params: ModelParams) -> _CensusTables:
-    params.require_contagion_assumptions()
-    p, q = params.memberships, params.community_sizes
-    laws = _laws(params)
-    xp = laws.child.pmf
-    count = sum(comb(len(q.support) + d - 2, d - 1) for d in p.support)
-    require_enumerable(count, "configuration tuples")
-    type_index = {x: i for i, x in enumerate(xp.support)}
-    size_index = {w: i for i, w in enumerate(q.support)}
-
-    by_type: dict[int, list[tuple[float, np.ndarray]]] = {}
-    for d in p.support:
-        weight_d = laws.extra.pmf(d - 1)
-        for combo in combinations_with_replacement(q.support, d - 1):
-            x = sum(w - 1 for w in combo)
-            weight = float(_orderings(combo))
-            counts = np.zeros(len(q.support), dtype=np.int64)
-            for w in combo:
-                weight *= laws.members.pmf(w - 1)
-                counts[size_index[w]] += 1
-            by_type.setdefault(x, []).append((weight_d * weight, counts))
-    configs = []
-    for x, weighted in sorted(by_type.items()):
-        if x > 0:
-            probs = np.array([wt for wt, _ in weighted])
-            sizes = np.array([c for _, c in weighted], dtype=np.int64)
-            configs.append((type_index[x], probs / probs.sum(), sizes))
-    return _CensusTables(
-        type_values=laws.child.values,
-        laws=laws,
-        cliques=tuple(_walk_levels(params, w) for w in q.support),
-        configs=tuple(configs),
-    )
 
 
 def _spread(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
@@ -344,51 +296,97 @@ def _spread(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray) -> 
     return rng.multinomial(counts, probs)
 
 
-def _resolve_cliques(tables: _CensusTables, cliques_by_size: np.ndarray, rng):
-    """Active and inactive children-by-type of cliques whose parent is active.
+class ActivationProcess:
+    """The activation process as a multi-type branching process: the census engine.
 
-    Moves each size's cliques through its walk levels, counting the cliques
-    of each row in each alive state.  Draws nothing for a size with no
-    cliques, a state with no cliques or one move, or a level run with no
-    members.
+    Types are indexed by their position in the child-count support.  A step
+    acts on a block of replicates, one row each, and returns the (active,
+    inactive) children-by-type arrays of the next level.  Built once per
+    model by _census_tables: type_values is the child-count support, laws
+    the draw tables, cliques the walk levels of each community size, and
+    configs, for each type with communities in increasing order, (type,
+    probs, size counts): its configuration law given its extra members, one
+    row of community-size counts per configuration in sorted-tuple order.
+    Raises EnumerationTooLarge before listing more than ENUMERATION_BUDGET
+    configuration tuples.
     """
-    shape = (cliques_by_size.shape[0], tables.type_values.size)
-    active, inactive = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
-    for wi, levels in enumerate(tables.cliques):
-        alive = {0: cliques_by_size[:, wi]}
-        for moves, on, above in levels:
-            placed, after = np.zeros((shape[0], 2), dtype=np.int64), {}
-            for i, probs, members, onward in moves:
-                counts = alive.get(i)
-                if counts is None or not counts.any():
-                    continue
-                drawn = counts[:, None] if probs.shape[0] == 1 else rng.multinomial(counts, probs)
-                placed += drawn @ members
-                for col, j in onward:
-                    after[j] = after.get(j, 0) + drawn[:, col]
-            for run, target, count in zip((on, above), (active, inactive), placed.T):
-                if count.any():
-                    types, probs = run
-                    target[:, types] += _spread(rng, count, probs)
-            if not after:
-                break
-            alive = after
-    return active, inactive
+
+    def __init__(self, params: ModelParams):
+        params.require_contagion_assumptions()
+        p, q = params.memberships, params.community_sizes
+        self.laws = laws = _laws(params)
+        count = sum(comb(len(q.support) + d - 2, d - 1) for d in p.support)
+        require_enumerable(count, "configuration tuples")
+        type_index = {x: i for i, x in enumerate(laws.child.pmf.support)}
+        size_index = {w: i for i, w in enumerate(q.support)}
+
+        by_type: dict[int, list[tuple[float, np.ndarray]]] = {}
+        for d in p.support:
+            weight_d = laws.extra.pmf(d - 1)
+            for combo in combinations_with_replacement(q.support, d - 1):
+                x = sum(w - 1 for w in combo)
+                weight = float(_orderings(combo))
+                counts = np.zeros(len(q.support), dtype=np.int64)
+                for w in combo:
+                    weight *= laws.members.pmf(w - 1)
+                    counts[size_index[w]] += 1
+                by_type.setdefault(x, []).append((weight_d * weight, counts))
+        configs = []
+        for x, weighted in sorted(by_type.items()):
+            if x > 0:
+                probs = np.array([wt for wt, _ in weighted])
+                sizes = np.array([c for _, c in weighted], dtype=np.int64)
+                configs.append((type_index[x], probs / probs.sum(), sizes))
+        self.type_values = laws.child.values
+        self.cliques = tuple(_walk_levels(params, w) for w in q.support)
+        self.configs = tuple(configs)
+
+    def _resolve_cliques(self, cliques_by_size: np.ndarray, rng: np.random.Generator):
+        """Active and inactive children-by-type of cliques whose parent is active.
+
+        Moves each size's cliques through its walk levels, counting the
+        cliques of each row in each alive state.  Draws nothing for a size
+        with no cliques, a state with no cliques or one move, or a level run
+        with no members.
+        """
+        shape = (cliques_by_size.shape[0], self.type_values.size)
+        active, inactive = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+        for wi, levels in enumerate(self.cliques):
+            alive = {0: cliques_by_size[:, wi]}
+            for moves, on, above in levels:
+                placed, after = np.zeros((shape[0], 2), dtype=np.int64), {}
+                for i, probs, members, onward in moves:
+                    counts = alive.get(i)
+                    if counts is None or not counts.any():
+                        continue
+                    drawn = counts[:, None] if probs.shape[0] == 1 else rng.multinomial(counts, probs)
+                    placed += drawn @ members
+                    for col, j in onward:
+                        after[j] = after.get(j, 0) + drawn[:, col]
+                for run, target, count in zip((on, above), (active, inactive), placed.T):
+                    if count.any():
+                        types, probs = run
+                        target[:, types] += _spread(rng, count, probs)
+                if not after:
+                    break
+                alive = after
+        return active, inactive
+
+    def root_step(self, rows: int, rng: np.random.Generator):
+        """Active and inactive depth-1 children-by-type below each of rows roots."""
+        cliques_by_size = _spread(rng, self.laws.root.draw(rng, rows), self.laws.members.probs)
+        return self._resolve_cliques(cliques_by_size, rng)
+
+    def step(self, active: np.ndarray, rng: np.random.Generator):
+        """Active and inactive children-by-type of each row's active vertices."""
+        cliques_by_size = np.zeros((active.shape[0], len(self.cliques)), dtype=np.int64)
+        for x, probs, sizes in self.configs:  # a multinomial of zero draws nothing
+            cliques_by_size += _spread(rng, active[:, x], probs) @ sizes
+        return self._resolve_cliques(cliques_by_size, rng)
 
 
-def _root_level(tables: _CensusTables, rows: int, rng: np.random.Generator):
-    """Active and inactive depth-1 children-by-type below each of rows roots."""
-    laws = tables.laws
-    cliques_by_size = _spread(rng, laws.root.draw(rng, rows), laws.members.probs)
-    return _resolve_cliques(tables, cliques_by_size, rng)
-
-
-def _next_level(tables: _CensusTables, active: np.ndarray, rng: np.random.Generator):
-    """Active and inactive children-by-type of each row's active vertices."""
-    cliques_by_size = np.zeros((active.shape[0], len(tables.cliques)), dtype=np.int64)
-    for x, probs, sizes in tables.configs:  # a multinomial of zero draws nothing
-        cliques_by_size += _spread(rng, active[:, x], probs) @ sizes
-    return _resolve_cliques(tables, cliques_by_size, rng)
+# The one cached engine per model, read by estimate and branching_root_counts.
+_census_tables = lru_cache(maxsize=None)(ActivationProcess)
 
 
 def _check_next_level(census: np.ndarray, types: np.ndarray, level: int) -> None:
@@ -413,7 +411,7 @@ def _total(state: np.ndarray, fits: bool) -> int:
     return int(state.sum(axis=1).sum(dtype=object))
 
 
-def _census_block(tables: _CensusTables, depth: int, rows: int, rng: np.random.Generator):
+def _census_block(process: ActivationProcess, depth: int, rows: int, rng: np.random.Generator):
     """Advance a block of replicates level by level; returns exact tallies.
 
     Each row of the (rows, types) states is one replicate's census of the
@@ -424,9 +422,9 @@ def _census_block(tables: _CensusTables, depth: int, rows: int, rng: np.random.G
     """
     vertices = [rows] + [0] * depth
     active_tally = [rows] + [0] * depth
-    active, inactive = _root_level(tables, rows, rng)
+    active, inactive = process.root_step(rows, rng)
     fits = False  # the root level is summed exactly
-    types = tables.type_values
+    types = process.type_values
     for level in range(1, depth + 1):
         active_tally[level] = _total(active, fits)
         vertices[level] = active_tally[level] + _total(inactive, fits)
@@ -436,9 +434,9 @@ def _census_block(tables: _CensusTables, depth: int, rows: int, rng: np.random.G
         fits = vertices[level] * int(types[-1]) <= _INT64_MAX
         if not fits:
             _check_next_level(active + inactive, types, level)
-        next_active, next_inactive = _next_level(tables, active, rng)
+        next_active, next_inactive = process.step(active, rng)
         if vertices[level] > active_tally[level]:
-            next_inactive += _spread(rng, inactive @ types, tables.laws.child.probs)
+            next_inactive += _spread(rng, inactive @ types, process.laws.child.probs)
         active, inactive = next_active, next_inactive
     # an early break leaves all-zero rows, so both counts are then 0
     return (
@@ -459,7 +457,7 @@ def _blocks(replicates: int, seed: int):
 
 
 def estimate(params: ModelParams, config: SimConfig) -> SimReport:
-    """Replicated simulation summary via the census engine.
+    """Replicated simulation summary, stepping the census engine ActivationProcess.
 
     Replicates run in blocks of _BLOCK (256), all rows of a block advancing
     one level per step; block b draws from SeedSequence(seed,
@@ -469,14 +467,14 @@ def estimate(params: ModelParams, config: SimConfig) -> SimReport:
     replicate's level would outgrow int64, and EnumerationTooLarge before
     listing more than ENUMERATION_BUDGET configuration tuples.
     """
-    tables = _census_tables(params)
+    process = _census_tables(params)
     depth = config.depth
     vertices = [0] * (depth + 1)
     active = [0] * (depth + 1)
     survived = 0
     alive = 0
     for rows, rng in _blocks(config.replicates, config.seed):
-        vc, ac, s, a = _census_block(tables, depth, rows, rng)
+        vc, ac, s, a = _census_block(process, depth, rows, rng)
         vertices = [t + v for t, v in zip(vertices, vc)]
         active = [t + v for t, v in zip(active, ac)]
         survived += s
@@ -515,31 +513,3 @@ def survival_by_threshold(
             run_contagion(graph, threshold)
             survived[i] += int(np.count_nonzero(graph.active_per_tree()))
     return tuple(s / config.replicates for s in survived)
-
-
-class ActivationProcess:
-    """One replicate of the activation process at a time, drawn by the census engine.
-
-    A census maps a child-count type to its number of active vertices.  The
-    class only gives the census tables' root level and next-level step this
-    per-replicate form, which bench/tracing.py wraps by name.
-    """
-
-    def __init__(self, params: ModelParams):
-        self._tables = _census_tables(params)
-
-    def _census(self, active: np.ndarray) -> dict[int, int]:
-        values = self._tables.type_values
-        return {int(values[i]): int(active[0, i]) for i in np.flatnonzero(active[0])}
-
-    def root_step(self, rng: np.random.Generator) -> dict[int, int]:
-        """Types of the active depth-1 vertices below a fresh root."""
-        return self._census(_root_level(self._tables, 1, rng)[0])
-
-    def step(self, census: dict[int, int], rng: np.random.Generator) -> dict[int, int]:
-        """One generation: active vertices by type to active children by type."""
-        values = self._tables.type_values.tolist()
-        if any(c < 0 or (c and x not in values) for x, c in census.items()):
-            raise ValueError(f"census {census} has a negative count or an impossible type")
-        active = np.array([[census.get(x, 0) for x in values]], dtype=np.int64)
-        return self._census(_next_level(self._tables, active, rng)[0])

@@ -21,7 +21,7 @@ from .clique_dynamics import (
     require_enumerable,
 )
 from .dist_core import ModelParams, Threshold, child_count_pmf
-from .mc_sim import _blocks, _census_tables, _root_level, run_contagion, sample_local_graph
+from .mc_sim import _blocks, _census_tables, run_contagion, sample_local_graph
 
 ORACLE_TOL = 1e-9
 
@@ -135,14 +135,14 @@ def branching_root_counts(
     """Histogram of the first-generation size of the activation process.
 
     Replicates run in blocks of _BLOCK (256), block b drawing the root level
-    of all its rows at once from the census tables with the stream of
-    SeedSequence(seed, spawn_key=(b,)).  Fewer than one replicate raises
+    of all its rows at once with ActivationProcess.root_step and the stream
+    of SeedSequence(seed, spawn_key=(b,)).  Fewer than one replicate raises
     ConfigInvalid.
     """
-    tables = _census_tables(params)
+    process = _census_tables(params)
     hist: dict[int, int] = {}
     for rows, rng in _blocks(replicates, seed):
-        active, _ = _root_level(tables, rows, rng)
+        active, _ = process.root_step(rows, rng)
         _histogram(active.sum(axis=1), hist)
     return hist
 

@@ -432,6 +432,18 @@ def test_dense_table_guard_exit_1(tmp_path, argv):
     assert "Traceback" not in result.stderr
 
 
+def test_huge_depth_refused_before_allocating(tmp_path):
+    # depth 10^9 would ask for per-depth tallies of 10^9 + 1 entries each
+    argv = ["simulate", "--depth", "1000000000", "--replicates", "10", "--seed", "1"]
+    result, seconds = fresh_cli(argv, write_config(tmp_path, TRIANGLE))
+    assert seconds < 5.0
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: enumeration too large: 1000000001 depth levels exceed the 10000000 budget"
+    ]
+
+
 @pytest.mark.parametrize(
     "payload, message",
     [

@@ -154,7 +154,7 @@ class TestWalkReaders:
     @example(model({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "3/10"))
     @example(model({2: 0.5, 3: 0.5}, {2: 0.5, 5: 0.5}, "1/4"))
     def test_census_levels_and_column_agree(self, params):
-        # the two readers of one walk: the census tables' expected placements
+        # the two readers of one walk: the census engine's expected placements
         # on each level, spread over the level's types, give the mean column
         tables = _census_tables(params)
         for w, levels in zip(params.community_sizes.support, tables.cliques):

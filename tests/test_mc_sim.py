@@ -49,7 +49,6 @@ from cliquecascade.mc_sim import (
     _census_tables,
     _check_next_level,
     _laws,
-    _resolve_cliques,
     _spread,
 )
 from cliquecascade.verification import (
@@ -81,6 +80,12 @@ class TestSimConfig:
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ConfigInvalid):
             SimConfig(**kwargs)
+
+    def test_depth_levels_within_the_enumeration_budget(self):
+        # estimate keeps one tally entry per level, depth + 1 of them
+        SimConfig(depth=dist_core.ENUMERATION_BUDGET - 1, replicates=1, seed=0)
+        with pytest.raises(EnumerationTooLarge, match="10000001 depth levels"):
+            SimConfig(depth=dist_core.ENUMERATION_BUDGET, replicates=1, seed=0)
 
 
 class TestSampler:
@@ -539,44 +544,53 @@ class TestCensusMeanMatrixIdentity:
         assert np.abs(expected - entries).max() <= 1e-12
 
 
+def census_rows(proc, census: dict, rows: int) -> np.ndarray:
+    """rows copies of a census given as {type value: active count}."""
+    values = proc.type_values.tolist()
+    active = np.zeros((rows, len(values)), dtype=np.int64)
+    for x, count in census.items():
+        active[:, values.index(x)] = count
+    return active
+
+
+def censuses(proc, counts: np.ndarray) -> list[dict]:
+    """Each row of a children-by-type array as {type value: count}."""
+    return [
+        {int(proc.type_values[i]): int(row[i]) for i in np.flatnonzero(row)} for row in counts
+    ]
+
+
 class TestActivationProcess:
     def test_triangle_census_step(self, triangle_model):
         proc = ActivationProcess(triangle_model)
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            assert proc.step({4: 1}, rng) == {4: 4}
+        active, inactive = proc.step(census_rows(proc, {4: 1}, 25), np.random.default_rng(0))
+        assert censuses(proc, active) == [{4: 4}] * 25
+        assert not inactive.any()
 
     def test_empty_census_absorbing(self, triangle_model):
         proc = ActivationProcess(triangle_model)
-        assert proc.step({}, np.random.default_rng(0)) == {}
+        active, inactive = proc.step(census_rows(proc, {}, 3), np.random.default_rng(0))
+        assert not active.any() and not inactive.any()
 
     def test_path_census_fixed(self, path_model):
         proc = ActivationProcess(path_model)
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            assert proc.step({1: 1}, rng) == {1: 1}
+        active, _ = proc.step(census_rows(proc, {1: 1}, 25), np.random.default_rng(0))
+        assert censuses(proc, active) == [{1: 1}] * 25
 
     def test_triangle_root_step(self, triangle_model):
         proc = ActivationProcess(triangle_model)
-        rng = np.random.default_rng(0)
-        assert proc.root_step(rng) == {4: 6}
+        active, inactive = proc.root_step(25, np.random.default_rng(0))
+        assert censuses(proc, active) == [{4: 6}] * 25
+        assert not inactive.any()
 
     def test_blocked_root_step(self, triangle_model):
         proc = ActivationProcess(triangle_model.with_threshold("3/10"))
-        assert proc.root_step(np.random.default_rng(0)) == {}
-
-    def test_rejects_negative_census(self, triangle_model):
-        proc = ActivationProcess(triangle_model)
-        with pytest.raises(ValueError):
-            proc.step({4: -1}, np.random.default_rng(0))
-
-    def test_rejects_impossible_type(self, triangle_model):
-        proc = ActivationProcess(triangle_model)
-        with pytest.raises(ValueError):
-            proc.step({3: 1}, np.random.default_rng(0))
+        active, inactive = proc.root_step(25, np.random.default_rng(0))
+        assert not active.any()
+        assert censuses(proc, inactive) == [{4: 6}] * 25
 
     def test_root_step_matches_batched_root_level(self):
-        # the scalar process and the census tables' block draw of the root
+        # the scalar process and the census engine's block draw of the root
         # level share one law; 5 sigma per bin over about 25 bins, fixed
         # before any run
         n = 10_000
@@ -606,16 +620,17 @@ class TestActivationProcess:
         # a type-2 parent has one size-3 community or two size-2 ones
         assert any(probs.size > 1 for _, probs, _ in _census_tables(params).configs)
         n = 10_000
-        view, reference = ActivationProcess(params), ReferenceActivationProcess(params)
+        engine, reference = ActivationProcess(params), ReferenceActivationProcess(params)
         for x in child_count_pmf(params).support:
-            histograms = []
-            for proc, seed in ((view, 5000 + x), (reference, 6000 + x)):
-                rng = np.random.default_rng(seed)
-                hist: dict = {}
-                for _ in range(n):
-                    key = tuple(sorted(proc.step({x: 1}, rng).items()))
-                    hist[key] = hist.get(key, 0) + 1
-                histograms.append(hist)
+            active, _ = engine.step(census_rows(engine, {x: 1}, n), np.random.default_rng(5000 + x))
+            rng = np.random.default_rng(6000 + x)
+            histograms = [{}, {}]
+            for census in censuses(engine, active):
+                key = tuple(sorted(census.items()))
+                histograms[0][key] = histograms[0].get(key, 0) + 1
+            for _ in range(n):
+                key = tuple(sorted(reference.step({x: 1}, rng).items()))
+                histograms[1][key] = histograms[1].get(key, 0) + 1
             ok, worst = histogram_match(*histograms, sigmas=5.0)
             assert ok, (x, worst)
 
@@ -673,7 +688,7 @@ def _cumulative(weighted: list[tuple[float, object]]):
 class ReferenceActivationProcess:
     """Scalar generation sampler for the type-annotated activation process.
 
-    The scalar reference for the census tables and mc_sim.ActivationProcess:
+    The scalar reference for the census engine mc_sim.ActivationProcess:
     the root spawns communities from the raw membership law, each community
     draws a cascade outcome from the exact clique law for its size, and every
     later active vertex of type x draws its community sizes from the
@@ -988,7 +1003,7 @@ class TestLevelEngine:
         law = level_table_law(tables.cliques[-1], tables.type_values)
         cliques = np.zeros((rows, len(tables.cliques)), dtype=np.int64)
         cliques[:, -1] = 1
-        active, inactive = _resolve_cliques(tables, cliques, np.random.default_rng(11))
+        active, inactive = tables._resolve_cliques(cliques, np.random.default_rng(11))
 
         def by_value(row):
             out = np.zeros(int(tables.type_values[-1]) + 1, dtype=np.int64)

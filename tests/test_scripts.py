@@ -93,14 +93,20 @@ def test_unreached_in_process(monkeypatch):
         and first <= int(line.split(":")[1]) < first + len(body)
     ]
     assert perron and all(line.split(": ", 1)[1].startswith("raise ") for line in perron)
-    # the floor-level walk and its readers run every statement
-    for module, name in (
-        (clique_dynamics, "_walk"),
-        (clique_dynamics, "mean_active_column"),
-        (mc_sim, "_walk_levels"),
-        (mc_sim, "_resolve_cliques"),
+    # the floor-level walk and its readers, and the census engine as a whole,
+    # run every statement
+    engine = mc_sim.ActivationProcess
+    for module, obj in (
+        (clique_dynamics, clique_dynamics._walk),
+        (clique_dynamics, clique_dynamics.mean_active_column),
+        (mc_sim, mc_sim._walk_levels),
+        (mc_sim, engine._resolve_cliques),
+        (mc_sim, engine.root_step),
+        (mc_sim, engine.step),
+        (mc_sim, engine),
     ):
-        body, first = inspect.getsourcelines(getattr(module, name))
+        name = obj.__qualname__
+        body, first = inspect.getsourcelines(obj)
         prefix = module.__name__.rsplit(".", 1)[1] + ":"
         assert not [
             line for line in lines
