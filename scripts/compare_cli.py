@@ -76,6 +76,14 @@ print(json.dumps({"package": cliquecascade.__file__, "results": results}))
 """
 
 
+def write_configs(config_dir: Path) -> list[tuple[str, list[str]]]:
+    """Write each model's config into config_dir; returns the labelled commands."""
+    for name, (p, q, theta) in MODELS.items():
+        payload = {"memberships": p, "community_sizes": q, "threshold": theta}
+        (config_dir / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
+    return commands(config_dir)
+
+
 def commands(config_dir: Path) -> list[tuple[str, list[str]]]:
     out = []
     for name in MODELS:
@@ -89,8 +97,11 @@ def commands(config_dir: Path) -> list[tuple[str, list[str]]]:
     return out
 
 
-def run_tree(src: Path, argvs: list[list[str]], cwd: Path) -> list:
+def run_tree(src: Path, named: list, cwd: Path) -> list:
+    """[exit code, stdout, stderr] of each command, run by one fresh interpreter on src."""
+    src = src.resolve()
     env = dict(os.environ, PYTHONPATH=str(src))
+    argvs = [argv for _, argv in named]
     proc = subprocess.run(
         [sys.executable, "-c", RUNNER, json.dumps(argvs)],
         capture_output=True, text=True, env=env, cwd=cwd,
@@ -108,33 +119,33 @@ def first_difference(a: str, b: str) -> str:
     return f"first differs at character {at} ({a[at:at + 40]!r} vs {b[at:at + 40]!r})"
 
 
+def compare(named: list, old: list, new: list) -> list[str]:
+    """One line per difference, then the count of commands that differ."""
+    lines, differ = [], 0
+    for (label, _), (old_code, *old_text), (new_code, *new_text) in zip(named, old, new):
+        found = []
+        if old_code != new_code:
+            found.append(f"{label}: exit code {old_code} vs {new_code}")
+        for stream, a, b in zip(("stdout", "stderr"), old_text, new_text):
+            if a != b:
+                found.append(f"{label}: {stream} {first_difference(a, b)}")
+        lines += found
+        differ += bool(found)
+    return lines + [f"{len(named)} commands compared, {differ} differ"]
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("old_src", type=Path, help="source directory holding the cliquecascade package")
     ap.add_argument("new_src", type=Path, help="the other source directory")
     args = ap.parse_args()
     with tempfile.TemporaryDirectory() as tmp:
-        config_dir = Path(tmp)
-        for name, (p, q, theta) in MODELS.items():
-            payload = {"memberships": p, "community_sizes": q, "threshold": theta}
-            (config_dir / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
-        named = commands(config_dir)
-        argvs = [argv for _, argv in named]
-        old = run_tree(args.old_src.resolve(), argvs, config_dir)
-        new = run_tree(args.new_src.resolve(), argvs, config_dir)
-    differ = 0
-    for (label, _), (old_code, *old_text), (new_code, *new_text) in zip(named, old, new):
-        lines = []
-        if old_code != new_code:
-            lines.append(f"{label}: exit code {old_code} vs {new_code}")
-        for stream, a, b in zip(("stdout", "stderr"), old_text, new_text):
-            if a != b:
-                lines.append(f"{label}: {stream} {first_difference(a, b)}")
-        for line in lines:
-            print(line)
-        differ += bool(lines)
-    print(f"{len(named)} commands compared, {differ} differ")
-    sys.exit(1 if differ else 0)
+        named = write_configs(Path(tmp))
+        old = run_tree(args.old_src, named, Path(tmp))
+        new = run_tree(args.new_src, named, Path(tmp))
+    lines = compare(named, old, new)
+    print("\n".join(lines))
+    sys.exit(1 if len(lines) > 1 else 0)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,6 @@ Example:
 import ast
 import contextlib
 import io
-import json
 import sys
 import tempfile
 from pathlib import Path
@@ -39,10 +38,8 @@ def statements(path: Path) -> dict[int, str]:
 
 
 def exercise(models: dict, config_dir: Path) -> None:
-    for name, (p, q, theta) in models.items():
-        payload = {"memberships": p, "community_sizes": q, "threshold": theta}
-        (config_dir / f"{name}.json").write_text(json.dumps(payload), encoding="utf-8")
-    for label, argv in compare_cli.commands(config_dir):
+    """Run the commands, then the sampler checks, of the compare_cli models named in models."""
+    for label, argv in compare_cli.write_configs(config_dir):
         if label.split()[0] in models:
             cli.main(argv)
     for name in models:

@@ -44,7 +44,6 @@ from .dist_core import (
     PowerSeries,
     Threshold,
     child_count_pmf,
-    child_count_series,
     pgf_compose,
 )
 from .errors import (
@@ -111,7 +110,6 @@ __all__ = [
     "brute_force_clique_law",
     "cascade_verdict",
     "child_count_pmf",
-    "child_count_series",
     "clique_cascade_size",
     "clique_outcome_law",
     "clique_outcome_prob",

@@ -6,14 +6,15 @@ communities by the size-biased membership law, communities spawn individuals
 by the size-biased size law.  This module answers three questions about that
 object alone: does the branching process survive (and with what extinction
 probability), what does the root's degree look like, and how clustered is the
-graph.
+graph.  The fixed point reads the child-count pgf as child_count_pmf's
+series, the one cached law the mean matrix and the samplers read too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dist_core import ModelParams, Pmf, child_count_series, pgf_compose, DERIVED_MASS_TOL
+from .dist_core import ModelParams, Pmf, child_count_pmf, pgf_compose, DERIVED_MASS_TOL
 from .errors import NoConvergence
 
 # Newton steps before NoConvergence; a double root needs about 60.
@@ -67,7 +68,7 @@ def smallest_fixed_point(params: ModelParams) -> float:
     Raises NoConvergence (carrying the last iterate) if FIXED_POINT_MAX_ITER
     steps are not enough.
     """
-    f = child_count_series(params)
+    f = child_count_pmf(params).series
     df = f.derivative
     x = 0.0
     for _ in range(FIXED_POINT_MAX_ITER):
@@ -82,29 +83,18 @@ def smallest_fixed_point(params: ModelParams) -> float:
 def extinction_probability(params: ModelParams) -> ExtinctionReport:
     """Extinction report for the vertex-generation branching process.
 
-    Degenerate case first: membership == 2 and community size == 2 surely
-    makes the graph a deterministic infinite path, which survives although the
-    criterion sits exactly on the boundary.  At or below criticality the
-    smallest fixed point is provably 1, so no iteration is needed there; in
-    the supercritical case the extinction probability is the membership pgf
-    composed with the extra-members pgf at the interior fixed point.
+    The extinction probability is the membership pgf composed with the
+    extra-members pgf at the smallest fixed point.  At or below criticality
+    that point is provably 1, so no iteration is needed there, except on the
+    infinite path (ModelParams.infinite_path): it survives although the
+    criterion sits exactly on the boundary, and its f(0) = 0 gives 0 and 0.
     """
-    crit = survival_criterion(params)
-    degenerate = params.memberships(2) == 1.0 and params.community_sizes(2) == 1.0
-    if degenerate:
-        fixed = smallest_fixed_point(params)  # f(0) = 0: returns 0 at once
-        extinct = 0.0
-    elif not crit.supercritical:
-        fixed = 1.0
-        extinct = 1.0
-    else:
+    if params.infinite_path or survival_criterion(params).supercritical:
         fixed = smallest_fixed_point(params)
         extinct = params.memberships.pgf(params.extra_members.pgf(fixed))
-    return ExtinctionReport(
-        fixed_point=fixed,
-        extinction=extinct,
-        degenerate=degenerate,
-    )
+    else:
+        fixed = extinct = 1.0
+    return ExtinctionReport(fixed_point=fixed, extinction=extinct, degenerate=params.infinite_path)
 
 
 def root_degree_pmf(params: ModelParams) -> Pmf:

@@ -8,7 +8,7 @@ of activated children of type x.  The cascade is possible with positive
 probability iff the Perron root of that matrix exceeds one, except for two
 carve-outs handled in :func:`cascade_verdict`: a threshold of at least one
 half kills every cascade, and the all-2s degenerate model is an infinite path
-that activates surely.
+(ModelParams.infinite_path) that activates surely.
 
 Nothing here enumerates tuples.  Each clique size w contributes one column,
 clique_dynamics.mean_active_column, a fold over the floor-level walk.  Rows
@@ -20,19 +20,21 @@ enumeration survives only in the oracles.
 The Perron root is found by a deterministic power iteration on each
 strongly connected component, from the uniform vector: rho is a function of
 the matrix alone and the analytic path does not import numpy.random.
+MeanMatrix.rho solves it once per matrix and keeps it; the verdict, the CLI
+and the scripts all read it there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .clique_dynamics import CliqueOutcome, mean_active_column
-from .dist_core import ModelParams, child_count_series, pgf_compose, require_enumerable
+from .dist_core import ModelParams, child_count_pmf, pgf_compose, require_enumerable
 from .errors import NoConvergence
 
 # Perron solver knobs: relative bracket width and iteration budget.
@@ -69,6 +71,11 @@ class MeanMatrix:
     def dim(self) -> int:
         return self.entries.shape[0]
 
+    @cached_property
+    def rho(self) -> float:
+        """The Perron root: solved on first use, then kept with the matrix."""
+        return spectral_radius(self.entries)
+
 
 @lru_cache(maxsize=None)
 def _mean_matrix_cached(params: ModelParams) -> "MeanMatrix":
@@ -80,7 +87,7 @@ def _mean_matrix_cached(params: ModelParams) -> "MeanMatrix":
     # type, so the type's mass is the child-count law.  Singling out one of
     # the K leaves K - 1 summing freely; weighted by K that is E[K] times the
     # size-biased shift of K, composed with the extra-members pgf.
-    config_mass = np.array(child_count_series(params).coeffs)
+    config_mass = child_count_pmf(params).dense()
     others = np.zeros(dim)
     further = params.extra_communities
     if further.support_max > 0:
@@ -184,14 +191,12 @@ def _perron_root(block: np.ndarray) -> float:
 
 
 def spectral_radius(matrix) -> float:
-    """Largest eigenvalue modulus of a non-negative matrix.
+    """Largest eigenvalue modulus of a non-negative square array.
 
     Condense into strongly connected components; the radius is the maximum of
     the component Perron roots (trivial components without a self-loop
-    contribute 0).
+    contribute 0).  A mean matrix's root is MeanMatrix.rho.
     """
-    if isinstance(matrix, MeanMatrix):
-        matrix = matrix.entries
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix must be square")
@@ -239,9 +244,9 @@ def cascade_verdict(params: ModelParams) -> Verdict:
     params.require_contagion_assumptions()
     if params.threshold.at_least_half:
         return Verdict(VerdictKind.FINITE_ALMOST_SURELY, VerdictReason.THRESHOLD_AT_LEAST_HALF)
-    if params.memberships(2) == 1.0 and params.community_sizes(2) == 1.0:
+    if params.infinite_path:
         return Verdict(VerdictKind.CASCADE_ALMOST_SURE, VerdictReason.DEGENERATE_P2_Q2)
-    rho = spectral_radius(mean_matrix(params))
+    rho = mean_matrix(params).rho
     boundary = abs(rho - 1.0) <= BOUNDARY_TOL
     if rho <= 1.0 + BOUNDARY_TOL:
         kind = VerdictKind.FINITE_ALMOST_SURELY

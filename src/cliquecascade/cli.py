@@ -31,12 +31,7 @@ from .analytic_graph import (
     root_degree_pmf,
     survival_criterion,
 )
-from .cascade_matrix import (
-    BOUNDARY_TOL,
-    cascade_verdict,
-    mean_matrix,
-    spectral_radius,
-)
+from .cascade_matrix import BOUNDARY_TOL, cascade_verdict, mean_matrix
 from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf
 from .errors import (
     AssumptionViolated,
@@ -137,20 +132,12 @@ def _pmf_pairs(pmf: Pmf) -> list:
     return [[v, p] for v, p in pmf.items]
 
 
-def _rho_and_verdict(params: ModelParams):
-    """Spectral radius and verdict from a single Perron solve."""
-    verdict = cascade_verdict(params)
-    if verdict.rho is not None:
-        return verdict.rho, verdict
-    return spectral_radius(mean_matrix(params)), verdict
-
-
 def cmd_analyze(params: ModelParams) -> dict:
+    matrix = mean_matrix(params)  # first: its budget refuses before any slow composition
     criterion = survival_criterion(params)
     branching = extinction_probability(params)
     clustering = clustering_coefficient(params)
-    matrix = mean_matrix(params)
-    rho, verdict = _rho_and_verdict(params)
+    verdict = cascade_verdict(params)
     extra_members = params.extra_members
     return {
         "model": _model_echo(params),
@@ -176,7 +163,7 @@ def cmd_analyze(params: ModelParams) -> dict:
         },
         "child_count_pmf": _pmf_pairs(child_count_pmf(params)),
         "mean_matrix": matrix.entries.tolist(),
-        "spectral_radius": rho,
+        "spectral_radius": matrix.rho,
         "verdict": {
             "kind": verdict.kind.value,
             "reason": verdict.reason.value,
@@ -209,7 +196,8 @@ def cmd_sweep(params: ModelParams, grid: list[str]) -> str:
             theta = Threshold.from_string(token)
         except ValueError as exc:
             raise ConfigInvalid(f"bad sweep threshold {token!r}: {exc}") from exc
-        rho, verdict = _rho_and_verdict(params.with_threshold(theta))
+        point = params.with_threshold(theta)
+        verdict, rho = cascade_verdict(point), mean_matrix(point).rho
         boundary = abs(rho - 1.0) <= BOUNDARY_TOL
         lines.append(
             f"{token},{_float_token(rho)},{verdict.kind.value},"

@@ -84,6 +84,15 @@ def _orderings(sorted_values) -> int:
     return ways
 
 
+def _require_float_range(clique_size: int) -> None:
+    """Raise EnumerationTooLarge if C(w - 1, (w - 1) // 2) passes the float range (w >= 1031)."""
+    n = clique_size - 1
+    if lgamma(n + 1) - lgamma(n // 2 + 1) - lgamma(n - n // 2 + 1) > log(sys.float_info.max):
+        raise EnumerationTooLarge(
+            f"community size {clique_size} needs binomial coefficients beyond the float range"
+        )
+
+
 @lru_cache(maxsize=None)
 def _levels(params: ModelParams, clique_size: int) -> tuple[Pmf, dict, tuple, tuple]:
     """The floor-level walk of one clique size: (xp, floors, mass, tail), cached.
@@ -91,15 +100,11 @@ def _levels(params: ModelParams, clique_size: int) -> tuple[Pmf, dict, tuple, tu
     A child of type x sits on level floors[x] = floor(threshold * (x + w - 1)).
     mass[m] = P(f(X) = m) on the w - 1 levels a cascade can reach; tail[m] =
     P(f(X) > m), m = 0..w-1, is the chance a fresh child is out of reach even
-    with m activated brothers plus the parent.  Raises EnumerationTooLarge
-    when the walk's largest binomial coefficient, C(w - 1, (w - 1) // 2),
-    passes the float range (w >= 1031), before any table is built.
+    with m activated brothers plus the parent.  Checks _require_float_range
+    before any table is built.
     """
+    _require_float_range(clique_size)
     n = clique_size - 1
-    if lgamma(n + 1) - lgamma(n // 2 + 1) - lgamma(n - n // 2 + 1) > log(sys.float_info.max):
-        raise EnumerationTooLarge(
-            f"community size {clique_size} needs binomial coefficients beyond the float range"
-        )
     xp = child_count_pmf(params)
     floors = {x: params.threshold.floor_times(x + n) for x in xp.support}
     mass = tuple(sum(p for x, p in xp.items if floors[x] == m) for m in range(n))

@@ -9,9 +9,13 @@ built from four derived objects defined here:
   members of the chosen community),
 * probability generating functions of those laws and their polynomial
   composition, whose coefficients give the law of the number of children of a
-  non-root vertex in the projected tree-of-cliques,
+  non-root vertex in the projected tree-of-cliques; child_count_pmf is its one
+  cached owner, and its series is that generating function,
 * an exact rational activation threshold, kept in integer arithmetic so that
   floor comparisons never suffer float rounding.
+
+ModelParams.infinite_path names the one degenerate model both the contagion
+verdict and the graph's extinction report single out.
 
 Combinatorial weights stay exact integers until the final multiplication by
 float masses.
@@ -151,12 +155,13 @@ class Pmf:
         return Pmf.from_pairs(pairs, tol=DERIVED_MASS_TOL)
 
     @cached_property
-    def _series(self) -> "PowerSeries":
+    def series(self) -> "PowerSeries":
+        """The generating series, coefficients as dense(), built on first use and kept."""
         return PowerSeries(coeffs=tuple(float(c) for c in self.dense()))
 
     def pgf(self, x: float) -> float:
         """Evaluate the probability generating function at x (Horner)."""
-        return self._series(x)
+        return self.series(x)
 
 
 @dataclass(frozen=True)
@@ -260,6 +265,11 @@ class ModelParams:
         """Tight upper bound on the child count of a non-root vertex."""
         return (self.memberships.support_max - 1) * (self.community_sizes.support_max - 1)
 
+    @property
+    def infinite_path(self) -> bool:
+        """Every individual in two communities of two: the projection is an infinite path."""
+        return self.memberships(2) == 1.0 and self.community_sizes(2) == 1.0
+
     def require_contagion_assumptions(self) -> None:
         """Contagion analysis assumes no isolated individuals and no trivial communities."""
         if self.memberships(0) > 0.0:
@@ -303,29 +313,17 @@ def pgf_compose(outer: Pmf, inner: Pmf) -> PowerSeries:
 
 
 @lru_cache(maxsize=None)
-def _child_count_series(memberships: Pmf, community_sizes: Pmf) -> PowerSeries:
-    return pgf_compose(
-        memberships.size_biased_shifted(),
-        community_sizes.size_biased_shifted(),
-    )
-
-
-def child_count_series(params: ModelParams) -> PowerSeries:
-    """Generating series of the child count of a non-root vertex.
-
-    The vertex sits in one community already; it joins extra communities per
-    the size-biased membership law, and each contributes an independent
-    size-biased count of further members.
-    """
-    return _child_count_series(params.memberships, params.community_sizes)
-
-
-@lru_cache(maxsize=None)
 def _child_count_pmf(memberships: Pmf, community_sizes: Pmf) -> Pmf:
-    series = _child_count_series(memberships, community_sizes)
+    series = pgf_compose(memberships.size_biased_shifted(), community_sizes.size_biased_shifted())
     return Pmf.from_pairs(enumerate(series.coeffs), tol=DERIVED_MASS_TOL)
 
 
 def child_count_pmf(params: ModelParams) -> Pmf:
-    """Law of the number of children of a non-root vertex, as a Pmf."""
+    """Law of the number of children of a non-root vertex, as a Pmf.
+
+    The vertex sits in one community already; it joins extra communities per
+    the size-biased membership law, and each contributes an independent
+    size-biased count of further members.  Its series is the generating
+    series of the child count.
+    """
     return _child_count_pmf(params.memberships, params.community_sizes)

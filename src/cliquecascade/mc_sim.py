@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clique_dynamics import _levels, _orderings, _walk
+from .clique_dynamics import _levels, _orderings, _require_float_range, _walk
 from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf, require_enumerable
 from .errors import CensusOverflow, ConfigInvalid
 
@@ -308,15 +308,18 @@ class ActivationProcess:
     probs, size counts): its configuration law given its extra members, one
     row of community-size counts per configuration in sorted-tuple order.
     Raises EnumerationTooLarge before listing more than ENUMERATION_BUDGET
-    configuration tuples.
+    configuration tuples, or for a community size past the walk's float
+    range; both refusals come before the child-count law is composed.
     """
 
     def __init__(self, params: ModelParams):
         params.require_contagion_assumptions()
         p, q = params.memberships, params.community_sizes
-        self.laws = laws = _laws(params)
         count = sum(comb(len(q.support) + d - 2, d - 1) for d in p.support)
         require_enumerable(count, "configuration tuples")
+        for w in q.support:
+            _require_float_range(w)
+        self.laws = laws = _laws(params)
         type_index = {x: i for i, x in enumerate(laws.child.pmf.support)}
         size_index = {w: i for i, w in enumerate(q.support)}
 

@@ -27,7 +27,6 @@ from cliquecascade import (
     mean_active_of_type,
     mean_matrix,
     root_degree_pmf,
-    spectral_radius,
     survival_by_threshold,
 )
 from cliquecascade.cascade_matrix import mean_active_by_type_oracle
@@ -105,7 +104,7 @@ def test_3_golden_values():
         if v != 0.0
     }
     checks.append(set(nonzero) == {(4, 4)} and abs(nonzero[4, 4] - 4.0) <= 1e-9)
-    checks.append(abs(spectral_radius(matrix) - 4.0) <= 1e-10)
+    checks.append(abs(matrix.rho - 4.0) <= 1e-10)
     checks.append(cascade_verdict(triangle).kind is VerdictKind.CASCADE_POSSIBLE)
 
     blocked = triangle.with_threshold("3/10")
@@ -151,7 +150,7 @@ def test_5_monotonicity():
     rho_monotone = True
     for params in standard_model_suite()[10:]:
         rhos = [
-            spectral_radius(mean_matrix(params.with_threshold(Threshold(j, 104))))
+            mean_matrix(params.with_threshold(Threshold(j, 104))).rho
             for j in range(1, 52)
         ]
         if not all(a >= b - 1e-12 for a, b in zip(rhos, rhos[1:])):

@@ -247,7 +247,7 @@ class TestMeanMatrix:
         matrix = mean_matrix(params)
         assert matrix.entries[2, 0] == pytest.approx(0.8, abs=1e-9)
         assert matrix.entries[2, 2] == pytest.approx(1.2, abs=1e-9)
-        assert spectral_radius(matrix) == pytest.approx(1.2, abs=1e-9)
+        assert matrix.rho == pytest.approx(1.2, abs=1e-9)
 
     def test_row_zero_empty(self):
         params = model({1: 0.5, 3: 0.5}, {2: 1.0}, "1/10")
@@ -262,7 +262,7 @@ class TestMeanMatrix:
     def test_tiny_threshold_rank_one(self):
         # every child activates, so rho collapses to the mean child count
         params = model({1: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, "1/1000")
-        rho = spectral_radius(mean_matrix(params))
+        rho = mean_matrix(params).rho
         assert rho == pytest.approx(child_count_pmf(params).mean(), abs=1e-9)
 
 
@@ -403,7 +403,7 @@ class TestVerdict:
     def test_rho_non_increasing_in_theta(self):
         params = model({2: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, "1/10")
         rhos = [
-            spectral_radius(mean_matrix(params.with_threshold(Threshold(j, 104))))
+            mean_matrix(params.with_threshold(Threshold(j, 104))).rho
             for j in range(1, 52, 5)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(rhos, rhos[1:]))

@@ -12,6 +12,7 @@ import pytest
 from cliquecascade import (
     OracleCheck,
     Threshold,
+    cascade_matrix,
     cli,
     mean_matrix,
     strongly_connected_components,
@@ -70,6 +71,9 @@ MIXTURE = {
     "community_sizes": [[2, 0.5], [3, 0.5]],
     "threshold": "3/10",
 }
+
+# every individual in two communities of two: the infinite path carve-out
+ALL_TWOS = {"memberships": [[2, 1.0]], "community_sizes": [[2, 1.0]], "threshold": "2/5"}
 
 
 def write_config(tmp_path, payload, name="model.json"):
@@ -348,6 +352,15 @@ class TestSweep:
         row = capsys.readouterr().out.strip().splitlines()[1]
         assert row.split(",")[2] == "FiniteAlmostSurely"
 
+    def test_boundary_column_reads_rho_on_carve_outs(self, tmp_path, capsys):
+        # the path's rho is 1: sweep flags it, analyze's verdict (a carve-out) does not
+        config = write_config(tmp_path, ALL_TWOS)
+        run(["sweep", "--config", config, "--grid", "2/5"])
+        assert capsys.readouterr().out.splitlines()[1] == "2/5,1.0,CascadeAlmostSure,true"
+        run(["analyze", "--config", config])
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["rho"] is None and verdict["boundary"] is False
+
     def test_empty_grid_exit_1(self, tmp_path, capsys):
         assert run(["sweep", "--config", write_config(tmp_path, TRIANGLE),
                     "--grid", " , "]) == 1
@@ -466,6 +479,59 @@ def test_verify_refuses_before_enumerating(tmp_path, payload, message):
     # a count past int64 is shown as a bound, so the refusal is one short line
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and len(lines[0]) < 120
+
+
+@pytest.mark.parametrize(
+    "command, memberships, community_sizes",
+    [
+        ("analyze", [[100000, 1.0]], [[2, 1.0]]),
+        ("analyze", [[1000000, 1.0]], [[2, 1.0]]),
+        ("analyze", [[4, 1.0]], [[100000, 1.0]]),
+        ("simulate", [[4, 1.0]], [[100000, 1.0]]),
+        ("analyze", [[4, 1.0]], [[2, 0.5], [100000, 0.5]]),
+        ("simulate", [[4, 1.0]], [[2, 0.5], [100000, 0.5]]),
+    ],
+    ids=["analyze-p1e5", "analyze-p1e6", "analyze-q1e5", "simulate-q1e5",
+         "analyze-q-mixed", "simulate-q-mixed"],
+)
+def test_refused_before_composing(tmp_path, command, memberships, community_sizes):
+    # the mean matrix's budget and the census engine's budgets need no
+    # child-count composition, which alone takes seconds to minutes here
+    payload = {"memberships": memberships, "community_sizes": community_sizes, "threshold": "1/10"}
+    argv = [command]
+    if command == "simulate":
+        argv += ["--depth", "2", "--replicates", "10", "--seed", "1"]
+    result, seconds = fresh_cli(argv, write_config(tmp_path, payload))
+    assert seconds < 2.0
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: enumeration too large: ")
+    assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [TRIANGLE, MIXTURE, ALL_TWOS],
+    ids=["triangle", "mixture", "all-2s-path"],
+)
+def test_one_perron_solve_per_point(tmp_path, capsys, monkeypatch, payload):
+    # every spectral_radius call condenses its matrix once; the verdict,
+    # analyze's spectral_radius field and each sweep row read MeanMatrix.rho
+    solves = []
+
+    def counting(adjacency):
+        solves.append(adjacency.shape[0])
+        return strongly_connected_components(adjacency)
+
+    monkeypatch.setattr(cascade_matrix, "strongly_connected_components", counting)
+    config = write_config(tmp_path, payload)
+    for argv, points in ((["analyze"], 1), (["sweep", "--grid", "1/20,1/5,2/5,1/2,3/5"], 5)):
+        cascade_matrix._mean_matrix_cached.cache_clear()
+        solves.clear()
+        assert run(argv + ["--config", config]) == 0
+        capsys.readouterr()
+        assert len(solves) == points
 
 
 def test_analytic_commands_never_import_numpy_random(tmp_path):

@@ -18,9 +18,9 @@ from cliquecascade import (
     Threshold,
     ZeroMean,
     child_count_pmf,
-    child_count_series,
     dist_core,
     pgf_compose,
+    standard_model_suite,
 )
 from cliquecascade.errors import AssumptionViolated
 
@@ -184,6 +184,22 @@ class TestModelParams:
     def test_max_child_count(self):
         assert model({3: 1.0}, {4: 1.0}, "1/10").max_child_count == 6
 
+    @pytest.mark.parametrize(
+        "p, q, expected",
+        [
+            ({2: 1.0}, {2: 1.0}, True),
+            ({2: 1.0}, {3: 1.0}, False),
+            ({3: 1.0}, {2: 1.0}, False),
+            ({2: 0.5, 3: 0.5}, {2: 1.0}, False),
+            ({2: 1.0}, {2: 0.5, 3: 0.5}, False),
+            ({1: 0.5, 3: 0.5}, {2: 1.0}, False),
+        ],
+    )
+    def test_infinite_path_truth_table(self, p, q, expected):
+        # the predicate reads the two laws only, never the threshold
+        for theta in ("1/10", "2/5", "1/2"):
+            assert model(p, q, theta).infinite_path is expected
+
 
 class TestComposition:
     def test_compose_known_square(self):
@@ -218,7 +234,13 @@ class TestComposition:
         assert law.support_max <= params.max_child_count
 
     def test_series_matches_pmf(self, mixed_model):
-        series = child_count_series(mixed_model)
         law = child_count_pmf(mixed_model)
+        series = law.series
         for x, p in law.items:
             assert series.coeffs[x] == pytest.approx(p, abs=1e-12)
+
+    def test_series_is_the_composition(self, mixed_model):
+        # the one cached law keeps the composed coefficients as they are
+        for params in standard_model_suite() + [mixed_model]:
+            composed = pgf_compose(params.extra_communities, params.extra_members)
+            assert child_count_pmf(params).series.coeffs == composed.coeffs

@@ -49,14 +49,25 @@ def test_depth_convergence():
     assert all(0.0 <= float(row[2]) <= float(row[1]) <= 1.0 for row in rows)
 
 
-def test_compare_cli_same_tree():
-    src = str(ROOT / "src")
-    result = run_script("compare_cli.py", src, src)
-    assert result.returncode == 0, result.stdout + result.stderr
-    assert result.stdout.strip().splitlines() == ["60 commands compared, 0 differ"]
+@pytest.fixture(scope="module")
+def src_results(tmp_path_factory):
+    """compare_cli, its commands, and the source tree's results, run once per module."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(ROOT / "scripts"))
+        import compare_cli
+    config_dir = tmp_path_factory.mktemp("compare_cli")
+    named = compare_cli.write_configs(config_dir)
+    return compare_cli, config_dir, named, compare_cli.run_tree(ROOT / "src", named, config_dir)
 
 
-def test_compare_cli_reports_a_difference(tmp_path):
+def test_compare_cli_same_tree(src_results):
+    # a second interpreter on the same tree
+    compare_cli, config_dir, named, results = src_results
+    again = compare_cli.run_tree(ROOT / "src", named, config_dir)
+    assert compare_cli.compare(named, results, again) == ["60 commands compared, 0 differ"]
+
+
+def test_compare_cli_reports_a_difference(tmp_path, src_results):
     # a copy whose reports carry 16 significant digits instead of 17
     shutil.copytree(
         ROOT / "src" / "cliquecascade",
@@ -67,11 +78,29 @@ def test_compare_cli_reports_a_difference(tmp_path):
     text = cli.read_text(encoding="utf-8")
     assert text.count('".17g"') == 1
     cli.write_text(text.replace('".17g"', '".16g"'), encoding="utf-8")
-    result = run_script("compare_cli.py", str(ROOT / "src"), str(tmp_path))
-    assert result.returncode == 1, result.stdout + result.stderr
-    lines = result.stdout.strip().splitlines()
-    assert "triangle analyze: stdout first differs" in result.stdout
+    compare_cli, config_dir, named, results = src_results
+    lines = compare_cli.compare(named, results, compare_cli.run_tree(tmp_path, named, config_dir))
+    assert any(line.startswith("triangle analyze: stdout first differs") for line in lines)
     assert lines[-1].startswith("60 commands compared, ") and not lines[-1].endswith(" 0 differ")
+
+
+def test_phase_sweep_solves_each_theta_once(monkeypatch, capsys):
+    # ten thetas, the last at 1/2: each row's rho and verdict read one solve
+    monkeypatch.syspath_prepend(str(ROOT / "scripts"))
+    import phase_sweep
+    from cliquecascade import cascade_matrix
+
+    solves = []
+    scc = cascade_matrix.strongly_connected_components
+    monkeypatch.setattr(
+        cascade_matrix, "strongly_connected_components", lambda a: solves.append(1) or scc(a)
+    )
+    argv = ["phase_sweep.py", "--grid", "0.05:0.5:10", "--depth", "1", "--replicates", "10"]
+    monkeypatch.setattr(sys, "argv", argv)
+    cascade_matrix._mean_matrix_cached.cache_clear()
+    phase_sweep.main()
+    assert len(capsys.readouterr().out.strip().splitlines()[3:]) == 10
+    assert len(solves) == 10
 
 
 def test_unreached_in_process(monkeypatch):
@@ -79,24 +108,34 @@ def test_unreached_in_process(monkeypatch):
     # and the Perron solve leaves only its budget-exhausted raise unrun
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import unreached
-    from cliquecascade import clique_dynamics, mc_sim
-    from cliquecascade.cascade_matrix import _perron_root
+    from cliquecascade import cascade_matrix, cli, clique_dynamics, mc_sim
 
     started = time.monotonic()
     lines = unreached.unreached({"mixture": unreached.compare_cli.MODELS["mixture"]})
     assert time.monotonic() - started < 2.0
     assert any(line.startswith("mc_sim:") and "raise CensusOverflow(" in line for line in lines)
-    body, first = inspect.getsourcelines(_perron_root)
-    perron = [
-        line for line in lines
-        if line.startswith("cascade_matrix:")
-        and first <= int(line.split(":")[1]) < first + len(body)
+
+    def unrun(module, obj):
+        body, first = inspect.getsourcelines(obj)
+        prefix = module.__name__.rsplit(".", 1)[1] + ":"
+        return [
+            line.split(": ", 1)[1] for line in lines
+            if line.startswith(prefix) and first <= int(line.split(":")[1]) < first + len(body)
+        ]
+
+    perron = unrun(cascade_matrix, cascade_matrix._perron_root)
+    assert perron and all(line.startswith("raise ") for line in perron)
+    # spectral_radius takes arrays only: its two input refusals are all it leaves
+    assert unrun(cascade_matrix, cascade_matrix.spectral_radius) == [
+        'raise ValueError("matrix must be square")',
+        'raise ValueError("matrix must be entrywise non-negative")',
     ]
-    assert perron and all(line.split(": ", 1)[1].startswith("raise ") for line in perron)
-    # the floor-level walk and its readers, and the census engine as a whole,
-    # run every statement
+    # the floor-level walk and its readers, the census engine as a whole,
+    # analyze and the one owner of rho run every statement
     engine = mc_sim.ActivationProcess
     for module, obj in (
+        (cli, cli.cmd_analyze),
+        (cascade_matrix, cascade_matrix.MeanMatrix.rho.func),
         (clique_dynamics, clique_dynamics._walk),
         (clique_dynamics, clique_dynamics.mean_active_column),
         (mc_sim, mc_sim._walk_levels),
@@ -105,11 +144,4 @@ def test_unreached_in_process(monkeypatch):
         (mc_sim, engine.step),
         (mc_sim, engine),
     ):
-        name = obj.__qualname__
-        body, first = inspect.getsourcelines(obj)
-        prefix = module.__name__.rsplit(".", 1)[1] + ":"
-        assert not [
-            line for line in lines
-            if line.startswith(prefix)
-            and first <= int(line.split(":")[1]) < first + len(body)
-        ], name
+        assert not unrun(module, obj), obj.__qualname__
