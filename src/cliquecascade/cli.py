@@ -122,8 +122,8 @@ def _parse_pmf(entries, name: str) -> Pmf:
 
 def _model_echo(params: ModelParams) -> dict:
     return {
-        "memberships": [[v, p] for v, p in params.memberships.items],
-        "community_sizes": [[v, p] for v, p in params.community_sizes.items],
+        "memberships": _pmf_pairs(params.memberships),
+        "community_sizes": _pmf_pairs(params.community_sizes),
         "threshold": str(params.threshold),
     }
 
@@ -138,13 +138,12 @@ def cmd_analyze(params: ModelParams) -> dict:
     branching = extinction_probability(params)
     clustering = clustering_coefficient(params)
     verdict = cascade_verdict(params)
-    extra_members = params.extra_members
     return {
         "model": _model_echo(params),
         "moments": {
             "mean_memberships": params.mean_memberships,
             "mean_community_size": params.mean_community_size,
-            "mean_degree": params.mean_memberships * extra_members.mean(),
+            "mean_degree": params.mean_memberships * params.extra_members.mean(),
         },
         "survival_criterion": {
             "lhs": criterion.lhs,

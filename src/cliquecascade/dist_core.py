@@ -6,7 +6,8 @@ built from four derived objects defined here:
 
 * the size-biased shifted laws (pick a community uniformly by membership slot;
   the count of *further* communities of the chosen member, and of *further*
-  members of the chosen community),
+  members of the chosen community), built once per model by ModelParams and
+  read by both the analytic and the simulation paths,
 * probability generating functions of those laws and their polynomial
   composition, whose coefficients give the law of the number of children of a
   non-root vertex in the projected tree-of-cliques; child_count_pmf is its one
@@ -17,8 +18,9 @@ built from four derived objects defined here:
 ModelParams.infinite_path names the one degenerate model both the contagion
 verdict and the graph's extinction report single out.
 
-Combinatorial weights stay exact integers until the final multiplication by
-float masses.
+Every Pmf carries its read-only array views (values, probs) and the
+package's one inverse-cdf draw.  Combinatorial weights stay exact integers
+until the final multiplication by float masses.
 """
 
 from __future__ import annotations
@@ -57,14 +59,19 @@ def require_enumerable(count: int, what: str) -> None:
         raise EnumerationTooLarge(f"{shown} {what} exceed the {ENUMERATION_BUDGET} budget")
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
 @dataclass(frozen=True)
 class Pmf:
     """Probability mass function on a bounded set of non-negative integers.
 
     ``items`` holds (value, mass) pairs sorted by value with only positive
     masses; instances are immutable and hashable so derived quantities can be
-    memoised on them.  Build instances through :meth:`from_pairs` (validating)
-    or :meth:`point`.
+    memoised on them, and equality and hashing read items alone.  Build
+    instances through :meth:`from_pairs` (validating) or :meth:`point`.
     """
 
     items: tuple[tuple[int, float], ...]
@@ -153,6 +160,25 @@ class Pmf:
             raise ZeroMean("size-biased shift needs a positive mean")
         pairs = [(v - 1, v * p / mu) for v, p in self.items if v >= 1]
         return Pmf.from_pairs(pairs, tol=DERIVED_MASS_TOL)
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        """The support as a read-only int64 array, built on first use and kept."""
+        return _read_only(np.array(self.support, dtype=np.int64))
+
+    @cached_property
+    def probs(self) -> np.ndarray:
+        """The masses in support order as a read-only array, built on first use and kept."""
+        return _read_only(np.array([p for _, p in self.items]))
+
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        return np.cumsum(self.probs)
+
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size iid draws by inverse cdf, one rng.random uniform each."""
+        idx = np.searchsorted(self._cdf, rng.random(size), side="right")
+        return self.values[np.minimum(idx, len(self.values) - 1)]
 
     @cached_property
     def series(self) -> "PowerSeries":
@@ -250,14 +276,14 @@ class ModelParams:
     def mean_community_size(self) -> float:
         return self.community_sizes.mean()
 
-    @property
+    @cached_property
     def extra_communities(self) -> Pmf:
-        """Further communities of an individual reached through one community."""
+        """Further communities of an individual reached through one community, built once."""
         return self.memberships.size_biased_shifted()
 
-    @property
+    @cached_property
     def extra_members(self) -> Pmf:
-        """Further members of a community reached through one member."""
+        """Further members of a community reached through one member, built once."""
         return self.community_sizes.size_biased_shifted()
 
     @property
@@ -313,8 +339,8 @@ def pgf_compose(outer: Pmf, inner: Pmf) -> PowerSeries:
 
 
 @lru_cache(maxsize=None)
-def _child_count_pmf(memberships: Pmf, community_sizes: Pmf) -> Pmf:
-    series = pgf_compose(memberships.size_biased_shifted(), community_sizes.size_biased_shifted())
+def _child_count_pmf(extra_communities: Pmf, extra_members: Pmf) -> Pmf:
+    series = pgf_compose(extra_communities, extra_members)
     return Pmf.from_pairs(enumerate(series.coeffs), tol=DERIVED_MASS_TOL)
 
 
@@ -326,4 +352,4 @@ def child_count_pmf(params: ModelParams) -> Pmf:
     size-biased count of further members.  Its series is the generating
     series of the child count.
     """
-    return _child_count_pmf(params.memberships, params.community_sizes)
+    return _child_count_pmf(params.extra_communities, params.extra_members)

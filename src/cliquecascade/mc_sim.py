@@ -5,7 +5,9 @@ by level: the root draws its community count from the raw membership law,
 every other vertex draws extra communities from the size-biased shift, and
 community sizes always come from the size-biased size law.  Vertices at the
 truncation depth are not expanded but still draw their would-be child count,
-because their degree feeds the activation rule.
+because their degree feeds the activation rule.  These laws and the
+child-count law are dist_core's: ModelParams and child_count_pmf build them
+once, and this module reads their arrays and draws with Pmf.draw.
 
 Two sampling routes produce the same law.  sample_local_graph plus
 run_contagion materialise the graphs and iterate synchronous rounds; this is
@@ -21,7 +23,7 @@ sorted child-count tuples.  Tests cross-check the two routes, and keep the
 sorted-tuple engine and a scalar activation-process sampler as references.
 
 Both routes run replicates in blocks of a fixed size.  estimate advances
-every row of a block one level per step with one array draw per table; the
+every row of a block one level per step with one array draw per law; the
 per-vertex route samples a block as one forest of independent trees and runs
 the contagion on the whole forest at once.  Block b uses the stream seeded by
 SeedSequence(seed, spawn_key=(b,)); the block size is a constant, so a result
@@ -34,12 +36,11 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
-from typing import NamedTuple
 
 import numpy as np
 
 from .clique_dynamics import _levels, _orderings, _require_float_range, _walk
-from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf, require_enumerable
+from .dist_core import ModelParams, Threshold, child_count_pmf, require_enumerable
 from .errors import CensusOverflow, ConfigInvalid
 
 # Replicates per random stream.  Part of the report contract: changing it
@@ -114,43 +115,6 @@ class LocalGraph:
         return np.bincount(self.tree[last], minlength=self.n_roots)
 
 
-class _DrawTable:
-    """Inverse-cdf sampling table for a bounded integer law."""
-
-    def __init__(self, pmf: Pmf):
-        self.pmf = pmf
-        self.values = np.array(pmf.support, dtype=np.int64)
-        self.probs = np.array([p for _, p in pmf.items])
-        self.cum = np.cumsum(self.probs)
-
-    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        idx = np.searchsorted(self.cum, rng.random(size), side="right")
-        return self.values[np.minimum(idx, len(self.values) - 1)]
-
-
-class _Laws(NamedTuple):
-    """The model's threshold-free laws as draw tables, read by both routes."""
-
-    root: _DrawTable  # communities of the root
-    extra: _DrawTable  # further communities of a non-root vertex
-    members: _DrawTable  # further members of a community
-    child: _DrawTable  # children of a non-root vertex
-
-
-def _laws(params: ModelParams) -> _Laws:
-    return _laws_of(params.memberships, params.community_sizes, child_count_pmf(params))
-
-
-@lru_cache(maxsize=None)
-def _laws_of(memberships: Pmf, community_sizes: Pmf, child_counts: Pmf) -> _Laws:
-    return _Laws(
-        _DrawTable(memberships),
-        _DrawTable(memberships.size_biased_shifted()),
-        _DrawTable(community_sizes.size_biased_shifted()),
-        _DrawTable(child_counts),
-    )
-
-
 def sample_local_graph(
     params: ModelParams, depth: int, rng: np.random.Generator, roots: int = 1
 ) -> LocalGraph:
@@ -167,7 +131,7 @@ def sample_local_graph(
         raise ValueError("depth must be at least 1")
     if roots < 1:
         raise ValueError("roots must be at least 1")
-    root_table, extra_table, member_table, child_table = _laws(params)
+    child = child_count_pmf(params)
     level_ids = np.arange(roots, dtype=np.int64)
     vdepth = [np.zeros(roots, dtype=np.int64)]
     vtree = [level_ids]
@@ -180,10 +144,9 @@ def sample_local_graph(
     level_trees = level_ids
     for level in range(depth):
         n_here = level_ids.size
-        table = root_table if level == 0 else extra_table
-        counts = table.draw(rng, n_here)
+        counts = (params.memberships if level == 0 else params.extra_communities).draw(rng, n_here)
         n_new_cliques = int(counts.sum())
-        members = member_table.draw(rng, n_new_cliques)
+        members = params.extra_members.draw(rng, n_new_cliques)
         n_new = int(members.sum())
         require_enumerable(next_vertex + n_new, "forest vertices")
         owner = np.repeat(np.arange(n_here), counts)
@@ -200,7 +163,7 @@ def sample_local_graph(
         level_ids = np.arange(next_vertex, next_vertex + n_new, dtype=np.int64)
         next_vertex += n_new
         next_clique += n_new_cliques
-    vchild.append(child_table.draw(rng, level_ids.size))
+    vchild.append(child.draw(rng, level_ids.size))
     return LocalGraph(
         truncation_depth=depth,
         depth=_joined(vdepth),
@@ -271,10 +234,9 @@ def _walk_levels(params: ModelParams, clique_size: int) -> tuple:
     """
     xp, floors, _, _ = _levels(params, clique_size)
     n, level = clique_size - 1, np.array([floors[x] for x in xp.support])
-    weights = np.array([p for _, p in xp.items])
 
     def run(types):
-        return types, weights[types] / weights[types].sum()
+        return types, xp.probs[types] / xp.probs[types].sum()
 
     levels = []
     for m, moves in _walk(params, clique_size):
@@ -302,11 +264,12 @@ class ActivationProcess:
     Types are indexed by their position in the child-count support.  A step
     acts on a block of replicates, one row each, and returns the (active,
     inactive) children-by-type arrays of the next level.  Built once per
-    model by _census_tables: type_values is the child-count support, laws
-    the draw tables, cliques the walk levels of each community size, and
-    configs, for each type with communities in increasing order, (type,
-    probs, size counts): its configuration law given its extra members, one
-    row of community-size counts per configuration in sorted-tuple order.
+    model by _census_tables: params is the model, whose laws the root step
+    draws from, type_values the child-count support, cliques the walk
+    levels of each community size, and configs, for each type with
+    communities in increasing order, (type, probs, size counts): its
+    configuration law given its extra members, one row of community-size
+    counts per configuration in sorted-tuple order.
     Raises EnumerationTooLarge before listing more than ENUMERATION_BUDGET
     configuration tuples, or for a community size past the walk's float
     range; both refusals come before the child-count law is composed.
@@ -319,19 +282,19 @@ class ActivationProcess:
         require_enumerable(count, "configuration tuples")
         for w in q.support:
             _require_float_range(w)
-        self.laws = laws = _laws(params)
-        type_index = {x: i for i, x in enumerate(laws.child.pmf.support)}
+        xp = child_count_pmf(params)
+        type_index = {x: i for i, x in enumerate(xp.support)}
         size_index = {w: i for i, w in enumerate(q.support)}
 
         by_type: dict[int, list[tuple[float, np.ndarray]]] = {}
         for d in p.support:
-            weight_d = laws.extra.pmf(d - 1)
+            weight_d = params.extra_communities(d - 1)
             for combo in combinations_with_replacement(q.support, d - 1):
                 x = sum(w - 1 for w in combo)
                 weight = float(_orderings(combo))
                 counts = np.zeros(len(q.support), dtype=np.int64)
                 for w in combo:
-                    weight *= laws.members.pmf(w - 1)
+                    weight *= params.extra_members(w - 1)
                     counts[size_index[w]] += 1
                 by_type.setdefault(x, []).append((weight_d * weight, counts))
         configs = []
@@ -340,7 +303,8 @@ class ActivationProcess:
                 probs = np.array([wt for wt, _ in weighted])
                 sizes = np.array([c for _, c in weighted], dtype=np.int64)
                 configs.append((type_index[x], probs / probs.sum(), sizes))
-        self.type_values = laws.child.values
+        self.params = params
+        self.type_values = xp.values
         self.cliques = tuple(_walk_levels(params, w) for w in q.support)
         self.configs = tuple(configs)
 
@@ -362,7 +326,7 @@ class ActivationProcess:
                     counts = alive.get(i)
                     if counts is None or not counts.any():
                         continue
-                    drawn = counts[:, None] if probs.shape[0] == 1 else rng.multinomial(counts, probs)
+                    drawn = _spread(rng, counts, probs)
                     placed += drawn @ members
                     for col, j in onward:
                         after[j] = after.get(j, 0) + drawn[:, col]
@@ -377,7 +341,8 @@ class ActivationProcess:
 
     def root_step(self, rows: int, rng: np.random.Generator):
         """Active and inactive depth-1 children-by-type below each of rows roots."""
-        cliques_by_size = _spread(rng, self.laws.root.draw(rng, rows), self.laws.members.probs)
+        communities = self.params.memberships.draw(rng, rows)
+        cliques_by_size = _spread(rng, communities, self.params.extra_members.probs)
         return self._resolve_cliques(cliques_by_size, rng)
 
     def step(self, active: np.ndarray, rng: np.random.Generator):
@@ -427,7 +392,7 @@ def _census_block(process: ActivationProcess, depth: int, rows: int, rng: np.ran
     active_tally = [rows] + [0] * depth
     active, inactive = process.root_step(rows, rng)
     fits = False  # the root level is summed exactly
-    types = process.type_values
+    types, child_probs = process.type_values, child_count_pmf(process.params).probs
     for level in range(1, depth + 1):
         active_tally[level] = _total(active, fits)
         vertices[level] = active_tally[level] + _total(inactive, fits)
@@ -439,7 +404,7 @@ def _census_block(process: ActivationProcess, depth: int, rows: int, rng: np.ran
             _check_next_level(active + inactive, types, level)
         next_active, next_inactive = process.step(active, rng)
         if vertices[level] > active_tally[level]:
-            next_inactive += _spread(rng, inactive @ types, process.laws.child.probs)
+            next_inactive += _spread(rng, inactive @ types, child_probs)
         active, inactive = next_active, next_inactive
     # an early break leaves all-zero rows, so both counts are then 0
     return (

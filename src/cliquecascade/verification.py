@@ -14,7 +14,7 @@ import numpy as np
 
 from .cascade_matrix import mean_active_by_type_oracle, mean_active_of_type
 from .clique_dynamics import (
-    _levels,
+    _require_float_range,
     clique_cascade_size,
     clique_outcome_law,
     iter_enumerated_outcomes,
@@ -40,10 +40,11 @@ class OracleCheck:
 def oracle_equivalence_checks(params: ModelParams) -> list[OracleCheck]:
     """Closed forms vs one walk per size's child-count cube, every budget checked first."""
     params.require_contagion_assumptions()
+    for w in params.community_sizes.support:
+        _require_float_range(w)  # clique_outcome_law's guard, before any composition
     xp = child_count_pmf(params)
     for w in params.community_sizes.support:
         require_enumerable(comb(len(xp.support) + w - 2, w - 1), "sorted tuples")
-        _levels(params, w)  # clique_outcome_law's float-range guard
         require_enumerable(len(xp.support) ** (w - 1), "child-count tuples")
     checks, mean_checks = [], []
     for w in params.community_sizes.support:

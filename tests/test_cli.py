@@ -1,5 +1,6 @@
 """CLI subcommands: reports, serialization, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cliquecascade import (
@@ -490,13 +492,16 @@ def test_verify_refuses_before_enumerating(tmp_path, payload, message):
         ("simulate", [[4, 1.0]], [[100000, 1.0]]),
         ("analyze", [[4, 1.0]], [[2, 0.5], [100000, 0.5]]),
         ("simulate", [[4, 1.0]], [[2, 0.5], [100000, 0.5]]),
+        ("verify", [[4, 1.0]], [[100000, 1.0]]),
+        ("verify", [[4, 1.0]], [[2, 0.5], [100000, 0.5]]),
     ],
     ids=["analyze-p1e5", "analyze-p1e6", "analyze-q1e5", "simulate-q1e5",
-         "analyze-q-mixed", "simulate-q-mixed"],
+         "analyze-q-mixed", "simulate-q-mixed", "verify-q1e5", "verify-q-mixed"],
 )
 def test_refused_before_composing(tmp_path, command, memberships, community_sizes):
-    # the mean matrix's budget and the census engine's budgets need no
-    # child-count composition, which alone takes seconds to minutes here
+    # the mean matrix's budget, the census engine's budgets and verify's
+    # float-range guard need no child-count composition, which alone takes
+    # seconds to minutes here
     payload = {"memberships": memberships, "community_sizes": community_sizes, "threshold": "1/10"}
     argv = [command]
     if command == "simulate":
@@ -508,6 +513,37 @@ def test_refused_before_composing(tmp_path, command, memberships, community_size
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: enumeration too large: ")
     assert "Traceback" not in result.stderr
+
+
+P23_Q23 = {
+    "memberships": [[2, 0.5], [3, 0.5]],
+    "community_sizes": [[2, 0.5], [3, 0.5]],
+    "threshold": "1/5",
+}
+# sha256 of simulate --depth 6 --replicates 600 --seed 3 reports, three
+# blocks each; p23-q23 draws from a configuration table with several rows
+SIMULATE_DIGESTS_NUMPY = "2.4.6"
+SIMULATE_DIGESTS = {
+    "triangle": (TRIANGLE, "9797193fe639dfd9756ec7b8fc080278119cd70a1718340f392f111b12399019"),
+    "p23-q23": (P23_Q23, "def8c6b5980ca752951894161303b3ba822f94171198963a69a27cef085a114d"),
+    "wide": (WIDE, "0529bee0131c70afacaf23c1a182f21980147a15a97bcb7ae8de6e38ea530c98"),
+}
+
+
+@pytest.mark.skipif(
+    np.__version__ != SIMULATE_DIGESTS_NUMPY,
+    reason=f"digests recorded with numpy {SIMULATE_DIGESTS_NUMPY}; "
+    "the determinism contract covers the same numpy only",
+)
+@pytest.mark.parametrize("name", sorted(SIMULATE_DIGESTS))
+def test_simulate_reports_are_pinned(tmp_path, name):
+    # a report is a function of (model, depth, replicates, seed): every
+    # random stream and every float in it stays as recorded
+    payload, digest = SIMULATE_DIGESTS[name]
+    out = tmp_path / "report.json"
+    argv = ["simulate", "--depth", "6", "--replicates", "600", "--seed", "3"]
+    assert run(argv + ["--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -4,8 +4,9 @@ import dataclasses
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cliquecascade import (
@@ -17,8 +18,10 @@ from cliquecascade import (
     Pmf,
     Threshold,
     ZeroMean,
+    cascade_matrix,
     child_count_pmf,
     dist_core,
+    mean_matrix,
     pgf_compose,
     standard_model_suite,
 )
@@ -116,6 +119,29 @@ class TestPmf:
         with pytest.raises(dataclasses.FrozenInstanceError):
             pmf.items = ()
 
+    @given(pmf_strategy())
+    def test_array_views_are_read_only_and_follow_items(self, pmf):
+        assert pmf.values.dtype == np.int64
+        assert pmf.values.tolist() == [v for v, _ in pmf.items]
+        assert pmf.probs.tolist() == [p for _, p in pmf.items]
+        for view in (pmf.values, pmf.probs):
+            with pytest.raises(ValueError, match="read-only"):
+                view[0] = 0
+        assert pmf.values is pmf.values and pmf.probs is pmf.probs
+
+    @given(pmf_strategy(), st.integers(0, 2**32 - 1), st.integers(0, 50))
+    @example(Pmf.point(3), 7, 50)
+    # cumsum ends at 0.9, and some of seed 7's 50 uniforms pass it: the clamp
+    @example(Pmf.from_pairs({1: 0.3, 4: 0.6}, tol=0.2), 7, 50)
+    def test_draw_is_the_clamped_inverse_cdf(self, pmf, seed, size):
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        u = reference.random(size)
+        idx = np.searchsorted(np.cumsum(pmf.probs), u, side="right")
+        expected = pmf.values[np.minimum(idx, len(pmf.values) - 1)]
+        assert pmf.draw(rng, size).tolist() == expected.tolist()
+        # one uniform per draw, so the streams stay in step
+        assert rng.random() == reference.random()
+
     def test_dense_roundtrip(self):
         pmf = Pmf.from_pairs({0: 0.25, 3: 0.75})
         dense = pmf.dense()
@@ -180,6 +206,23 @@ class TestModelParams:
         swapped = base.with_threshold(Threshold(2, 5))
         assert swapped.memberships is base.memberships
         assert str(swapped.threshold) == "2/5"
+
+    def test_laws_are_built_once(self):
+        params = model({1: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, "1/10")
+        assert params.extra_members is params.extra_members
+        assert params.extra_communities is params.extra_communities
+        # the child-count law composes those same objects' values, shared by theta variants
+        assert child_count_pmf(params) is child_count_pmf(params.with_threshold(Threshold(1, 5)))
+
+    def test_read_laws_keep_equality_and_hash(self):
+        read = model({2: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, "1/7")
+        read.extra_members, read.extra_communities, child_count_pmf(read)
+        fresh = model({2: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, "1/7")
+        assert read == fresh and hash(read) == hash(fresh)
+        first = mean_matrix(read)
+        hits = cascade_matrix._mean_matrix_cached.cache_info().hits
+        assert mean_matrix(fresh) is first
+        assert cascade_matrix._mean_matrix_cached.cache_info().hits == hits + 1
 
     def test_max_child_count(self):
         assert model({3: 1.0}, {4: 1.0}, "1/10").max_child_count == 6

@@ -44,11 +44,9 @@ from cliquecascade.clique_dynamics import (
 from cliquecascade.mc_sim import (
     _BLOCK,
     ActivationProcess,
-    _DrawTable,
     _blocks,
     _census_tables,
     _check_next_level,
-    _laws,
     _spread,
 )
 from cliquecascade.verification import (
@@ -194,16 +192,16 @@ def _tree(forest, t: int) -> LocalGraph:
 
 def _single_root_sampler(params, depth, rng):
     """Reference sampler for a single graph: the draws roots=1 must reproduce."""
-    root_table, extra_table, member_table, child_table = _laws(params)
+    child = child_count_pmf(params)
     vdepth, vparent, vclique = [np.zeros(1, int)], [np.full(1, -1)], [np.full(1, -1)]
     vchild, cparent, csize, cstart = [], [], [], []
     next_vertex, next_clique = 1, 0
     level_ids = np.zeros(1, dtype=np.int64)
     for level in range(depth):
         n_here = level_ids.size
-        table = root_table if level == 0 else extra_table
-        counts = table.draw(rng, n_here)
-        members = member_table.draw(rng, int(counts.sum()))
+        law = params.memberships if level == 0 else params.extra_communities
+        counts = law.draw(rng, n_here)
+        members = params.extra_members.draw(rng, int(counts.sum()))
         sizes = members + 1
         owner = np.repeat(np.arange(n_here), counts)
         vchild.append(np.bincount(owner, weights=members, minlength=n_here))
@@ -217,7 +215,7 @@ def _single_root_sampler(params, depth, rng):
         level_ids = np.arange(next_vertex, next_vertex + n_new)
         next_vertex += n_new
         next_clique += sizes.size
-    vchild.append(child_table.draw(rng, level_ids.size))
+    vchild.append(child.draw(rng, level_ids.size))
     return {
         "depth": np.concatenate(vdepth),
         "parent": np.concatenate(vparent),
@@ -648,15 +646,13 @@ class TestActivationProcess:
 
 def reference_configurations(params) -> dict:
     """Per parent type, its configuration law weighted by order_stat_pmf."""
-    laws = _laws(params)
-
     def size_pmf(w):
-        return laws.members.pmf(w - 1)
+        return params.extra_members(w - 1)
 
     by_type: dict[int, list[float]] = {}
     for d in params.memberships.support:
         for combo in combinations_with_replacement(params.community_sizes.support, d - 1):
-            weight = laws.extra.pmf(d - 1) * order_stat_pmf(size_pmf, d - 1, combo)
+            weight = params.extra_communities(d - 1) * order_stat_pmf(size_pmf, d - 1, combo)
             by_type.setdefault(sum(w - 1 for w in combo), []).append(weight)
     return {x: np.array(v) / np.array(v).sum() for x, v in by_type.items()}
 
@@ -780,7 +776,7 @@ class ReferenceActivationProcess:
 @dataclass(frozen=True)
 class _TupleTables:
     n_types: int
-    root_table: _DrawTable
+    root_table: Pmf
     size_probs: np.ndarray
     type_probs: np.ndarray
     type_values: np.ndarray
@@ -831,7 +827,7 @@ def reference_tuple_tables(params) -> _TupleTables:
             by_type.setdefault(sum(w - 1 for w in combo), []).append((weight, counts))
     return _TupleTables(
         n_types=n_types,
-        root_table=_DrawTable(p),
+        root_table=p,
         size_probs=normalized([w * q(w) / mu for w in q.support]),
         type_probs=normalized([xp(t) for t in range(n_types)]),
         type_values=np.arange(n_types, dtype=np.int64),
