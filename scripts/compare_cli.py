@@ -36,7 +36,9 @@ def uniform(values) -> list:
 # have such tables but die out too soon.  subcritical is the one model whose
 # extinction probability is 1 without iterating.  No model reaches the gcd
 # reduction in Threshold: the CLI parses thresholds through Fraction, which
-# has already reduced them.
+# has already reduced them.  p61-underflow is the one model whose child-count
+# law drops its top types (their masses underflow), so its dense mean matrix
+# (121 rows) reaches past the support's largest type, 116.
 MODELS = {
     "census-deep": ([[1, 0.5], [3, 0.5]], [[2, 1.0]], "1/10"),
     "mixture": ([[2, 0.5], [4, 0.5]], [[2, 0.5], [3, 0.5]], "3/10"),
@@ -50,6 +52,7 @@ MODELS = {
     "p3-q24": ([[3, 1.0]], [[2, 0.3], [4, 0.7]], "1/4"),
     "p23-q23": ([[2, 0.5], [3, 0.5]], [[2, 0.5], [3, 0.5]], "1/5"),
     "subcritical": ([[1, 0.9], [2, 0.1]], [[2, 1.0]], "1/10"),
+    "p61-underflow": ([[61, 1.0]], [[2, 1.0 - 1e-6], [3, 1e-6]], "1/100"),
 }
 
 RUNNER = """

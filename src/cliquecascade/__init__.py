@@ -69,11 +69,7 @@ from .mc_sim import (
     sample_local_graph,
     survival_by_threshold,
 )
-from .verification import (
-    OracleCheck,
-    oracle_equivalence_checks,
-    standard_model_suite,
-)
+from .verification import OracleCheck, oracle_equivalence_checks
 
 __version__ = "0.1.0"
 
@@ -125,7 +121,6 @@ __all__ = [
     "sample_local_graph",
     "smallest_fixed_point",
     "spectral_radius",
-    "standard_model_suite",
     "strongly_connected_components",
     "survival_by_threshold",
     "survival_criterion",

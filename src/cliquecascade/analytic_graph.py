@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .dist_core import ModelParams, Pmf, child_count_pmf, pgf_compose, DERIVED_MASS_TOL
+from .dist_core import ModelParams, Pmf, child_count_pmf, pgf_compose
 from .errors import NoConvergence
 
 # Newton steps before NoConvergence; a double root needs about 60.
@@ -100,10 +100,9 @@ def extinction_probability(params: ModelParams) -> ExtinctionReport:
 def root_degree_pmf(params: ModelParams) -> Pmf:
     """Degree law of the root: sum over its communities of further members.
 
-    Coefficients of the membership pgf composed with the extra-members pgf.
+    The membership pgf composed with the extra-members pgf.
     """
-    series = pgf_compose(params.memberships, params.extra_members)
-    return Pmf.from_pairs(enumerate(series.coeffs), tol=DERIVED_MASS_TOL)
+    return pgf_compose(params.memberships, params.extra_members)
 
 
 def clustering_coefficient(params: ModelParams) -> ClusteringResult:

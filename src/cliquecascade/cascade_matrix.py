@@ -10,6 +10,12 @@ carve-outs handled in :func:`cascade_verdict`: a threshold of at least one
 half kills every cascade, and the all-2s degenerate model is an infinite path
 (ModelParams.infinite_path) that activates surely.
 
+The types are the child counts that occur, the support of child_count_pmf,
+and the matrix is built and solved on them alone: MeanMatrix.block is
+|support| x |support|, indexed by support position like the census engine's
+types.  MeanMatrix.entries expands it to the value-indexed dim x dim view,
+dim = max child count + 1, zero off the support, for the analyze report.
+
 Nothing here enumerates tuples.  Each clique size w contributes one column,
 clique_dynamics.mean_active_column, a fold over the floor-level walk.  Rows
 mix those columns by the configuration law: convolution powers of the
@@ -20,8 +26,8 @@ enumeration survives only in the oracles.
 The Perron root is found by a deterministic power iteration on each
 strongly connected component, from the uniform vector: rho is a function of
 the matrix alone and the analytic path does not import numpy.random.
-MeanMatrix.rho solves it once per matrix and keeps it; the verdict, the CLI
-and the scripts all read it there.
+MeanMatrix.rho solves the block once per matrix and keeps it; the verdict,
+the CLI and the scripts all read it there.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from typing import Optional
 import numpy as np
 
 from .clique_dynamics import CliqueOutcome, mean_active_column
-from .dist_core import ModelParams, child_count_pmf, pgf_compose, require_enumerable
+from .dist_core import ModelParams, Pmf, _read_only, child_count_pmf, pgf_compose, require_enumerable
 from .errors import NoConvergence
 
 # Perron solver knobs: relative bracket width and iteration budget.
@@ -47,9 +53,12 @@ BOUNDARY_TOL = 1e-10
 
 
 def mean_active_of_type(params: ModelParams, x: int, clique_size: int) -> float:
-    """Expected number of activated children of type x in one clique."""
-    column = mean_active_column(params, clique_size)
-    return float(column[x]) if 0 <= x < column.shape[0] else 0.0
+    """Expected number of activated children of type x in one clique; 0.0 off the support."""
+    types = child_count_pmf(params).values
+    i = int(np.searchsorted(types, x))
+    if i == types.size or types[i] != x:
+        return 0.0
+    return float(mean_active_column(params, clique_size)[i])
 
 
 def mean_active_by_type_oracle(law: dict[CliqueOutcome, float]) -> dict[int, float]:
@@ -63,18 +72,46 @@ def mean_active_by_type_oracle(law: dict[CliqueOutcome, float]) -> dict[int, flo
 
 @dataclass(frozen=True, eq=False)
 class MeanMatrix:
-    """Mean activated-children counts indexed by (parent type, child type)."""
+    """Mean activated-children counts by (parent type, child type).
 
-    entries: np.ndarray
+    types is the child-count support, child_count_pmf(params).values, and
+    block[i, j] the entry for types (types[i], types[j]): the one owner of
+    the type index.  dim = max child count + 1 is the size of entries, the
+    value-indexed view the analyze report emits.
+    """
 
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
+    types: np.ndarray
+    block: np.ndarray
+    dim: int
+
+    @cached_property
+    def entries(self) -> np.ndarray:
+        """block expanded to dim x dim, zero off the support; built on first use, read-only."""
+        dense = np.zeros((self.dim, self.dim))
+        dense[np.ix_(self.types, self.types)] = self.block
+        return _read_only(dense)
 
     @cached_property
     def rho(self) -> float:
-        """The Perron root: solved on first use, then kept with the matrix."""
-        return spectral_radius(self.entries)
+        """The Perron root of block: solved on first use, then kept with the matrix."""
+        return spectral_radius(self.block)
+
+
+@lru_cache(maxsize=None)
+def _other_communities(further: Pmf, extra_members: Pmf, dim: int) -> np.ndarray:
+    """others[y]: a parent's K further communities, one singled out, the rest holding y members.
+
+    A parent's type is the sum of its further communities' extra members, so
+    the type's mass is the child-count law.  Singling out one of the K leaves
+    K - 1 summing freely; weighted by K that is E[K] times the size-biased
+    shift of K, composed with the extra-members pgf.  No threshold enters,
+    so the thresholds of a sweep share one entry.
+    """
+    others = np.zeros(dim)
+    if further.support_max > 0:
+        composed = pgf_compose(further.size_biased_shifted(), extra_members).dense()
+        others[: len(composed)] = further.mean() * composed
+    return _read_only(others)
 
 
 @lru_cache(maxsize=None)
@@ -83,29 +120,15 @@ def _mean_matrix_cached(params: ModelParams) -> "MeanMatrix":
     dim = params.max_child_count + 1
     require_enumerable(dim * dim, "mean matrix entries")
     extra = params.extra_members.dense()
-    # a parent holds K further communities, their extra members summing to its
-    # type, so the type's mass is the child-count law.  Singling out one of
-    # the K leaves K - 1 summing freely; weighted by K that is E[K] times the
-    # size-biased shift of K, composed with the extra-members pgf.
-    config_mass = child_count_pmf(params).dense()
-    others = np.zeros(dim)
-    further = params.extra_communities
-    if further.support_max > 0:
-        composed = pgf_compose(further.size_biased_shifted(), params.extra_members).coeffs
-        others[: len(composed)] = further.mean() * np.array(composed)
-
-    raw = np.zeros((dim, dim))
+    xp = child_count_pmf(params)
+    others = _other_communities(params.extra_communities, params.extra_members, dim)
+    block = np.zeros((xp.values.size, xp.values.size))
     for w in params.community_sizes.support:
-        column = mean_active_column(params, w)
-        parents = np.concatenate((np.zeros(w - 1), others))[:dim]
-        raw[:, : column.shape[0]] += np.outer(parents, extra[w - 1] * column)
-
-    # condition each row on its type actually occurring; types with zero
-    # configuration mass keep a zero row, and type 0 has no children at all
-    entries = np.zeros((dim, dim))
-    rows = np.flatnonzero(config_mass[1:] > 0.0) + 1
-    entries[rows] = raw[rows] / config_mass[rows, None]
-    return MeanMatrix(entries=entries)
+        parents = np.concatenate((np.zeros(w - 1), others))[xp.values]
+        block += np.outer(parents, extra[w - 1] * mean_active_column(params, w))
+    # condition each row on its type; type 0 has no communities, so a zero row
+    block /= xp.probs[:, None]
+    return MeanMatrix(types=xp.values, block=_read_only(block), dim=dim)
 
 
 def mean_matrix(params: ModelParams) -> MeanMatrix:

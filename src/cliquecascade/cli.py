@@ -100,7 +100,7 @@ def load_model(path: str) -> ModelParams:
         return ModelParams(memberships, community_sizes, threshold)
     except ConfigInvalid:
         raise
-    except (CascadeError, ValueError, TypeError) as exc:
+    except (CascadeError, ValueError, TypeError, OverflowError) as exc:
         raise ConfigInvalid(str(exc)) from exc
 
 

@@ -141,13 +141,14 @@ def _walk(params: ModelParams, clique_size: int):
 
 @lru_cache(maxsize=None)
 def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
-    """Expected activated children of each type x = 0..max child count in one clique.
+    """Expected activated children of each type in one clique, one entry per support type.
 
-    A child of type x sits on level f(x) = floor(threshold * (x + w - 1)), and
-    with N_m children on levels <= m it is active iff N_j > j for all j <=
-    f(x).  A fold over _walk: alive[i] is P(N_m = i, N_j > j for all j <= m),
-    and every child a move places on level m is active (a stop at N_m = m
-    places none there).  Within a level, types follow the child-count law
+    Entry i is for type child_count_pmf(params).values[i].  A child of type x
+    sits on level f(x) = floor(threshold * (x + w - 1)), and with N_m
+    children on levels <= m it is active iff N_j > j for all j <= f(x).  A
+    fold over _walk: alive[i] is P(N_m = i, N_j > j for all j <= m), and
+    every child a move places on level m is active (a stop at N_m = m places
+    none there).  Within a level, types follow the child-count law
     conditioned on the level.  Cached and read-only.
     """
     xp, floors, mass, _ = _levels(params, clique_size)
@@ -160,10 +161,10 @@ def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
                 if live:
                     after[j] = after.get(j, 0.0) + alive[i] * weight
         alive = after
-    column = np.zeros(xp.support_max + 1)
-    for x, p in xp.items:
+    column = np.zeros(len(xp.items))
+    for i, (x, p) in enumerate(xp.items):
         if floors[x] < n:
-            column[x] = expected[floors[x]] * p / mass[floors[x]]
+            column[i] = expected[floors[x]] * p / mass[floors[x]]
     column.flags.writeable = False
     return column
 

@@ -9,9 +9,10 @@ built from four derived objects defined here:
   members of the chosen community), built once per model by ModelParams and
   read by both the analytic and the simulation paths,
 * probability generating functions of those laws and their polynomial
-  composition, whose coefficients give the law of the number of children of a
-  non-root vertex in the projected tree-of-cliques; child_count_pmf is its one
-  cached owner, and its series is that generating function,
+  composition, pgf_compose, which returns the compound law as a Pmf: the law
+  of the number of children of a non-root vertex in the projected
+  tree-of-cliques, whose one cached owner is child_count_pmf and whose series
+  is that generating function,
 * an exact rational activation threshold, kept in integer arithmetic so that
   floor comparisons never suffer float rounding.
 
@@ -322,12 +323,13 @@ class PowerSeries:
         return PowerSeries(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
 
 
-def pgf_compose(outer: Pmf, inner: Pmf) -> PowerSeries:
-    """Coefficients of outer-pgf applied to inner-pgf, by Horner over convolutions.
+def pgf_compose(outer: Pmf, inner: Pmf) -> Pmf:
+    """The compound law whose pgf is outer-pgf applied to inner-pgf, validated.
 
-    Both pgfs are polynomials, so the composition is computed exactly (up to
-    float rounding) with no truncation: the result has degree
-    outer.support_max * inner.support_max.
+    Horner over convolutions: both pgfs are polynomials, so the composition
+    is computed exactly (up to float rounding) with no truncation, to degree
+    outer.support_max * inner.support_max.  Coefficients that round to zero
+    leave the support; the masses must sum to one within DERIVED_MASS_TOL.
     """
     outer_c = outer.dense()
     inner_c = inner.dense()
@@ -335,13 +337,12 @@ def pgf_compose(outer: Pmf, inner: Pmf) -> PowerSeries:
     for k in range(len(outer_c) - 2, -1, -1):
         result = np.convolve(result, inner_c)
         result[0] += outer_c[k]
-    return PowerSeries(coeffs=tuple(float(c) for c in result))
+    return Pmf.from_pairs(enumerate(result), tol=DERIVED_MASS_TOL)
 
 
 @lru_cache(maxsize=None)
 def _child_count_pmf(extra_communities: Pmf, extra_members: Pmf) -> Pmf:
-    series = pgf_compose(extra_communities, extra_members)
-    return Pmf.from_pairs(enumerate(series.coeffs), tol=DERIVED_MASS_TOL)
+    return pgf_compose(extra_communities, extra_members)
 
 
 def child_count_pmf(params: ModelParams) -> Pmf:

@@ -266,7 +266,7 @@ class ActivationProcess:
     inactive) children-by-type arrays of the next level.  Built once per
     model by _census_tables: params is the model, whose laws the root step
     draws from, type_values the child-count support, cliques the walk
-    levels of each community size, and configs, for each type with
+    levels of each community size, and configs, for each support type with
     communities in increasing order, (type, probs, size counts): its
     configuration law given its extra members, one row of community-size
     counts per configuration in sorted-tuple order.
@@ -299,7 +299,7 @@ class ActivationProcess:
                 by_type.setdefault(x, []).append((weight_d * weight, counts))
         configs = []
         for x, weighted in sorted(by_type.items()):
-            if x > 0:
+            if x > 0 and x in type_index:  # a type whose mass underflowed never occurs
                 probs = np.array([wt for wt, _ in weighted])
                 sizes = np.array([c for _, c in weighted], dtype=np.int64)
                 configs.append((type_index[x], probs / probs.sum(), sizes))

@@ -20,7 +20,7 @@ from .clique_dynamics import (
     iter_enumerated_outcomes,
     require_enumerable,
 )
-from .dist_core import ModelParams, Threshold, child_count_pmf
+from .dist_core import ModelParams, child_count_pmf
 from .mc_sim import _blocks, _census_tables, run_contagion, sample_local_graph
 
 ORACLE_TOL = 1e-9
@@ -65,47 +65,6 @@ def oracle_equivalence_checks(params: ModelParams) -> list[OracleCheck]:
         worst = max(abs(mean_active_of_type(params, x, w) - means.get(x, 0)) for x in xp.support)
         mean_checks.append(OracleCheck(f"mean_active_w{w}", worst, ORACLE_TOL))
     return checks + mean_checks
-
-
-def standard_model_suite() -> list[ModelParams]:
-    """Fixed models plus seeded random ones, spanning the supported regimes."""
-    fixed = [
-        ({2: 1.0}, {2: 1.0}),
-        ({3: 1.0}, {3: 1.0}),
-        ({4: 1.0}, {4: 1.0}),
-        ({2: 1.0}, {3: 1.0}),
-        ({3: 1.0}, {2: 1.0}),
-        ({4: 1.0}, {2: 1.0}),
-        ({2: 1.0}, {4: 1.0}),
-        ({1: 0.5, 3: 0.5}, {2: 1.0}),
-        ({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}),
-        ({3: 1.0}, {2: 0.3, 4: 0.7}),
-    ]
-    thetas = [
-        Threshold(1, 10),
-        Threshold(3, 10),
-        Threshold(2, 5),
-        Threshold(49, 100),
-    ]
-    models = []
-    for i, (p, q) in enumerate(fixed):
-        models.append(ModelParams.create(p, q, thetas[i % len(thetas)]))
-    rng = np.random.default_rng(20240829)
-    for i in range(10):
-        p_support = sorted(rng.choice(np.arange(1, 5), size=rng.integers(1, 4), replace=False))
-        q_support = sorted(rng.choice(np.arange(2, 5), size=rng.integers(1, 4), replace=False))
-        p = _random_pmf(rng, [int(v) for v in p_support])
-        q = _random_pmf(rng, [int(v) for v in q_support])
-        models.append(ModelParams.create(p, q, thetas[i % len(thetas)]))
-    return models
-
-
-def _random_pmf(rng: np.random.Generator, support: list[int]) -> dict[int, float]:
-    raw = rng.random(len(support)) + 0.1
-    probs = raw / raw.sum()
-    out = {v: float(p) for v, p in zip(support[:-1], probs[:-1])}
-    out[support[-1]] = 1.0 - sum(out.values())
-    return out
 
 
 def _histogram(per_replicate: np.ndarray, hist: dict[int, int]) -> None:

@@ -2,6 +2,7 @@ from itertools import groupby
 from math import factorial
 
 import hypothesis
+import numpy as np
 import pytest
 from hypothesis import strategies as st
 
@@ -18,6 +19,55 @@ hypothesis.settings.load_profile("ci")
 
 def model(p: dict, q: dict, theta: str) -> ModelParams:
     return ModelParams.create(p, q, Threshold.from_string(theta))
+
+
+# child-count laws whose top types underflow to zero mass and leave the
+# support: 116 < 120 and 793 < 798 max child count
+UNDERFLOW_MODELS = (
+    model({61: 1.0}, {2: 1.0 - 1e-6, 3: 1e-6}, "1/100"),
+    model({400: 1.0}, {2: 0.9, 3: 0.1}, "1/100"),
+)
+
+
+def standard_model_suite() -> list[ModelParams]:
+    """Fixed models plus seeded random ones, spanning the supported regimes."""
+    fixed = [
+        ({2: 1.0}, {2: 1.0}),
+        ({3: 1.0}, {3: 1.0}),
+        ({4: 1.0}, {4: 1.0}),
+        ({2: 1.0}, {3: 1.0}),
+        ({3: 1.0}, {2: 1.0}),
+        ({4: 1.0}, {2: 1.0}),
+        ({2: 1.0}, {4: 1.0}),
+        ({1: 0.5, 3: 0.5}, {2: 1.0}),
+        ({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}),
+        ({3: 1.0}, {2: 0.3, 4: 0.7}),
+    ]
+    thetas = [
+        Threshold(1, 10),
+        Threshold(3, 10),
+        Threshold(2, 5),
+        Threshold(49, 100),
+    ]
+    models = []
+    for i, (p, q) in enumerate(fixed):
+        models.append(ModelParams.create(p, q, thetas[i % len(thetas)]))
+    rng = np.random.default_rng(20240829)
+    for i in range(10):
+        p_support = sorted(rng.choice(np.arange(1, 5), size=rng.integers(1, 4), replace=False))
+        q_support = sorted(rng.choice(np.arange(2, 5), size=rng.integers(1, 4), replace=False))
+        p = _random_pmf(rng, [int(v) for v in p_support])
+        q = _random_pmf(rng, [int(v) for v in q_support])
+        models.append(ModelParams.create(p, q, thetas[i % len(thetas)]))
+    return models
+
+
+def _random_pmf(rng: np.random.Generator, support: list[int]) -> dict[int, float]:
+    raw = rng.random(len(support)) + 0.1
+    probs = raw / raw.sum()
+    out = {v: float(p) for v, p in zip(support[:-1], probs[:-1])}
+    out[support[-1]] = 1.0 - sum(out.values())
+    return out
 
 
 def order_stat_pmf(base, n: int, sorted_values) -> float:

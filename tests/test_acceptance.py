@@ -35,10 +35,9 @@ from cliquecascade.verification import (
     branching_root_counts,
     depth1_active_counts,
     histogram_match,
-    standard_model_suite,
 )
 
-from conftest import model
+from conftest import model, standard_model_suite
 
 THETAS = [Threshold(1, 10), Threshold(3, 10), Threshold(2, 5), Threshold(49, 100)]
 

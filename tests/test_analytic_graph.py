@@ -16,9 +16,8 @@ from cliquecascade import (
     survival_criterion,
 )
 from cliquecascade import analytic_graph
-from cliquecascade.verification import standard_model_suite
 
-from conftest import model
+from conftest import model, standard_model_suite
 
 
 def _composite_pgf(params, x: float) -> float:

@@ -27,9 +27,8 @@ from cliquecascade import (
 )
 from cliquecascade.cascade_matrix import mean_active_by_type_oracle
 from cliquecascade.clique_dynamics import _levels, mean_active_column
-from cliquecascade.verification import standard_model_suite
 
-from conftest import model, models
+from conftest import UNDERFLOW_MODELS, model, models, standard_model_suite
 
 
 def active_count_prob(params, x, clique_size, k, ell, i):
@@ -78,8 +77,7 @@ def product_mean_matrix(params):
     lam, mu = params.mean_memberships, params.mean_community_size
     per_size = {w: np.zeros(dim) for w in q.support}
     for w in q.support:
-        column = mean_active_column(params, w)
-        per_size[w][: column.shape[0]] = column
+        per_size[w][child_count_pmf(params).values] = mean_active_column(params, w)
     raw = np.zeros((dim, dim))
     config_mass = np.zeros(dim)
     for d in params.memberships.support:
@@ -123,10 +121,10 @@ def reference_mean_active_column(params, clique_size):
         joint[:, : m + 1] = 0.0
         expected[m] = (joint * placed).sum()
         alive = joint.sum(axis=0)
-    column = np.zeros(xp.support_max + 1)
-    for x, p in xp.items:
+    column = np.zeros(len(xp.items))
+    for i, (x, p) in enumerate(xp.items):
         if floors[x] < n:
-            column[x] = expected[floors[x]] * p / mass[floors[x]]
+            column[i] = expected[floors[x]] * p / mass[floors[x]]
     return column
 
 
@@ -162,12 +160,12 @@ class TestMeanActive:
         xp = child_count_pmf(params)
         for w in params.community_sizes.support:
             column = mean_active_column(params, w)
-            brute = np.zeros(column.shape[0])
+            brute = np.zeros(xp.support_max + 1)
             for outcome, prob in brute_force_clique_law(params, w).items():
                 for t in outcome.types:
                     brute[t] += prob
-            assert column.shape[0] == xp.support_max + 1
-            assert np.abs(column - brute).max() <= 1e-12
+            assert column.shape == xp.values.shape
+            assert np.abs(column - brute[xp.values]).max() <= 1e-12
 
     @pytest.mark.parametrize("params", standard_model_suite())
     def test_matches_paper_formula(self, params):
@@ -194,7 +192,7 @@ class TestMeanActive:
 
     def test_column_is_read_only(self, triangle_model):
         with pytest.raises(ValueError):
-            mean_active_column(triangle_model, 3)[4] = 0.0
+            mean_active_column(triangle_model, 3)[0] = 0.0
 
 
 class TestMeanMatrix:
@@ -264,6 +262,54 @@ class TestMeanMatrix:
         params = model({1: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, "1/1000")
         rho = mean_matrix(params).rho
         assert rho == pytest.approx(child_count_pmf(params).mean(), abs=1e-9)
+
+
+# the dense dim x dim and the support of ROADMAP item 6's table: 3000 and 1,
+# 1030 and 2, 99 and 3, 19 and 5, then compare_cli's triangle, p3-q24 and
+# p23-q25 (5 and 1, 7 and 3, 9 and 5); thresholds low enough for rho > 0
+TYPE_SPACE_MODELS = standard_model_suite() + [
+    model({3000: 1.0}, {2: 1.0}, "1/4000"),
+    model({1: 0.5, 2: 0.5}, {1030: 1.0}, "1/4000"),
+    model({3: 1.0}, {2: 0.5, 50: 0.5}, "1/100"),
+    model({2: 0.5, 3: 0.5}, {2: 0.5, 10: 0.5}, "1/100"),
+    model({3: 1.0}, {3: 1.0}, "1/10"),
+    model({3: 1.0}, {2: 0.3, 4: 0.7}, "1/4"),
+    model({2: 0.5, 3: 0.5}, {2: 0.5, 5: 0.5}, "1/4"),
+    UNDERFLOW_MODELS[0],
+]
+
+
+class TestOneTypeSpace:
+    @pytest.mark.parametrize("params", TYPE_SPACE_MODELS)
+    def test_block_on_the_support_is_the_dense_matrix(self, params):
+        matrix = mean_matrix(params)
+        types = child_count_pmf(params).values
+        assert matrix.types is types
+        assert matrix.block.shape == (types.size, types.size)
+        assert matrix.entries.shape == (params.max_child_count + 1,) * 2
+        on_support = np.zeros(matrix.entries.shape, dtype=bool)
+        on_support[np.ix_(types, types)] = True
+        assert np.array_equal(matrix.entries[np.ix_(types, types)], matrix.block)
+        assert not matrix.entries[~on_support].any()
+        assert spectral_radius(matrix.entries) == matrix.rho
+        for array in (matrix.entries, matrix.block):
+            with pytest.raises(ValueError):
+                array[0, 0] = 1.0
+
+    def test_dimension_is_the_max_child_count(self):
+        # the support stops at 116, the dense view still spans 0..120
+        params = UNDERFLOW_MODELS[0]
+        assert child_count_pmf(params).support_max == 116
+        assert mean_matrix(params).dim == 121
+
+    @pytest.mark.parametrize("params", TYPE_SPACE_MODELS)
+    def test_mean_active_of_type_reads_the_column(self, params):
+        types = child_count_pmf(params).values
+        for w in params.community_sizes.support:
+            column = mean_active_column(params, w)
+            assert [mean_active_of_type(params, int(x), w) for x in types] == column.tolist()
+            off = [x for x in (-1, types[0] - 1, types[-1] + 1) if x not in types]
+            assert all(mean_active_of_type(params, x, w) == 0.0 for x in off)
 
 
 # An 8-cycle whose first four edges weigh 10 and last four weigh 1, so rho is

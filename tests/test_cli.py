@@ -15,6 +15,7 @@ from cliquecascade import (
     OracleCheck,
     Threshold,
     cascade_matrix,
+    child_count_pmf,
     cli,
     mean_matrix,
     strongly_connected_components,
@@ -112,6 +113,9 @@ class TestConfigParsing:
             dict(TRIANGLE, threshold="nope"),
             dict(TRIANGLE, threshold="1/0"),
             dict(TRIANGLE, memberships=[[3, float("nan")], [4, 1.0]]),
+            # past the float range: a mass, then a support value the mean multiplies
+            dict(TRIANGLE, memberships=[[3, 10**400]]),
+            dict(TRIANGLE, memberships=[[10**400, 1.0]]),
         ],
     )
     def test_rejects_malformed(self, tmp_path, payload):
@@ -552,8 +556,9 @@ def test_simulate_reports_are_pinned(tmp_path, name):
     ids=["triangle", "mixture", "all-2s-path"],
 )
 def test_one_perron_solve_per_point(tmp_path, capsys, monkeypatch, payload):
-    # every spectral_radius call condenses its matrix once; the verdict,
-    # analyze's spectral_radius field and each sweep row read MeanMatrix.rho
+    # every spectral_radius call condenses its matrix once, on the child-count
+    # support; the verdict, analyze's spectral_radius field and each sweep
+    # row read MeanMatrix.rho
     solves = []
 
     def counting(adjacency):
@@ -562,12 +567,13 @@ def test_one_perron_solve_per_point(tmp_path, capsys, monkeypatch, payload):
 
     monkeypatch.setattr(cascade_matrix, "strongly_connected_components", counting)
     config = write_config(tmp_path, payload)
+    types = len(child_count_pmf(cli.load_model(config)).support)
     for argv, points in ((["analyze"], 1), (["sweep", "--grid", "1/20,1/5,2/5,1/2,3/5"], 5)):
         cascade_matrix._mean_matrix_cached.cache_clear()
         solves.clear()
         assert run(argv + ["--config", config]) == 0
         capsys.readouterr()
-        assert len(solves) == points
+        assert solves == [types] * points
 
 
 def test_analytic_commands_never_import_numpy_random(tmp_path):

@@ -158,7 +158,7 @@ class TestWalkReaders:
         # on each level, spread over the level's types, give the mean column
         tables = _census_tables(params)
         for w, levels in zip(params.community_sizes.support, tables.cliques):
-            column = np.zeros(tables.type_values[-1] + 1)
+            column = np.zeros(tables.type_values.size)
             alive = {0: 1.0}
             for moves, on, _ in levels:
                 after, placed = {}, 0.0
@@ -166,7 +166,7 @@ class TestWalkReaders:
                     placed += alive[i] * (probs @ members[:, 0])
                     for col, j in onward:
                         after[j] = after.get(j, 0.0) + alive[i] * probs[col]
-                column[tables.type_values[on[0]]] += placed * on[1]
+                column[on[0]] += placed * on[1]
                 alive = after
             assert np.abs(column - mean_active_column(params, w)).max() <= 1e-12
 

@@ -53,10 +53,9 @@ from cliquecascade.verification import (
     branching_root_counts,
     depth1_active_counts,
     histogram_match,
-    standard_model_suite,
 )
 
-from conftest import model, models, order_stat_pmf
+from conftest import UNDERFLOW_MODELS, model, models, order_stat_pmf, standard_model_suite
 
 MIXTURE = model({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "3/10")
 
@@ -534,12 +533,12 @@ class TestCensusMeanMatrixIdentity:
         # community-size counts, mixed with the per-size mean columns, give
         # its mean-matrix row; types without a configuration table have none
         tables = _census_tables(params)
-        entries = mean_matrix(params).entries
-        expected = np.zeros_like(entries)
+        block = mean_matrix(params).block
+        expected = np.zeros_like(block)
         for x, probs, sizes in tables.configs:
             for w, count in zip(params.community_sizes.support, probs @ sizes):
-                expected[tables.type_values[x]] += count * mean_active_column(params, w)
-        assert np.abs(expected - entries).max() <= 1e-12
+                expected[x] += count * mean_active_column(params, w)
+        assert np.abs(expected - block).max() <= 1e-12
 
 
 def census_rows(proc, census: dict, rows: int) -> np.ndarray:
@@ -574,6 +573,17 @@ class TestActivationProcess:
         proc = ActivationProcess(path_model)
         active, _ = proc.step(census_rows(proc, {1: 1}, 25), np.random.default_rng(0))
         assert censuses(proc, active) == [{1: 1}] * 25
+
+    @pytest.mark.parametrize("params", UNDERFLOW_MODELS)
+    def test_runs_when_top_types_underflow(self, params):
+        # the engine lists no configuration of a type child_count_pmf dropped
+        assert child_count_pmf(params).support_max < params.max_child_count
+        report = estimate(params, SimConfig(depth=3, replicates=300, seed=1))
+        # the one random event is the first model's rare size-3 community
+        expected = _expected_active_by_depth(params, 3)
+        assert np.allclose(report.mean_active_by_depth[1:], expected, rtol=1e-4, atol=0.0)
+        roots = branching_root_counts(params, 300, 2)
+        assert histogram_match(depth1_active_counts(params, 300, 1), roots)[0]
 
     def test_triangle_root_step(self, triangle_model):
         proc = ActivationProcess(triangle_model)

@@ -12,11 +12,9 @@ from cliquecascade import (
 )
 from cliquecascade.cascade_matrix import mean_active_by_type_oracle
 from cliquecascade.clique_dynamics import iter_enumerated_outcomes
-from cliquecascade.verification import (
-    ORACLE_TOL,
-    oracle_equivalence_checks,
-    standard_model_suite,
-)
+from cliquecascade.verification import ORACLE_TOL, oracle_equivalence_checks
+
+from conftest import standard_model_suite
 
 
 def reference_clique_checks(params):
