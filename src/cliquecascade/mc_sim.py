@@ -10,9 +10,9 @@ child-count law are dist_core's: ModelParams and child_count_pmf build them
 once, and this module reads their arrays and draws with Pmf.draw.
 
 Two sampling routes produce the same law.  sample_local_graph plus
-run_contagion materialise the graphs and iterate synchronous rounds; this is
-the reference route and the one survival_by_threshold uses to couple several
-thresholds on a shared graph.  estimate instead steps ActivationProcess, the
+run_contagion materialise the graphs and settle each clique in degree order,
+in one pass for a whole threshold ladder when survival_by_threshold couples
+thresholds on shared graphs.  estimate instead steps ActivationProcess, the
 multi-type branching process of per-level census counts of vertex types: a
 clique's cascade is the floor-level walk of clique_dynamics, and this module
 turns its levels into draw tables.  A size's cliques move through the walk's
@@ -33,6 +33,7 @@ depends only on the model, the depth, the replicate count and the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
@@ -183,40 +184,52 @@ def _joined(parts: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _settle(graph: LocalGraph, ladder) -> np.ndarray:
+    """Each vertex's activation count: v is active under ladder[k] iff k < counts[v].
+
+    The ladder is ascending.  Two facts of the synchronous-round fixpoint
+    make one pass enough.  An active non-root vertex has an active parent,
+    since while the parent is inactive so are its co-members and children.
+    With its parent active, a clique fills its members in increasing order
+    of degree and stops at the first 1-based position i whose requirement
+    floor_times(degree) + 1 (a Python int, so exact) exceeds i.
+    """
+    t, roots = len(ladder), graph.n_roots
+    counts = np.full(graph.n_vertices, t, dtype=np.int64)
+    co = graph.clique_of[roots:]
+    members = graph.clique_size - 1
+    degree = members[co] + graph.child_count[roots:]
+    # a requirement row per degree present, offset by row * stride so the
+    # flat table is sorted; by_degree then maps a degree to its row
+    by_degree = np.bincount(degree)
+    stride, present = by_degree.size, np.flatnonzero(by_degree)
+    table = [r * stride + th.floor_times(d) + 1 for r, d in enumerate(present.tolist()) for th in ladder]
+    need = np.array(table, dtype=np.int64)
+    by_degree[present] = np.arange(present.size)
+    # a clique's members are contiguous, so sorting by (clique, degree) keeps
+    # each clique on its slots.  A member's count is the running minimum, in
+    # that order, of the thresholds each position meets (shifting each clique
+    # below the ones before restarts it), capped by its parent's count.
+    order = np.argsort(co * stride + degree, kind="stable")
+    row, shift = by_degree[degree[order]], co * (t + 1)
+    position = np.arange(1, co.size + 1) - (np.cumsum(members) - members)[co]
+    met = np.searchsorted(need, row * stride + position, side="right") - row * t - shift
+    counts[roots:][order] = np.minimum.accumulate(met) + shift
+    bounds = np.searchsorted(graph.depth, np.arange(2, graph.truncation_depth + 2)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):  # depth 1 hangs off the roots
+        np.minimum(counts[lo:hi], counts[graph.parent[lo:hi]], out=counts[lo:hi])
+    return counts
+
+
 def run_contagion(graph: LocalGraph, threshold: Threshold) -> LocalGraph:
-    """Activate from the roots by synchronous rounds until nothing changes.
+    """Fill graph.active in place with the set the roots activate; _settle's one-threshold case.
 
     A vertex activates when active neighbours strictly exceed threshold *
-    degree; the comparison is exact (integer cross-multiplication).  Degree
-    counts clique co-members plus the vertex's own children; frontier vertices
-    use their sampled child count.  Every root is seeded; trees share no
-    edges, so each tree ends with the active set it would reach alone.
-    Fills graph.active in place.
+    degree, in exact integers.  Degree counts clique co-members plus the
+    vertex's own children; frontier vertices use their sampled child count.
+    Trees share no edges, so each ends with the active set it reaches alone.
     """
-    n = graph.n_vertices
-    roots = graph.n_roots
-    act = np.zeros(n)
-    act[:roots] = 1.0
-    if n > roots:
-        num, den = threshold.numerator, threshold.denominator
-        co = graph.clique_of[roots:]
-        par = graph.parent[roots:]
-        rhs = (num * ((graph.clique_size[co] - 1) + graph.child_count[roots:])).astype(np.float64)
-        nc = graph.n_cliques
-        rest = act[roots:]
-        while True:
-            # in place, so a large forest holds few vertex-sized temporaries
-            neighbours = np.bincount(co, weights=rest, minlength=nc)[co]
-            neighbours -= rest
-            neighbours += act[par]
-            neighbours += np.bincount(par, weights=rest, minlength=n)[roots:]
-            neighbours *= den
-            newly = neighbours > rhs
-            newly &= rest == 0.0
-            if not newly.any():
-                break
-            rest[newly] = 1.0
-    graph.active[:] = act > 0.0
+    graph.active[:] = _settle(graph, (threshold,)) > 0
     return graph
 
 
@@ -463,21 +476,22 @@ def survival_by_threshold(
 
     Replicates run in blocks of _BLOCK (256) with estimate's stream contract:
     block b samples one forest of that many trees from SeedSequence(seed,
-    spawn_key=(b,)) and reruns the contagion for every threshold on it.  Each
-    replicate is one tree, coupled across the thresholds, so with a fixed
-    seed the frequencies are non-increasing whenever the thresholds are
-    increasing: a harsher rule activates a subset of the same vertices.  Uses
-    the per-vertex route, which prices each replicate by its vertex count and
-    holds a whole block's forest in memory: a forest that would pass
-    ENUMERATION_BUDGET vertices raises EnumerationTooLarge before its level
-    is allocated.
+    spawn_key=(b,)) and settles it once for the ladder sorted by exact
+    value.  Each replicate is one tree, coupled across the thresholds, so
+    with a fixed seed a harsher threshold never has a higher frequency.  The
+    per-vertex route prices a replicate by its vertex count and holds a
+    block's forest in memory: a forest that would pass ENUMERATION_BUDGET
+    vertices raises EnumerationTooLarge before its level is allocated.
     """
     params.require_contagion_assumptions()
     thresholds = list(thresholds)
-    survived = [0] * len(thresholds)
+    ladder = sorted(set(thresholds), key=lambda t: Fraction(t.numerator, t.denominator))
+    tally = np.zeros(len(ladder) + 1, dtype=np.int64)
     for rows, rng in _blocks(config.replicates, config.seed):
         graph = sample_local_graph(params, config.depth, rng, roots=rows)
-        for i, threshold in enumerate(thresholds):
-            run_contagion(graph, threshold)
-            survived[i] += int(np.count_nonzero(graph.active_per_tree()))
-    return tuple(s / config.replicates for s in survived)
+        last = graph.depth == config.depth
+        best = np.zeros(rows, dtype=np.int64)  # tree r survives ladder[k] iff k < best[r]
+        np.maximum.at(best, graph.tree[last], _settle(graph, ladder)[last])
+        tally += np.bincount(best, minlength=len(ladder) + 1)
+    survived = dict(zip(ladder, np.cumsum(tally[::-1])[-2::-1].tolist()))  # ladder[k]: trees with best > k
+    return tuple(survived[t] / config.replicates for t in thresholds)

@@ -1,12 +1,14 @@
 """Graph sampler structure, contagion fixpoint, replication, process sampler.
 
-The census engine is checked against the sorted-tuple engine it replaced and
-against the scalar activation-process sampler, both kept at the end of this
-file as references.
+The clique settle is checked against the synchronous-round contagion it
+replaced, and the census engine against the sorted-tuple engine it replaced
+and the scalar activation-process sampler; all three are kept at the end of
+this file as references.
 """
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, prod
@@ -14,7 +16,7 @@ from time import perf_counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from cliquecascade import (
@@ -47,6 +49,7 @@ from cliquecascade.mc_sim import (
     _blocks,
     _census_tables,
     _check_next_level,
+    _settle,
     _spread,
 )
 from cliquecascade.verification import (
@@ -55,7 +58,14 @@ from cliquecascade.verification import (
     histogram_match,
 )
 
-from conftest import UNDERFLOW_MODELS, model, models, order_stat_pmf, standard_model_suite
+from conftest import (
+    THETA_GRID,
+    UNDERFLOW_MODELS,
+    model,
+    models,
+    order_stat_pmf,
+    standard_model_suite,
+)
 
 MIXTURE = model({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "3/10")
 
@@ -330,6 +340,164 @@ class TestContagion:
             run_contagion(graph, Threshold(1, 5))
             low = graph.active.copy()
             assert np.all(high <= low)
+
+
+# thresholds for the settle properties: the grid (with 1/2 and 3/5), the grid
+# nudged by 10^-e (huge numerators whose floors int64 or float64 get wrong),
+# and arbitrary fractions with denominators up to 10^25
+LADDER_THRESHOLDS = st.one_of(
+    st.sampled_from(THETA_GRID).map(Threshold.from_string),
+    st.builds(
+        lambda theta, e, sign: Threshold.from_string(str(Fraction(theta) + sign * Fraction(1, 10**e))),
+        st.sampled_from(THETA_GRID),
+        st.integers(3, 30),
+        st.sampled_from((-1, 1)),
+    ),
+    st.integers(2, 10**25).flatmap(
+        lambda den: st.integers(1, den - 1).map(lambda num: Threshold(num, den))
+    ),
+)
+
+
+@st.composite
+def contagion_forests(draw, memberships=(0, 1, 2, 3), sizes=(1, 2, 3, 4), max_depth=3):
+    """(params, depth, seed): zero memberships and size-1 communities allowed."""
+
+    def pmf(values):
+        support = draw(st.lists(st.sampled_from(values), min_size=1, max_size=3, unique=True))
+        weights = [draw(st.integers(1, 9)) for _ in support]
+        return {v: w / sum(weights) for v, w in zip(support, weights)}
+
+    p = pmf(memberships)
+    assume(max(p) > 0)
+    return model(p, pmf(sizes), "1/2"), draw(st.integers(1, max_depth)), draw(st.integers(0, 2**32 - 1))
+
+
+class TestSettle:
+    @given(
+        forest=contagion_forests(),
+        roots=st.integers(1, 40),
+        ladder=st.lists(LADDER_THRESHOLDS, min_size=1, max_size=5),
+    )
+    def test_settle_matches_reference_rounds(self, forest, roots, ladder):
+        params, depth, seed = forest
+        graph = sample_local_graph(params, depth, np.random.default_rng(seed), roots=roots)
+        ascending = sorted(ladder, key=lambda t: Fraction(t.numerator, t.denominator))
+        counts = _settle(graph, ascending)
+        non_root = np.arange(graph.n_roots, graph.n_vertices)
+        for k, threshold in enumerate(ascending):
+            reference = _reference_rounds(graph, threshold)
+            assert np.array_equal(counts > k, reference)
+            assert np.array_equal(run_contagion(graph, threshold).active, reference)
+            # the fact the settle rests on: activation only flows downward
+            assert np.all(reference[graph.parent[non_root[reference[non_root]]]])
+
+    @given(
+        forest=contagion_forests(memberships=(1, 2, 3), sizes=(2, 3), max_depth=2),
+        replicates=st.integers(1, _BLOCK + 8),
+        ladder=st.lists(LADDER_THRESHOLDS, max_size=5),
+    )
+    def test_survival_matches_reference_rounds(self, forest, replicates, ladder):
+        # unsorted and repeated ladders come back in the caller's order
+        params, depth, seed = forest
+        survived = [0] * len(ladder)
+        for rows, rng in _blocks(replicates, seed):
+            graph = sample_local_graph(params, depth, rng, roots=rows)
+            for i, threshold in enumerate(ladder):
+                last = _reference_rounds(graph, threshold) & (graph.depth == depth)
+                survived[i] += np.unique(graph.tree[last]).size
+        config = SimConfig(depth=depth, replicates=replicates, seed=seed)
+        expected = tuple(s / replicates for s in survived)
+        assert survival_by_threshold(params, ladder, config) == expected
+
+    def test_root_only_forest(self):
+        # no root joins a community, so every tree is its root alone
+        params = model({0: 0.5, 1: 0.5}, {1: 1.0}, "1/3")
+        graph = sample_local_graph(params, 2, np.random.default_rng(0), roots=5)
+        assert graph.n_vertices == 5
+        assert list(_settle(graph, [Threshold(1, 3), Threshold(1, 2)])) == [2] * 5
+        assert list(_settle(graph, [])) == [0] * 5
+
+    @pytest.mark.parametrize(
+        "theta, active",
+        # float64 rounding of num * degree, then int64 wrap-around, made the
+        # synchronous rounds activate 49 and 1611 vertices here
+        [("0.3333333333333333", 150), ("0.4999999999999999999", 49)],
+    )
+    def test_inexact_thresholds_settle_exactly(self, theta, active):
+        params = model({2: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, theta)
+        graph = sample_local_graph(params, 3, np.random.default_rng(1), roots=40)
+        run_contagion(graph, params.threshold)
+        assert np.array_equal(graph.active, _reference_rounds(graph, params.threshold))
+        assert int(graph.active.sum()) == active
+
+    @pytest.mark.parametrize("theta", ["0.3333333333333333", "0.4999999999999999999"])
+    def test_inexact_thresholds_keep_the_two_routes_together(self, theta):
+        # acceptance test 7's two-sample check; the rounds failed it at z = 34
+        # and z = 54
+        params = model({2: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, theta)
+        graph_hist = depth1_active_counts(params, 2000, seed=1)
+        ok, worst = histogram_match(graph_hist, branching_root_counts(params, 2000, seed=2), sigmas=4)
+        assert ok, worst
+
+
+# Graph-route outputs recorded before the clique settle replaced the
+# synchronous rounds; both give these values, draw for draw.
+GRAPH_ROUTE_NUMPY = "2.4.6"
+P23_Q23 = ({2: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5})
+PINNED_SURVIVAL = {
+    # the benchmark's survival ladder, theta = k/20 for k = 1..10
+    "ladder": (
+        P23_Q23,
+        [f"{k}/20" for k in range(1, 11)],
+        SimConfig(depth=3, replicates=1000, seed=7),
+        (1.0, 1.0, 1.0, 0.941, 0.323, 0.323, 0.007, 0.007, 0.007, 0.0),
+    ),
+    # scripts/phase_sweep.py's defaults
+    "phase-sweep": (
+        ({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}),
+        [f"{0.05 * k:.6f}" for k in range(1, 11)],
+        SimConfig(depth=3, replicates=2000, seed=7),
+        (1.0, 1.0, 0.9825, 0.6575, 0.167, 0.118, 0.002, 0.002, 0.002, 0.0),
+    ),
+    "unsorted-repeated": (
+        P23_Q23,
+        ["6/20", "2/20", "6/20", "1/20"],
+        SimConfig(depth=3, replicates=300, seed=3),
+        (1 / 3, 1.0, 1 / 3, 1.0),
+    ),
+    "empty": (P23_Q23, [], SimConfig(depth=3, replicates=300, seed=3), ()),
+}
+# depth1_active_counts(params, 2000, seed=1000 + i) on acceptance test 7's models
+PINNED_DEPTH1 = [
+    (({3: 1.0}, {3: 1.0}, "1/10"), {6: 2000}),
+    (({2: 1.0}, {2: 1.0}, "2/5"), {2: 2000}),
+    (({1: 0.5, 3: 0.5}, {2: 1.0}, "1/10"), {1: 1024, 3: 976}),
+    (
+        ({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "3/10"),
+        {0: 769, 1: 594, 2: 385, 3: 172, 4: 62, 5: 17, 6: 1},
+    ),
+    (({3: 1.0}, {2: 0.3, 4: 0.7}, "1/4"), {0: 1967, 1: 33}),
+]
+
+
+@pytest.mark.skipif(
+    np.__version__ != GRAPH_ROUTE_NUMPY,
+    reason=f"outputs recorded with numpy {GRAPH_ROUTE_NUMPY}; "
+    "the determinism contract covers the same numpy only",
+)
+class TestPinnedGraphRoute:
+    @pytest.mark.parametrize("name", sorted(PINNED_SURVIVAL))
+    def test_survival_by_threshold(self, name):
+        (p, q), thetas, config, expected = PINNED_SURVIVAL[name]
+        params = model(p, q, "1/20")
+        ladder = [Threshold.from_string(theta) for theta in thetas]
+        assert survival_by_threshold(params, ladder, config) == expected
+
+    @pytest.mark.parametrize("i", range(len(PINNED_DEPTH1)))
+    def test_depth1_active_counts(self, i):
+        (p, q, theta), expected = PINNED_DEPTH1[i]
+        assert depth1_active_counts(model(p, q, theta), 2000, seed=1000 + i) == expected
 
 
 class TestEstimate:
@@ -689,6 +857,34 @@ def _cumulative(weighted: list[tuple[float, object]]):
         acc += p
         cum.append(acc)
     return cum, outcomes
+
+
+def _reference_rounds(graph, threshold) -> np.ndarray:
+    """Activate from the roots by synchronous rounds until nothing changes.
+
+    The literal contagion rule, kept as the reference for mc_sim._settle:
+    every round, every inactive vertex compares its active neighbours (clique
+    co-members, parent and children) with threshold * degree, cross-
+    multiplied in Python ints so that no numerator can round or wrap.
+    """
+    n, roots = graph.n_vertices, graph.n_roots
+    active = np.zeros(n, dtype=bool)
+    active[:roots] = True
+    co, par = graph.clique_of[roots:], graph.parent[roots:]
+    degree = (graph.clique_size[co] - 1) + graph.child_count[roots:]
+    rhs = degree.astype(object) * threshold.numerator
+    rest = active[roots:]
+    while True:
+        neighbours = (
+            np.bincount(co[rest], minlength=graph.n_cliques)[co]
+            - rest
+            + active[par]
+            + np.bincount(par[rest], minlength=n)[roots:]
+        )
+        newly = (neighbours.astype(object) * threshold.denominator > rhs).astype(bool) & ~rest
+        if not newly.any():
+            return active
+        rest[newly] = True
 
 
 class ReferenceActivationProcess:
