@@ -88,6 +88,8 @@ def load_model(path: str) -> ModelParams:
         raise ConfigInvalid(f"cannot read config: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigInvalid(f"config is not valid JSON: {exc}") from exc
+    except ValueError as exc:  # an integer past Python's int-to-str digit limit
+        raise ConfigInvalid(f"config holds a number too large to read: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigInvalid("config must be a JSON object")
     for key in ("memberships", "community_sizes", "threshold"):

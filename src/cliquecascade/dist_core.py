@@ -48,6 +48,8 @@ INPUT_MASS_TOL = 1e-12
 DERIVED_MASS_TOL = 1e-9
 
 ENUMERATION_BUDGET = 10**7
+THRESHOLD_DIGITS = 4300  # Python's default int-to-str limit: every report echoes the threshold
+_THRESHOLD_BOUND = 10**THRESHOLD_DIGITS
 
 
 def require_enumerable(count: int, what: str) -> None:
@@ -215,10 +217,16 @@ class Threshold:
         if g > 1:
             object.__setattr__(self, "numerator", num // g)
             object.__setattr__(self, "denominator", den // g)
+        if self.denominator >= _THRESHOLD_BOUND:
+            raise ValueError(f"threshold terms must have at most {THRESHOLD_DIGITS} digits")
 
     @classmethod
     def from_string(cls, text: str) -> "Threshold":
-        """Parse a decimal string ("0.3") or a ratio ("3/10") exactly."""
+        """Parse "0.3" or "3/10" exactly; an exponent past THRESHOLD_DIGITS is refused unbuilt."""
+        _, e, exponent = str(text).strip().lower().rpartition("e")
+        digits = exponent.lstrip("+-").replace("_", "")
+        if e and digits.isdigit() and int(digits) > THRESHOLD_DIGITS:
+            raise ValueError(f"threshold exponent must lie within +-{THRESHOLD_DIGITS}")
         try:
             frac = Fraction(str(text).strip())
         except ZeroDivisionError:

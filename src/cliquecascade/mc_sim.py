@@ -14,13 +14,13 @@ run_contagion materialise the graphs and settle each clique in degree order,
 in one pass for a whole threshold ladder when survival_by_threshold couples
 thresholds on shared graphs.  estimate instead steps ActivationProcess, the
 multi-type branching process of per-level census counts of vertex types: a
-clique's cascade is the floor-level walk of clique_dynamics, and this module
-turns its levels into draw tables.  A size's cliques move through the walk's
-alive states together, one multinomial per state with several moves, and
-given the moves the types placed on a level are iid, so a level costs a few
-draws per size rather than work proportional to the population or to the
-sorted child-count tuples.  Tests cross-check the two routes, and keep the
-sorted-tuple engine and a scalar activation-process sampler as references.
+clique's cascade is the floor-level walk of clique_dynamics, compiled once
+per model into a step plan.  A size's cliques move through the walk's alive
+states together, one multinomial per state with several moves, and given
+the moves the types placed on a level are iid, so a level costs only its
+draws, not work proportional to the population or the sorted child-count
+tuples.  Tests cross-check the two routes, and keep the per-level loop the
+plan replaced and two older samplers as references.
 
 Both routes run replicates in blocks of a fixed size.  estimate advances
 every row of a block one level per step with one array draw per law; the
@@ -234,16 +234,16 @@ def run_contagion(graph: LocalGraph, threshold: Threshold) -> LocalGraph:
 
 
 def _walk_levels(params: ModelParams, clique_size: int) -> tuple:
-    """The floor-level walk of one community size as census draw tables.
+    """The floor-level walk of one community size as a census step plan.
 
-    Level m is (moves, on, above).  moves gives each alive state i (members
-    placed so far) as (i, probs, members, onward): its moves' normalised
-    probabilities, their member counts (columns: placed on level m, left
-    inactive by a stop) and the (move, next state) pairs that keep the
-    cascade alive.  on and above are (slice of the support, type probs) for
-    the types on level m and above it, runs since f is monotone.
-    Given the moves, the types placed on level m are iid given f(X) = m, and
-    the n - j members a stop at j leaves are iid given f(X) > m.
+    Level m is (states, runs).  Each alive state i (members placed so far)
+    is (i, probs, keys, weights), keys naming what its moves feed: "on"
+    (members placed on level m), "above" (the n - j a stop at j leaves
+    inactive) and each state j a move keeps alive.  One move draws nothing:
+    probs is None, weights a multiplier per key.  Several moves have probs
+    and weights (each run key's members per move, the move to each state).
+    runs gives (key, types, probs): the support's run on level m or above it
+    (f is monotone), whose types are iid given f(X) = m or f(X) > m.
     """
     xp, floors, _, _ = _levels(params, clique_size)
     n, level = clique_size - 1, np.array([floors[x] for x in xp.support])
@@ -256,16 +256,27 @@ def _walk_levels(params: ModelParams, clique_size: int) -> tuple:
         lo, hi = np.searchsorted(level, [m, m + 1])  # f is monotone, so level is sorted
         states = []
         for i, steps in moves.items():
-            probs = np.array([p for _, p, _ in steps])
-            members = np.array([(j - i, 0 if live else n - j) for j, _, live in steps], dtype=np.int64)
-            onward = tuple((col, j) for col, (j, _, live) in enumerate(steps) if live)
-            states.append((i, probs / probs.sum(), members, onward))
-        levels.append((tuple(states), run(slice(lo, hi)), run(slice(hi, None))))
+            fills = {"on": [j - i for j, _, _ in steps]}
+            fills["above"] = [0 if live else n - j for j, _, live in steps]
+            fills = {key: column for key, column in fills.items() if any(column)}
+            live = [col for col, step in enumerate(steps) if step[2]]
+            keys = (*fills, *(steps[col][0] for col in live))  # moves reach distinct states
+            if len(steps) == 1:
+                states.append((i, None, keys, (*(c[0] for c in fills.values()), *(1 for _ in live))))
+            else:
+                probs = np.array([p for _, p, _ in steps])
+                columns = tuple(np.array(c, dtype=np.int64) for c in fills.values())
+                states.append((i, probs / probs.sum(), keys, (columns, np.array(live, dtype=np.intp))))
+        runs = ("on", *run(slice(lo, hi))), ("above", *run(slice(hi, None)))
+        levels.append((tuple(states), runs))
     return tuple(levels)
 
 
 def _spread(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Row r splits counts[r] over the categories of probs."""
+    """Row r splits counts[r] over the categories of probs; one category draws nothing.
+
+    With numpy 2.4.6 neither does a zero row or block (tested), so no draw needs a zero gate.
+    """
     if probs.shape[0] == 1:
         return counts[:, None]
     return rng.multinomial(counts, probs)
@@ -277,12 +288,13 @@ class ActivationProcess:
     Types are indexed by their position in the child-count support.  A step
     acts on a block of replicates, one row each, and returns the (active,
     inactive) children-by-type arrays of the next level.  Built once per
-    model by _census_tables: params is the model, whose laws the root step
-    draws from, type_values the child-count support, cliques the walk
-    levels of each community size, and configs, for each support type with
-    communities in increasing order, (type, probs, size counts): its
-    configuration law given its extra members, one row of community-size
-    counts per configuration in sorted-tuple order.
+    model by _census_tables, which compiles its step plan: params is the
+    model, whose laws the root step draws from, type_values the child-count
+    support, cliques the walk plan of each community size, fixed the (type,
+    size) counts of each type with one configuration, which draws nothing,
+    and configs (type, probs, size counts) for the other types with
+    communities in increasing order: their configuration law given the
+    extra members, one row per configuration in sorted-tuple order.
     Raises EnumerationTooLarge before listing more than ENUMERATION_BUDGET
     configuration tuples, or for a community size past the walk's float
     range; both refusals come before the child-count law is composed.
@@ -310,12 +322,15 @@ class ActivationProcess:
                     weight *= params.extra_members(w - 1)
                     counts[size_index[w]] += 1
                 by_type.setdefault(x, []).append((weight_d * weight, counts))
-        configs = []
+        configs, self.fixed = [], np.zeros((xp.values.size, len(q.support)), dtype=np.int64)
         for x, weighted in sorted(by_type.items()):
             if x > 0 and x in type_index:  # a type whose mass underflowed never occurs
                 probs = np.array([wt for wt, _ in weighted])
                 sizes = np.array([c for _, c in weighted], dtype=np.int64)
-                configs.append((type_index[x], probs / probs.sum(), sizes))
+                if probs.size == 1:
+                    self.fixed[type_index[x]] = sizes[0]
+                else:
+                    configs.append((type_index[x], probs / probs.sum(), sizes))
         self.params = params
         self.type_values = xp.values
         self.cliques = tuple(_walk_levels(params, w) for w in q.support)
@@ -324,32 +339,34 @@ class ActivationProcess:
     def _resolve_cliques(self, cliques_by_size: np.ndarray, rng: np.random.Generator):
         """Active and inactive children-by-type of cliques whose parent is active.
 
-        Moves each size's cliques through its walk levels, counting the
-        cliques of each row in each alive state.  Draws nothing for a size
-        with no cliques, a state with no cliques or one move, or a level run
-        with no members.
+        Runs each size's walk plan.  Its one count gate is a cost gate: deep
+        in a long walk a state's counts are often all zero, and a ~1 us check
+        saves a ~20 us multinomial that would draw nothing (see _spread).
         """
-        shape = (cliques_by_size.shape[0], self.type_values.size)
-        active, inactive = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+        shape = (2, cliques_by_size.shape[0], self.type_values.size)
+        active, inactive = np.zeros(shape, dtype=np.int64)
+        into = {"on": active, "above": inactive}
         for wi, levels in enumerate(self.cliques):
             alive = {0: cliques_by_size[:, wi]}
-            for moves, on, above in levels:
-                placed, after = np.zeros((shape[0], 2), dtype=np.int64), {}
-                for i, probs, members, onward in moves:
-                    counts = alive.get(i)
-                    if counts is None or not counts.any():
+            for states, runs in levels:
+                sums = {}  # per key: members of a run, or cliques in a next state
+                for i, probs, keys, weights in states:
+                    counts = alive.get(i)  # None when every way in was skipped
+                    if counts is None or probs is not None and not counts.any():
                         continue
-                    drawn = _spread(rng, counts, probs)
-                    placed += drawn @ members
-                    for col, j in onward:
-                        after[j] = after.get(j, 0) + drawn[:, col]
-                for run, target, count in zip((on, above), (active, inactive), placed.T):
-                    if count.any():
-                        types, probs = run
-                        target[:, types] += _spread(rng, count, probs)
-                if not after:
+                    if probs is None:
+                        parts = [counts if k == 1 else k * counts for k in weights]
+                    else:
+                        drawn, (columns, live) = rng.multinomial(counts, probs), weights
+                        parts = [drawn @ column for column in columns] + list(drawn.T[live])
+                    for key, part in zip(keys, parts):  # part is never written to
+                        sums[key] = sums[key] + part if key in sums else part
+                for key, types, probs in runs:
+                    if key in sums:
+                        into[key][:, types] += _spread(rng, sums[key], probs)
+                if not sums:
                     break
-                alive = after
+                alive = sums
         return active, inactive
 
     def root_step(self, rows: int, rng: np.random.Generator):
@@ -360,9 +377,9 @@ class ActivationProcess:
 
     def step(self, active: np.ndarray, rng: np.random.Generator):
         """Active and inactive children-by-type of each row's active vertices."""
-        cliques_by_size = np.zeros((active.shape[0], len(self.cliques)), dtype=np.int64)
-        for x, probs, sizes in self.configs:  # a multinomial of zero draws nothing
-            cliques_by_size += _spread(rng, active[:, x], probs) @ sizes
+        cliques_by_size = active @ self.fixed
+        for x, probs, sizes in self.configs:
+            cliques_by_size += rng.multinomial(active[:, x], probs) @ sizes
         return self._resolve_cliques(cliques_by_size, rng)
 
 

@@ -92,6 +92,27 @@ def order_stat_pmf(base, n: int, sorted_values) -> float:
 THETA_GRID = ("1/10", "1/6", "1/5", "1/4", "2/7", "3/10", "1/3", "2/5", "3/7", "1/2", "3/5")
 
 
+def plan_moves(state):
+    """One state of mc_sim's census walk plan as (i, probs, members, onward).
+
+    members holds one (placed, left) row per move and onward maps a move to
+    the state it keeps alive, for one-move and several-move states alike.
+    """
+    i, probs, keys, weights = state
+    runs = [key for key in keys if key in ("on", "above")]
+    assert list(keys[: len(runs)]) == runs  # the run keys come first
+    if probs is None:  # one move: a multiplier per key, 1 for the state it reaches
+        assert all(k == 1 for k in weights[len(runs):])
+        probs, columns = np.ones(1), [[k] for k in weights[: len(runs)]]
+        live = [0] * (len(keys) - len(runs))
+    else:
+        columns, live = weights
+    members = np.zeros((probs.size, 2), dtype=np.int64)
+    for key, column in zip(runs, columns):
+        members[:, ("on", "above").index(key)] = column
+    return i, probs, members, dict(zip(np.asarray(live).tolist(), keys[len(runs):]))
+
+
 @st.composite
 def models(draw, memberships, sizes, max_points):
     def pmf(values):

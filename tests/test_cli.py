@@ -78,10 +78,20 @@ MIXTURE = {
 # every individual in two communities of two: the infinite path carve-out
 ALL_TWOS = {"memberships": [[2, 1.0]], "community_sizes": [[2, 1.0]], "threshold": "2/5"}
 
+# past Python's 4300-digit int-to-str limit: a threshold whose denominator no
+# report could echo, one whose power of ten would take seconds to build, and a
+# config integer that json.load cannot read (raw text: json.dumps cannot write it)
+OVERSIZED = {
+    "threshold-1e-5000": dict(TRIANGLE, threshold="1e-5000"),
+    "threshold-1e-3000000": dict(TRIANGLE, threshold="1e-3000000"),
+    "integer-5001-digits": json.dumps(TRIANGLE).replace("[[3, 1.0]]", f"[[{'1' * 5001}, 1.0]]", 1),
+}
+
 
 def write_config(tmp_path, payload, name="model.json"):
+    """Write payload as JSON, or as it stands when it is already JSON text."""
     path = tmp_path / name
-    path.write_text(json.dumps(payload), encoding="utf-8")
+    path.write_text(payload if isinstance(payload, str) else json.dumps(payload), encoding="utf-8")
     return str(path)
 
 
@@ -116,6 +126,9 @@ class TestConfigParsing:
             # past the float range: a mass, then a support value the mean multiplies
             dict(TRIANGLE, memberships=[[3, 10**400]]),
             dict(TRIANGLE, memberships=[[10**400, 1.0]]),
+            # past the int-to-str limit
+            *OVERSIZED.values(),
+            dict(TRIANGLE, threshold="1/" + "7" * 5000),
         ],
     )
     def test_rejects_malformed(self, tmp_path, payload):
@@ -451,6 +464,33 @@ def test_dense_table_guard_exit_1(tmp_path, argv):
     assert "Traceback" not in result.stderr
 
 
+@pytest.mark.parametrize("name", sorted(OVERSIZED))
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze"], ["simulate", "--depth", "2", "--replicates", "10", "--seed", "1"],
+     ["sweep", "--grid", "0.1"], ["verify"]],
+    ids=["analyze", "simulate", "sweep", "verify"],
+)
+def test_oversized_integers_refused_before_any_work(tmp_path, capsys, argv, name):
+    started = time.monotonic()
+    assert run(argv + ["--config", write_config(tmp_path, OVERSIZED[name])]) == 1
+    assert time.monotonic() - started < 1.0
+    out, err = capsys.readouterr()
+    assert out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "digit" in lines[0] or "exponent" in lines[0]
+
+
+def test_oversized_sweep_threshold_refused(tmp_path, capsys):
+    assert run(["sweep", "--grid", "0.1,1e-5000", "--config", write_config(tmp_path, TRIANGLE)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: bad sweep threshold '1e-5000': threshold exponent must lie within +-4300"
+    ]
+
+
 def test_huge_depth_refused_before_allocating(tmp_path):
     # depth 10^9 would ask for per-depth tallies of 10^9 + 1 entries each
     argv = ["simulate", "--depth", "1000000000", "--replicates", "10", "--seed", "1"]
@@ -548,6 +588,35 @@ def test_simulate_reports_are_pinned(tmp_path, name):
     argv = ["simulate", "--depth", "6", "--replicates", "600", "--seed", "3"]
     assert run(argv + ["--config", write_config(tmp_path, payload), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# the benchmark's depth-30 census model: sha256 of simulate --depth 30
+# reports at (replicates, seed), recorded before the census step plan
+# replaced the per-level loop; 515 replicates span three blocks
+CENSUS_DEEP = {
+    "memberships": [[1, 0.5], [3, 0.5]],
+    "community_sizes": [[2, 1.0]],
+    "threshold": "1/10",
+}
+CENSUS_DEEP_DIGESTS = {
+    (200, 101): "f6768e0e5ce849ad11406752853e5b1b82e4bf03437205f0e234cf6490f52c63",
+    (200, 102): "981b2afbec7afe8a01b13da08e9acd1d9cb017da2c900cd6620a2e930b1011ee",
+    (200, 103): "2f6e72a08af64a3a789b5b64f249e211b94ed7dd56e1e1e3a8772484b09f473a",
+    (2 * 256 + 3, 104): "3f618fe6adae8c3a96600ce4e36e33575399355225469d01398c79216774eb24",
+}
+
+
+@pytest.mark.skipif(
+    np.__version__ != SIMULATE_DIGESTS_NUMPY,
+    reason=f"digests recorded with numpy {SIMULATE_DIGESTS_NUMPY}; "
+    "the determinism contract covers the same numpy only",
+)
+@pytest.mark.parametrize("replicates, seed", sorted(CENSUS_DEEP_DIGESTS))
+def test_census_deep_reports_are_pinned(tmp_path, replicates, seed):
+    out = tmp_path / "report.json"
+    argv = ["simulate", "--depth", "30", "--replicates", str(replicates), "--seed", str(seed)]
+    assert run(argv + ["--config", write_config(tmp_path, CENSUS_DEEP), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CENSUS_DEEP_DIGESTS[replicates, seed]
 
 
 @pytest.mark.parametrize(

@@ -30,7 +30,7 @@ from cliquecascade.clique_dynamics import (
 from cliquecascade.errors import InvalidOutcome, UnsortedInput
 from cliquecascade.mc_sim import _census_tables
 
-from conftest import model, models, order_stat_pmf
+from conftest import model, models, order_stat_pmf, plan_moves
 
 # two-point child law: X = 1 or 2 with equal mass (memberships 2, sizes 2 or 3)
 TWO_POINT = model({2: 1.0}, {2: 0.5, 3: 0.5}, "1/4")
@@ -160,13 +160,15 @@ class TestWalkReaders:
         for w, levels in zip(params.community_sizes.support, tables.cliques):
             column = np.zeros(tables.type_values.size)
             alive = {0: 1.0}
-            for moves, on, _ in levels:
+            for states, runs in levels:
                 after, placed = {}, 0.0
-                for i, probs, members, onward in moves:
+                for i, probs, members, onward in map(plan_moves, states):
                     placed += alive[i] * (probs @ members[:, 0])
-                    for col, j in onward:
+                    for col, j in onward.items():
                         after[j] = after.get(j, 0.0) + alive[i] * probs[col]
-                column[on[0]] += placed * on[1]
+                for key, types, probs in runs:
+                    if key == "on":  # the run on level m takes the placed members
+                        column[types] += placed * probs
                 alive = after
             assert np.abs(column - mean_active_column(params, w)).max() <= 1e-12
 

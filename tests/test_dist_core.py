@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -184,6 +185,26 @@ class TestThreshold:
 
     def test_str_is_reduced_fraction(self):
         assert str(Threshold.from_string("0.25")) == "1/4"
+
+    def test_terms_stay_within_the_int_to_str_limit(self):
+        # every report echoes str(threshold); 4300 digits is the most it prints
+        widest = Threshold.from_string("1e-4299")
+        assert str(widest) == "1/1" + "0" * 4299
+        with pytest.raises(ValueError, match="at most 4300 digits"):
+            Threshold.from_string("1e-4300")
+        with pytest.raises(ValueError, match="4300 digits"):  # int() refuses the literal
+            Threshold.from_string("3/" + "1" * 4301)
+        with pytest.raises(ValueError, match="at most 4300 digits"):
+            Threshold(1, 10**4300)
+        assert Threshold(2 * 10**4300, 4 * 10**4300) == Threshold(1, 2)  # reduced first
+
+    @pytest.mark.parametrize("text", ["1e-4301", "1E-3000000", "5e+3000000", "1e-3_000_000 "])
+    def test_exponent_refused_before_its_power_is_built(self, text):
+        # Fraction would build 10**3000000 first, about two seconds
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="exponent must lie within"):
+            Threshold.from_string(text)
+        assert time.monotonic() - started < 0.1
 
 
 class TestModelParams:

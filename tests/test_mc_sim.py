@@ -1,9 +1,9 @@
 """Graph sampler structure, contagion fixpoint, replication, process sampler.
 
 The clique settle is checked against the synchronous-round contagion it
-replaced, and the census engine against the sorted-tuple engine it replaced
-and the scalar activation-process sampler; all three are kept at the end of
-this file as references.
+replaced, and the census engine against the per-level loop and the
+sorted-tuple engine it replaced and the scalar activation-process sampler;
+all four are kept at the end of this file as references.
 """
 
 from bisect import bisect_right
@@ -39,6 +39,8 @@ from cliquecascade import (
 )
 from cliquecascade import dist_core
 from cliquecascade.clique_dynamics import (
+    _levels,
+    _walk,
     clique_cascade_size,
     mean_active_column,
     require_enumerable,
@@ -64,6 +66,7 @@ from conftest import (
     model,
     models,
     order_stat_pmf,
+    plan_moves,
     standard_model_suite,
 )
 
@@ -479,6 +482,15 @@ PINNED_DEPTH1 = [
     ),
     (({3: 1.0}, {2: 0.3, 4: 0.7}, "1/4"), {0: 1967, 1: 33}),
 ]
+# branching_root_counts(params, 2000, seed=1000 + i) on the same models,
+# recorded before the census step plan replaced the per-level loop
+PINNED_ROOT_COUNTS = [
+    {6: 2000},
+    {2: 2000},
+    {1: 1024, 3: 976},
+    {0: 775, 1: 583, 2: 418, 3: 149, 4: 58, 5: 11, 6: 5, 7: 1},
+    {0: 1958, 1: 42},
+]
 
 
 @pytest.mark.skipif(
@@ -498,6 +510,12 @@ class TestPinnedGraphRoute:
     def test_depth1_active_counts(self, i):
         (p, q, theta), expected = PINNED_DEPTH1[i]
         assert depth1_active_counts(model(p, q, theta), 2000, seed=1000 + i) == expected
+
+    @pytest.mark.parametrize("i", range(len(PINNED_ROOT_COUNTS)))
+    def test_branching_root_counts(self, i):
+        (p, q, theta), _ = PINNED_DEPTH1[i]
+        expected = PINNED_ROOT_COUNTS[i]
+        assert branching_root_counts(model(p, q, theta), 2000, seed=1000 + i) == expected
 
 
 class TestEstimate:
@@ -699,12 +717,17 @@ class TestCensusMeanMatrixIdentity:
     def test_configuration_tables_give_mean_matrix_rows(self, params):
         # the exact form of the identity above: each parent type's expected
         # community-size counts, mixed with the per-size mean columns, give
-        # its mean-matrix row; types without a configuration table have none
+        # its mean-matrix row; types without a configuration table have none.
+        # A type with one configuration keeps its sizes as a fixed row.
         tables = _census_tables(params)
         block = mean_matrix(params).block
         expected = np.zeros_like(block)
+        mean_sizes = tables.fixed.astype(float)
         for x, probs, sizes in tables.configs:
-            for w, count in zip(params.community_sizes.support, probs @ sizes):
+            assert probs.size > 1 and not tables.fixed[x].any()
+            mean_sizes[x] = probs @ sizes
+        for x, row in enumerate(mean_sizes):
+            for w, count in zip(params.community_sizes.support, row):
                 expected[x] += count * mean_active_column(params, w)
         assert np.abs(expected - block).max() <= 1e-12
 
@@ -823,16 +846,24 @@ class TestActivationProcess:
 
 
 def reference_configurations(params) -> dict:
-    """Per parent type, its configuration law weighted by order_stat_pmf."""
+    """Per parent type, (its configuration law weighted by order_stat_pmf, size counts).
+
+    One row of community-size counts per configuration, in sorted-tuple order.
+    """
     def size_pmf(w):
         return params.extra_members(w - 1)
 
-    by_type: dict[int, list[float]] = {}
+    q = params.community_sizes.support
+    by_type: dict[int, list] = {}
     for d in params.memberships.support:
-        for combo in combinations_with_replacement(params.community_sizes.support, d - 1):
+        for combo in combinations_with_replacement(q, d - 1):
             weight = params.extra_communities(d - 1) * order_stat_pmf(size_pmf, d - 1, combo)
-            by_type.setdefault(sum(w - 1 for w in combo), []).append(weight)
-    return {x: np.array(v) / np.array(v).sum() for x, v in by_type.items()}
+            counts = [combo.count(w) for w in q]
+            by_type.setdefault(sum(w - 1 for w in combo), []).append((weight, counts))
+    return {
+        x: (np.array([wt for wt, _ in v]) / sum(wt for wt, _ in v), np.array([c for _, c in v]))
+        for x, v in by_type.items()
+    }
 
 
 class TestConfigurationWeights:
@@ -841,12 +872,16 @@ class TestConfigurationWeights:
     def test_orderings_weights_equal_order_stat_pmf(self, params):
         # exact equality: the census draws from these floats, so any change
         # in them would change every multi-configuration report
+        # a type with one configuration draws nothing: its sizes are a fixed row
         tables = _census_tables(params)
         expected = reference_configurations(params)
-        configs = {int(tables.type_values[x]): probs for x, probs, _ in tables.configs}
+        configs = {int(tables.type_values[x]): (probs, sizes) for x, probs, sizes in tables.configs}
+        for x in np.flatnonzero(tables.fixed.any(axis=1)):
+            configs[int(tables.type_values[x])] = (np.ones(1), tables.fixed[x][None, :])
         assert set(configs) == set(expected) - {0}  # type 0 has no communities
-        for x, probs in configs.items():
-            assert probs.tolist() == expected[x].tolist()
+        for x, (probs, sizes) in configs.items():
+            assert probs.tolist() == expected[x][0].tolist()
+            assert sizes.tolist() == expected[x][1].tolist()
 
 
 def _cumulative(weighted: list[tuple[float, object]]):
@@ -1110,6 +1145,82 @@ def reference_estimate(params, config):
     )
 
 
+# Reference census step: the per-level dict loop the compiled step plan
+# replaced.  Its tables list every walk state's moves and every type's
+# configuration law, and the loop draws through _spread, skipping a state
+# or a run whose counts are all zero.
+
+
+def reference_walk_levels(params, clique_size):
+    """Level m as (moves, on, above): (i, probs, (placed, left) rows, onward pairs) per state."""
+    xp, floors, _, _ = _levels(params, clique_size)
+    n, level = clique_size - 1, np.array([floors[x] for x in xp.support])
+
+    def run(types):
+        return types, xp.probs[types] / xp.probs[types].sum()
+
+    levels = []
+    for m, moves in _walk(params, clique_size):
+        lo, hi = np.searchsorted(level, [m, m + 1])
+        states = []
+        for i, steps in moves.items():
+            probs = np.array([p for _, p, _ in steps])
+            members = np.array([(j - i, 0 if live else n - j) for j, _, live in steps], dtype=np.int64)
+            onward = tuple((col, j) for col, (j, _, live) in enumerate(steps) if live)
+            states.append((i, probs / probs.sum(), members, onward))
+        levels.append((tuple(states), run(slice(lo, hi)), run(slice(hi, None))))
+    return tuple(levels)
+
+
+class ReferenceCensusStep:
+    """root_step and step of the census engine as one dict loop per level."""
+
+    def __init__(self, params):
+        self.params = params
+        self.type_values = child_count_pmf(params).values
+        self.cliques = [reference_walk_levels(params, w) for w in params.community_sizes.support]
+        index = {x: i for i, x in enumerate(self.type_values.tolist())}
+        self.configs = [
+            (index[x], probs, sizes)
+            for x, (probs, sizes) in sorted(reference_configurations(params).items())
+            if x > 0 and x in index
+        ]
+
+    def resolve(self, cliques_by_size, rng):
+        shape = (cliques_by_size.shape[0], self.type_values.size)
+        active, inactive = np.zeros(shape, dtype=np.int64), np.zeros(shape, dtype=np.int64)
+        for wi, levels in enumerate(self.cliques):
+            alive = {0: cliques_by_size[:, wi]}
+            for moves, on, above in levels:
+                placed, after = np.zeros((shape[0], 2), dtype=np.int64), {}
+                for i, probs, members, onward in moves:
+                    counts = alive.get(i)
+                    if counts is None or not counts.any():
+                        continue
+                    drawn = _spread(rng, counts, probs)
+                    placed += drawn @ members
+                    for col, j in onward:
+                        after[j] = after.get(j, 0) + drawn[:, col]
+                for run, target, count in zip((on, above), (active, inactive), placed.T):
+                    if count.any():
+                        types, probs = run
+                        target[:, types] += _spread(rng, count, probs)
+                if not after:
+                    break
+                alive = after
+        return active, inactive
+
+    def root_step(self, rows, rng):
+        communities = self.params.memberships.draw(rng, rows)
+        return self.resolve(_spread(rng, communities, self.params.extra_members.probs), rng)
+
+    def step(self, active, rng):
+        cliques_by_size = np.zeros((active.shape[0], len(self.cliques)), dtype=np.int64)
+        for x, probs, sizes in self.configs:
+            cliques_by_size += _spread(rng, active[:, x], probs) @ sizes
+        return self.resolve(cliques_by_size, rng)
+
+
 def _multinomial_law(count, probs):
     """Exact law of multinomial(count, probs) as {counts tuple: probability}."""
     law = {}
@@ -1136,13 +1247,13 @@ def _spread_law(partial, prob, count, run, is_active, type_values):
 
 
 def level_table_law(levels, type_values):
-    """Law of (active-by-type, total-by-type) that one size's level tables induce."""
+    """Law of (active-by-type, total-by-type) that one size's walk plan induces."""
     zero = (0,) * (int(type_values[-1]) + 1)
     alive, law = {0: {(zero, zero): 1.0}}, {}
-    for moves, on, above in levels:
+    for states, runs in levels:
+        on, above = ({key: (types, probs) for key, types, probs in runs}[key] for key in ("on", "above"))
         after = {}
-        for i, probs, members, onward in moves:
-            targets = dict(onward)
+        for i, probs, members, targets in map(plan_moves, states):
             for col, (placed, left) in enumerate(members.tolist()):
                 grown = _spread_law(alive[i], probs[col], placed, on, True, type_values)
                 grown = _spread_law(grown, 1.0, left, above, False, type_values)
@@ -1166,7 +1277,7 @@ def tuple_table_law(tables, wi):
 def max_moves(params):
     """The most moves out of one alive state in any community size's walk."""
     levels = _census_tables(params).cliques
-    return max(probs.size for walk in levels for moves, _, _ in walk for _, probs, _, _ in moves)
+    return max(plan_moves(state)[1].size for walk in levels for states, _ in walk for state in states)
 
 
 # Models in which no alive state of any community size has two moves, so the
@@ -1178,6 +1289,70 @@ SINGLE_PATH = {
 }
 # q = {40: 1}: 307 walk states, but 1.3e9 positive-probability stop paths
 WIDE_CLIQUE = model({d: 0.1 for d in range(1, 11)}, {40: 1.0}, "1/40")
+
+
+# p={1:.5,3:.5}, q={10:1} at 1/10: child counts 0 and 18 sit on levels 0 and 2
+# of a size-10 clique, so level 1's states have one move that keeps them
+# alive, and level 2's place several members each
+GAPPED_LEVELS = model({1: 0.5, 3: 0.5}, {10: 1.0}, "1/10")
+
+
+class TestZeroCountDraws:
+    # the census step plan draws without gating zero counts; every report
+    # stays byte-identical only while numpy keeps these facts, so a numpy
+    # that breaks one fails here
+    def test_zero_counts_leave_the_generator_state(self):
+        rng = np.random.default_rng(7)
+        state = rng.bit_generator.state
+        rng.multinomial(np.zeros(5, dtype=np.int64), [0.2, 0.3, 0.5])
+        rng.multinomial(np.array([0, 4, 9]), [1.0])
+        _spread(rng, np.array([0, 4, 9]), np.ones(1))
+        rng.random(0)
+        assert rng.bit_generator.state == state
+        rng.multinomial(np.array([0, 1]), [0.5, 0.5])
+        assert rng.bit_generator.state != state
+
+    def test_zero_rows_draw_nothing(self):
+        mixed, dense = np.random.default_rng(8), np.random.default_rng(8)
+        drawn = mixed.multinomial(np.array([0, 5, 0, 3, 0]), [0.2, 0.3, 0.5])
+        assert not drawn[::2].any()
+        assert drawn[1::2].tolist() == dense.multinomial(np.array([5, 3]), [0.2, 0.3, 0.5]).tolist()
+        assert mixed.bit_generator.state == dense.bit_generator.state
+
+
+class TestStepPlan:
+    @given(
+        params=models(range(1, 5), range(2, 7), max_points=3),
+        rows=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(params=MIXTURE, rows=_BLOCK, seed=0)
+    @example(params=model({2: 0.5, 3: 0.5}, {2: 0.5, 5: 0.5}, "1/4"), rows=64, seed=1)
+    @example(params=GAPPED_LEVELS, rows=64, seed=2)
+    @example(params=WIDE_CLIQUE, rows=16, seed=3)
+    def test_plan_draws_what_the_reference_loop_draws(self, params, rows, seed):
+        # root_step, then step on the root census and on a random census with
+        # every other row empty: equal arrays, and the two generators end in
+        # the same state
+        engine, reference = _census_tables(params), ReferenceCensusStep(params)
+        rngs = [np.random.default_rng(seed) for _ in range(2)]
+        outs = [proc.root_step(rows, rng) for proc, rng in zip((engine, reference), rngs)]
+        census = np.random.default_rng(seed + 1).integers(0, 3, size=(rows, engine.type_values.size))
+        census[::2] = 0
+        for active in (outs[1][0], census):
+            assert all(np.array_equal(a, b) for a, b in zip(*outs))
+            outs = [proc.step(active, rng) for proc, rng in zip((engine, reference), rngs)]
+        assert all(np.array_equal(a, b) for a, b in zip(*outs))
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    def test_gapped_levels_have_one_move_states_that_go_on(self):
+        # guards the property's example: single moves that keep a state alive,
+        # and single moves that place several members at once
+        walks = _census_tables(GAPPED_LEVELS).cliques
+        states = [plan_moves(state) for walk in walks for level, _ in walk for state in level]
+        single = [(members, onward) for _, probs, members, onward in states if probs.size == 1]
+        assert any(onward for _, onward in single)
+        assert any(members[0, 0] > 1 for members, _ in single)
 
 
 class TestLevelEngine:

@@ -104,14 +104,18 @@ def test_phase_sweep_solves_each_theta_once(monkeypatch, capsys):
 
 
 def test_unreached_in_process(monkeypatch):
-    # one model, in this interpreter: the census overflow guard never fires,
-    # and the Perron solve leaves only its budget-exhausted raise unrun
+    # three models, in this interpreter: the census overflow guard never
+    # fires, and the Perron solve leaves only its budget-exhausted raise
+    # unrun.  The census step plan takes a model's shape: the mixture's walk
+    # states have several moves, census-deep's one, and p23-q23 has types
+    # with several configurations.
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import unreached
     from cliquecascade import cascade_matrix, cli, clique_dynamics, mc_sim
 
+    names = ("mixture", "census-deep", "p23-q23")
     started = time.monotonic()
-    lines = unreached.unreached({"mixture": unreached.compare_cli.MODELS["mixture"]})
+    lines = unreached.unreached({name: unreached.compare_cli.MODELS[name] for name in names})
     assert time.monotonic() - started < 2.0
     assert any(line.startswith("mc_sim:") and "raise CensusOverflow(" in line for line in lines)
 
