@@ -35,8 +35,7 @@ from .clique_dynamics import (
     activation_requirement,
     brute_force_clique_law,
     clique_cascade_size,
-    clique_outcome_law,
-    clique_outcome_prob,
+    clique_pgf,
 )
 from .dist_core import (
     ModelParams,
@@ -107,8 +106,7 @@ __all__ = [
     "cascade_verdict",
     "child_count_pmf",
     "clique_cascade_size",
-    "clique_outcome_law",
-    "clique_outcome_prob",
+    "clique_pgf",
     "clustering_coefficient",
     "estimate",
     "extinction_probability",

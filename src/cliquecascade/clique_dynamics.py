@@ -7,19 +7,19 @@ neighbours (parent plus activated brothers) strictly exceed threshold *
 degree, i.e. reach floor(threshold * (x_i + w - 1)) + 1.
 
 Because the activation requirement is monotone in x, the cascade fills the
-clique in increasing order of x: sort the children's child counts, scan the
-order statistics, and stop at the first position whose requirement exceeds the
-number of vertices already available.  That reduces the joint law of (number
-activated, their sorted child counts) to a closed form over order statistics,
-implemented here next to a brute-force round-based enumeration used to verify
-it.
+clique in increasing order of x: clique_cascade_size sorts the children's
+child counts, scans the order statistics, and stops at the first position
+whose requirement exceeds the number of vertices already available.
 
 The same monotonicity gives a walk over floor levels f(x) = floor(threshold *
 (x + w - 1)), and this module is the only one that knows it: _levels holds
 its tables for one clique size and _walk steps through its reachable states.
-Two modules read that one walk: mean_active_column here folds it into the
-mean activated count of every type, and the census engine in mc_sim turns
-its levels into draw tables.
+Three readers share that one walk: clique_pgf folds it into the exact law
+of the activated children by type, as its generating function;
+mean_active_column folds it into the mean activated count of every type;
+and the census engine in mc_sim turns its levels into draw tables.  The
+oracle for all of them is brute force: the synchronous-round dynamics run on
+every tuple of the child-count cube.
 """
 
 from __future__ import annotations
@@ -32,8 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dist_core import ENUMERATION_BUDGET, ModelParams, Pmf, Threshold  # budget re-exported
-from .dist_core import child_count_pmf, require_enumerable
+from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf, require_enumerable
 from .errors import EnumerationTooLarge, InvalidOutcome, UnsortedInput
 
 
@@ -169,59 +168,36 @@ def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
     return column
 
 
-def _validate_outcome(clique_size: int, outcome: CliqueOutcome) -> CliqueOutcome:
-    if clique_size < 2:
-        raise InvalidOutcome("clique size must be at least 2")
-    ell, types = outcome
-    types = tuple(int(t) for t in types)
-    if ell != len(types):
-        raise InvalidOutcome(f"ell={ell} but {len(types)} types given")
-    if ell > clique_size - 1:
-        raise InvalidOutcome(f"ell={ell} exceeds clique capacity {clique_size - 1}")
-    if any(t < 0 for t in types):
-        raise InvalidOutcome("types must be non-negative")
-    if any(b < a for a, b in zip(types, types[1:])):
-        raise InvalidOutcome(f"types must be non-decreasing: {types}")
-    return CliqueOutcome(ell, types)
+def clique_pgf(params: ModelParams, clique_size: int, s) -> float:
+    """G_w(s) = E[prod_x s_x^{A_x}], A_x the activated children of type x in one clique.
 
-
-def clique_outcome_prob(params: ModelParams, clique_size: int, outcome: CliqueOutcome) -> float:
-    """Probability of a (count, sorted child counts) cascade outcome.
-
-    Product of: feasibility indicators (position i must be reachable with i
-    vertices), the exact integer count of child orderings collapsing to the
-    sorted vector, the iid masses, and the probability that each of the
-    remaining children is unreachable even with the whole activated set.
-    Raises EnumerationTooLarge when that count passes the float range.
+    s has one entry per type, indexed like child_count_pmf(params).values;
+    any other length raises ValueError.  A fold over _walk: with r_m the
+    child-count law's mean of s over the types on level m, a move that
+    places k children on level m weighs r_m^k, inactive children weigh 1,
+    and the stop moves sum to G_w.
     """
     params.require_contagion_assumptions()
-    ell, types = _validate_outcome(clique_size, outcome)
-    w = clique_size
-    xp, floors, _, tail = _levels(params, w)
-    for i, x in enumerate(types, start=1):
-        if x not in floors or floors[x] >= i:
-            return 0.0
-    try:
-        prob = float(comb(w - 1, ell) * _orderings(types))
-    except OverflowError:
-        raise EnumerationTooLarge(f"community size {w} has weights beyond the float range") from None
-    for x in types:
-        prob *= xp(x)
-    return prob * tail[ell] ** (w - 1 - ell)
-
-
-def clique_outcome_law(params: ModelParams, clique_size: int) -> dict[CliqueOutcome, float]:
-    """Full outcome law from the closed form, over the child-count support."""
-    params.require_contagion_assumptions()
-    xp = child_count_pmf(params)
-    require_enumerable(comb(len(xp.support) + clique_size - 2, clique_size - 1), "sorted tuples")
-    law: dict[CliqueOutcome, float] = {}
-    for ell in range(clique_size):
-        for types in itertools.combinations_with_replacement(xp.support, ell):
-            prob = clique_outcome_prob(params, clique_size, CliqueOutcome(ell, types))
-            if prob > 0.0:
-                law[CliqueOutcome(ell, types)] = prob
-    return law
+    xp, floors, mass, _ = _levels(params, clique_size)
+    if len(s) != len(xp.items):
+        raise ValueError(f"s has {len(s)} entries but the child-count support has {len(xp.items)}")
+    r = [0.0] * len(mass)
+    for (x, p), s_x in zip(xp.items, s):
+        if floors[x] < len(mass):
+            r[floors[x]] += p * float(s_x)
+    r = [mean / m if m else 0.0 for mean, m in zip(r, mass)]
+    alive, total = {0: 1.0}, 0.0
+    for m, moves in _walk(params, clique_size):
+        after = {}
+        for i, steps in moves.items():
+            for j, weight, live in steps:
+                value = alive[i] * weight * r[m] ** (j - i)
+                if live:
+                    after[j] = after.get(j, 0.0) + value
+                else:
+                    total += value
+        alive = after
+    return total
 
 
 def _round_based_active(numerator: int, denominator: int, clique_size: int, child_counts) -> list[bool]:
@@ -264,7 +240,7 @@ def iter_enumerated_outcomes(params: ModelParams, clique_size: int):
 def brute_force_clique_law(params: ModelParams, clique_size: int) -> dict[CliqueOutcome, float]:
     """Outcome law by exhaustive enumeration of child-count tuples.
 
-    The oracle for the closed form: runs the synchronous-round dynamics on
+    The oracle for clique_pgf: runs the synchronous-round dynamics on
     every tuple in the support cube and aggregates by outcome.
     """
     law: dict[CliqueOutcome, float] = {}

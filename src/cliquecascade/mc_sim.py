@@ -97,18 +97,8 @@ class LocalGraph:
         return self.depth.shape[0]
 
     @property
-    def n_cliques(self) -> int:
-        return self.clique_size.shape[0]
-
-    @property
     def n_roots(self) -> int:
         return int(np.searchsorted(self.depth, 1))
-
-    def vertices_by_depth(self) -> np.ndarray:
-        return np.bincount(self.depth, minlength=self.truncation_depth + 1)
-
-    def active_by_depth(self) -> np.ndarray:
-        return np.bincount(self.depth[self.active], minlength=self.truncation_depth + 1)
 
     def active_per_tree(self) -> np.ndarray:
         """Active vertices at the truncation depth, per tree."""

@@ -8,7 +8,7 @@ routes and are used both by the test suite and by the `verify` CLI command.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb, sqrt
+from math import prod, sqrt
 
 import numpy as np
 
@@ -16,7 +16,7 @@ from .cascade_matrix import mean_active_by_type_oracle, mean_active_of_type
 from .clique_dynamics import (
     _require_float_range,
     clique_cascade_size,
-    clique_outcome_law,
+    clique_pgf,
     iter_enumerated_outcomes,
     require_enumerable,
 )
@@ -37,29 +37,36 @@ class OracleCheck:
         return self.worst <= self.tolerance
 
 
+def _pgf_points(size: int) -> list[list[float]]:
+    """The fixed points of the clique pgf checks: s = 1, s = 0 and two type-varying vectors."""
+    rising = [(i + 1) / (size + 1) for i in range(size)]
+    return [[1.0] * size, [0.0] * size, rising, rising[::-1]]
+
+
 def oracle_equivalence_checks(params: ModelParams) -> list[OracleCheck]:
-    """Closed forms vs one walk per size's child-count cube, every budget checked first."""
+    """Walk pgf, cascade sizes and mean columns vs one pass per size's cube, budgets first."""
     params.require_contagion_assumptions()
     for w in params.community_sizes.support:
-        _require_float_range(w)  # clique_outcome_law's guard, before any composition
+        _require_float_range(w)  # the walk's guard, before the child-count law is composed
     xp = child_count_pmf(params)
     for w in params.community_sizes.support:
-        require_enumerable(comb(len(xp.support) + w - 2, w - 1), "sorted tuples")
         require_enumerable(len(xp.support) ** (w - 1), "child-count tuples")
+    index = {x: i for i, x in enumerate(xp.support)}
+    points = _pgf_points(len(index))
     checks, mean_checks = [], []
     for w in params.community_sizes.support:
-        law = clique_outcome_law(params, w)
         brute, worst_size = {}, 0.0
         for xs, weight, outcome in iter_enumerated_outcomes(params, w):
             brute[outcome] = brute.get(outcome, 0.0) + weight
             direct = clique_cascade_size(params.threshold, w, tuple(sorted(xs)))
             worst_size = max(worst_size, float(abs(direct - outcome.ell)))
-        keys = set(law) | set(brute)
-        worst = max(abs(law.get(k, 0.0) - brute.get(k, 0.0)) for k in keys)
-        checks.append(OracleCheck(f"clique_law_w{w}", worst, ORACLE_TOL))
-        checks.append(
-            OracleCheck(f"clique_law_mass_w{w}", abs(sum(law.values()) - 1.0), ORACLE_TOL)
+        pgf = [clique_pgf(params, w, s) for s in points]
+        worst = max(
+            abs(g - sum(p * prod(s[index[x]] for x in o.types) for o, p in brute.items()))
+            for g, s in zip(pgf, points)
         )
+        checks.append(OracleCheck(f"clique_law_w{w}", worst, ORACLE_TOL))
+        checks.append(OracleCheck(f"clique_law_mass_w{w}", abs(pgf[0] - 1.0), ORACLE_TOL))
         checks.append(OracleCheck(f"cascade_size_w{w}", worst_size, 0.0))
         means = mean_active_by_type_oracle(brute)
         worst = max(abs(mean_active_of_type(params, x, w) - means.get(x, 0)) for x in xp.support)

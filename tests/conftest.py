@@ -1,12 +1,12 @@
 from itertools import groupby
-from math import factorial
+from math import factorial, prod
 
 import hypothesis
 import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from cliquecascade import ModelParams, Threshold
+from cliquecascade import ModelParams, Threshold, child_count_pmf
 
 hypothesis.settings.register_profile(
     "ci",
@@ -85,6 +85,15 @@ def order_stat_pmf(base, n: int, sorted_values) -> float:
     for v in vals:
         prob *= base(v)
     return prob
+
+
+def law_pgf(params: ModelParams, law: dict, s) -> float:
+    """The pgf of a clique outcome law at s, indexed like child_count_pmf(params).values.
+
+    The same sum, in the same order, as verify's brute-force side.
+    """
+    index = {x: i for i, x in enumerate(child_count_pmf(params).support)}
+    return sum(p * prod(s[index[x]] for x in o.types) for o, p in law.items())
 
 
 # thresholds for the properties; most of them put theta * degree exactly on

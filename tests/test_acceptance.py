@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from cliquecascade import (
-    CliqueOutcome,
     SimConfig,
     Threshold,
     VerdictKind,
@@ -20,7 +19,7 @@ from cliquecascade import (
     child_count_pmf,
     cli,
     clique_cascade_size,
-    clique_outcome_law,
+    clique_pgf,
     clustering_coefficient,
     estimate,
     extinction_probability,
@@ -32,12 +31,13 @@ from cliquecascade import (
 from cliquecascade.cascade_matrix import mean_active_by_type_oracle
 from cliquecascade.clique_dynamics import iter_enumerated_outcomes
 from cliquecascade.verification import (
+    _pgf_points,
     branching_root_counts,
     depth1_active_counts,
     histogram_match,
 )
 
-from conftest import model, standard_model_suite
+from conftest import law_pgf, model, standard_model_suite
 
 THETAS = [Threshold(1, 10), Threshold(3, 10), Threshold(2, 5), Threshold(49, 100)]
 
@@ -53,24 +53,24 @@ def suite_with_all_thetas():
 
 
 def test_1_clique_law_oracle_suite():
+    bound = 1e-9
     started = time.monotonic()
-    worst_tv = 0.0
+    worst = 0.0
     sizes_exact = True
     for params in suite_with_all_thetas():
+        points = _pgf_points(len(child_count_pmf(params).support))
         for w in params.community_sizes.support:
-            law = clique_outcome_law(params, w)
             brute = brute_force_clique_law(params, w)
-            keys = set(law) | set(brute)
-            tv = 0.5 * sum(abs(law.get(k, 0.0) - brute.get(k, 0.0)) for k in keys)
-            worst_tv = max(worst_tv, tv)
+            for s in points:
+                worst = max(worst, abs(clique_pgf(params, w, s) - law_pgf(params, brute, s)))
             for xs, _, outcome in iter_enumerated_outcomes(params, w):
                 direct = clique_cascade_size(params.threshold, w, tuple(sorted(xs)))
                 if direct != outcome.ell:
                     sizes_exact = False
     elapsed = time.monotonic() - started
-    ok = worst_tv <= 1e-9 and sizes_exact and elapsed < 60.0
+    ok = worst <= bound and sizes_exact and elapsed < 60.0
     report(1, "clique law vs round-based oracle", ok)
-    assert worst_tv <= 1e-9
+    assert worst <= bound
     assert sizes_exact
     assert elapsed < 60.0
 

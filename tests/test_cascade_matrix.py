@@ -19,7 +19,6 @@ from cliquecascade import (
     cascade_verdict,
     child_count_pmf,
     clique_dynamics,
-    clique_outcome_prob,
     mean_active_of_type,
     mean_matrix,
     spectral_radius,
@@ -34,9 +33,9 @@ from conftest import UNDERFLOW_MODELS, model, models, standard_model_suite
 def active_count_prob(params, x, clique_size, k, ell, i):
     """Paper formula: a clique activates ell children, k of type x, i below x.
 
-    Sums the outcome law over sorted vectors whose first i entries are
-    strictly below x, next k entries equal x, and remaining entries strictly
-    above.  Empty index combinations give 0.
+    Sums the brute-force outcome law over sorted vectors whose first i
+    entries are strictly below x, next k entries equal x, and remaining
+    entries strictly above.  Empty index combinations give 0.
     """
     w = clique_size
     if k < 1 or ell > w - 1 or i < 0 or k + i > ell:
@@ -44,13 +43,14 @@ def active_count_prob(params, x, clique_size, k, ell, i):
     xp = child_count_pmf(params)
     if xp(x) == 0.0:
         return 0.0
+    law = brute_force_clique_law(params, w)
     below = [v for v in xp.support if v < x]
     above = [v for v in xp.support if v > x]
     total = 0.0
     for low in itertools.combinations_with_replacement(below, i):
         for high in itertools.combinations_with_replacement(above, ell - k - i):
             types = low + (x,) * k + high
-            total += clique_outcome_prob(params, w, CliqueOutcome(ell, types))
+            total += law.get(CliqueOutcome(ell, types), 0.0)
     return total
 
 
@@ -204,7 +204,7 @@ class TestMeanMatrix:
         def refuse(*args):
             raise AssertionError("mean matrix enumerated clique outcomes")
 
-        monkeypatch.setattr(clique_dynamics, "clique_outcome_prob", refuse)
+        monkeypatch.setattr(clique_dynamics, "iter_enumerated_outcomes", refuse)
         params = wide_model("13/37")
         assert mean_matrix(params).dim == 19
         assert cascade_verdict(params).kind is VerdictKind.FINITE_ALMOST_SURELY

@@ -17,11 +17,9 @@ from cliquecascade import (
     brute_force_clique_law,
     child_count_pmf,
     clique_cascade_size,
-    clique_outcome_law,
-    clique_outcome_prob,
+    clique_pgf,
 )
 from cliquecascade.clique_dynamics import (
-    ENUMERATION_BUDGET,
     _levels,
     _orderings,
     iter_enumerated_outcomes,
@@ -29,8 +27,9 @@ from cliquecascade.clique_dynamics import (
 )
 from cliquecascade.errors import InvalidOutcome, UnsortedInput
 from cliquecascade.mc_sim import _census_tables
+from cliquecascade.verification import _pgf_points
 
-from conftest import model, models, order_stat_pmf, plan_moves
+from conftest import law_pgf, model, models, order_stat_pmf, plan_moves
 
 # two-point child law: X = 1 or 2 with equal mass (memberships 2, sizes 2 or 3)
 TWO_POINT = model({2: 1.0}, {2: 0.5, 3: 0.5}, "1/4")
@@ -139,15 +138,6 @@ class TestFloatRangeGuard:
         with pytest.raises(EnumerationTooLarge, match="float range"):
             _levels(model({1: 0.5, 2: 0.5}, {1031: 1.0}, "1/3000"), 1031)
 
-    def test_outcome_weight_past_the_float_range(self):
-        # size 1025 passes the walk's guard, but 683 active children, 341 of
-        # type 0 and 342 of type 1024, have more orderings than a float holds
-        params = model({1: 0.5, 2: 0.5}, {1025: 1.0}, "1/3000")
-        assert math.comb(1024, 683) * math.comb(683, 341) > sys.float_info.max
-        outcome = CliqueOutcome(683, (0,) * 341 + (1024,) * 342)
-        with pytest.raises(EnumerationTooLarge, match="float range"):
-            clique_outcome_prob(params, 1025, outcome)
-
 
 class TestWalkReaders:
     @given(models(range(1, 5), range(2, 9), max_points=3))
@@ -175,18 +165,18 @@ class TestWalkReaders:
 
 class TestOutcomeLaw:
     def test_triangle_full_cascade(self, triangle_model):
-        law = clique_outcome_law(triangle_model, 3)
+        law = brute_force_clique_law(triangle_model, 3)
         assert law == {CliqueOutcome(2, (4, 4)): pytest.approx(1.0)}
 
     def test_triangle_blocked(self, triangle_model):
-        law = clique_outcome_law(triangle_model.with_threshold("3/10"), 3)
+        law = brute_force_clique_law(triangle_model.with_threshold("3/10"), 3)
         assert law == {CliqueOutcome(0, ()): pytest.approx(1.0)}
 
     def test_two_point_law_by_hand(self):
         # child counts are size-biased: P(X=1)=0.4, P(X=2)=0.6; with
         # A(1)=1, A(2)=2 at threshold 1/4 in a 3-community, (1,1) and
         # (1,2) cascade fully while (2,2) never starts
-        law = clique_outcome_law(TWO_POINT, 3)
+        law = brute_force_clique_law(TWO_POINT, 3)
         assert law[CliqueOutcome(0, ())] == pytest.approx(0.36)
         assert law[CliqueOutcome(2, (1, 1))] == pytest.approx(0.16)
         assert law[CliqueOutcome(2, (1, 2))] == pytest.approx(0.48)
@@ -194,38 +184,55 @@ class TestOutcomeLaw:
 
     def test_two_point_pair_community(self):
         # lone member always activates: A(1)=A(2)=1 at w=2
-        law = clique_outcome_law(TWO_POINT, 2)
+        law = brute_force_clique_law(TWO_POINT, 2)
         assert law[CliqueOutcome(1, (1,))] == pytest.approx(0.4)
         assert law[CliqueOutcome(1, (2,))] == pytest.approx(0.6)
 
+    @pytest.mark.parametrize("s", [(1.0, 1.0), (0.0, 0.0), (0.3, 0.7), (0.9, 0.2)])
+    def test_two_point_pgf_by_hand(self, s):
+        # the law above as a pgf: 0.36 + 0.16 s_1^2 + 0.48 s_1 s_2
+        s1, s2 = s
+        assert clique_pgf(TWO_POINT, 3, s) == pytest.approx(
+            0.36 + 0.16 * s1**2 + 0.48 * s1 * s2, abs=1e-15
+        )
+
+    @pytest.mark.parametrize("s", [(1.0, 1.0), (0.0, 0.0), (0.3, 0.7), (0.9, 0.2)])
+    def test_census_deep_pair_pgf(self, s):
+        # p={1:.5,3:.5}, q={2:1}: X is 0 or 2 with masses 1/4, 3/4, and the
+        # lone child of a pair always activates, so G_2(s) = s_0/4 + 3 s_2/4
+        params = model({1: 0.5, 3: 0.5}, {2: 1.0}, "1/10")
+        assert child_count_pmf(params).support == (0, 2)
+        assert clique_pgf(params, 2, s) == pytest.approx(0.25 * s[0] + 0.75 * s[1], abs=1e-15)
+
     def test_law_mass_one_each_size(self, mixed_model):
         for w in mixed_model.community_sizes.support:
-            law = clique_outcome_law(mixed_model, w)
+            law = brute_force_clique_law(mixed_model, w)
             assert sum(law.values()) == pytest.approx(1.0, abs=1e-12)
 
-    def test_prob_of_impossible_outcome_is_zero(self):
-        # a child of type 2 cannot sit at position 1: A(2)=2 > 1
-        assert clique_outcome_prob(TWO_POINT, 3, CliqueOutcome(2, (2, 2))) == 0.0
+    @given(models(range(1, 5), range(2, 9), max_points=3))
+    def test_pgf_at_one_is_one(self, params):
+        ones = np.ones(len(child_count_pmf(params).support))
+        for w in params.community_sizes.support:
+            assert abs(clique_pgf(params, w, ones) - 1.0) <= 1e-12
 
-    def test_validates_outcome_shape(self):
-        with pytest.raises(InvalidOutcome):
-            clique_outcome_prob(TWO_POINT, 3, CliqueOutcome(1, (1, 1)))
-        with pytest.raises(InvalidOutcome):
-            clique_outcome_prob(TWO_POINT, 3, CliqueOutcome(3, (1, 1, 1)))
-        with pytest.raises(InvalidOutcome):
-            clique_outcome_prob(TWO_POINT, 3, CliqueOutcome(2, (2, 1)))
+    @pytest.mark.parametrize("size", [0, 1, 3])
+    def test_pgf_rejects_wrong_length(self, size):
+        # two types; a shorter or longer s is never zip-truncated into a number
+        with pytest.raises(ValueError, match="child-count support has 2"):
+            clique_pgf(TWO_POINT, 3, [0.5] * size)
 
 
 class TestOracle:
-    def test_matches_closed_form(self):
-        params = model({1: 0.3, 3: 0.7}, {2: 0.4, 4: 0.6}, "3/10")
+    # at most two points per support keeps the brute-force cube below 8^5
+    @given(models(range(1, 5), range(2, 7), max_points=2))
+    @example(model({1: 0.3, 3: 0.7}, {2: 0.4, 4: 0.6}, "3/10"))
+    def test_pgf_matches_brute_force(self, params):
+        # the walk's pgf against the pgf of the enumerated law, at verify's points
+        points = _pgf_points(len(child_count_pmf(params).support))
         for w in params.community_sizes.support:
-            law = clique_outcome_law(params, w)
             brute = brute_force_clique_law(params, w)
-            for key in set(law) | set(brute):
-                assert law.get(key, 0.0) == pytest.approx(
-                    brute.get(key, 0.0), abs=1e-9
-                )
+            for s in points:
+                assert abs(clique_pgf(params, w, s) - law_pgf(params, brute, s)) <= 1e-12
 
     def test_cascade_size_agrees_with_rounds(self):
         params = model({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "2/5")
@@ -239,10 +246,3 @@ class TestOracle:
         wide = model({v: 1 / 13 for v in range(1, 14)}, {8: 1.0}, "1/10")
         with pytest.raises(EnumerationTooLarge):
             brute_force_clique_law(wide, 8)
-
-    def test_outcome_law_budget(self):
-        # 57 child counts (1..57): C(75, 19), about 3e17 sorted tuples at size 20
-        wide = model({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}, {w: 1 / 19 for w in range(2, 21)}, "1/5")
-        assert math.comb(len(child_count_pmf(wide).support) + 18, 19) > ENUMERATION_BUDGET
-        with pytest.raises(EnumerationTooLarge):
-            clique_outcome_law(wide, 20)

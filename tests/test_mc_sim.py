@@ -28,8 +28,8 @@ from cliquecascade import (
     SimConfig,
     SimReport,
     Threshold,
+    brute_force_clique_law,
     child_count_pmf,
-    clique_outcome_law,
     estimate,
     mean_active_of_type,
     mean_matrix,
@@ -102,8 +102,8 @@ class TestSampler:
     def test_triangle_depth_one(self, triangle_model):
         graph = sample_local_graph(triangle_model, 1, np.random.default_rng(0))
         assert graph.n_vertices == 7
-        assert graph.n_cliques == 3
-        assert list(graph.vertices_by_depth()) == [1, 6]
+        assert graph.clique_size.size == 3
+        assert list(np.bincount(graph.depth)) == [1, 6]
         # frontier children all carry the deterministic child count
         assert set(graph.child_count[1:]) == {4}
 
@@ -111,8 +111,8 @@ class TestSampler:
         # the root joins two pair-communities, so the graph is a two-ended
         # path: two vertices at every positive depth
         graph = sample_local_graph(path_model, 3, np.random.default_rng(0))
-        assert list(graph.vertices_by_depth()) == [1, 2, 2, 2]
-        assert list(graph.clique_size) == [2] * graph.n_cliques
+        assert list(np.bincount(graph.depth)) == [1, 2, 2, 2]
+        assert list(graph.clique_size) == [2] * graph.clique_size.size
 
     def test_single_membership_single_child(self):
         params = model({1: 1.0}, {2: 1.0}, "1/10")
@@ -166,7 +166,7 @@ def _assert_structure(graph):
     assert np.all(np.diff(graph.depth) >= 0)
     members = graph.clique_size - 1
     member_start, clique_parent = _clique_layout(graph)
-    owner = np.repeat(np.arange(graph.n_cliques), members)
+    owner = np.repeat(np.arange(graph.clique_size.size), members)
     first = np.repeat(member_start, members)
     offset = np.arange(owner.size) - np.repeat(np.cumsum(members) - members, members)
     ids = first + offset
@@ -266,7 +266,7 @@ class TestForest:
             _assert_structure(alone)
             run_contagion(alone, params.threshold)
             assert np.array_equal(alone.active, forest.active[forest.tree == t])
-            per_tree[t] = alone.active_by_depth()[depth]
+            per_tree[t] = np.bincount(alone.depth[alone.active], minlength=depth + 1)[depth]
         assert np.array_equal(forest.active_per_tree(), per_tree)
 
     def test_depth1_histogram_counts_every_replicate(self):
@@ -583,12 +583,12 @@ class TestEstimate:
 
     def test_depth_one_active_mean_matches_law(self):
         # expected active depth-1 count: communities of the root each convert
-        # children according to the exact clique law
+        # children according to the clique law, enumerated by brute force
         params = MIXTURE
         mu = params.mean_community_size
         per_community = sum(
             (w * params.community_sizes(w) / mu)
-            * sum(o.ell * p for o, p in clique_outcome_law(params, w).items())
+            * sum(o.ell * p for o, p in brute_force_clique_law(params, w).items())
             for w in params.community_sizes.support
         )
         expected = params.mean_memberships * per_community
@@ -838,8 +838,8 @@ class TestActivationProcess:
         wide = model({13: 1.0}, {w: 1 / 20 for w in range(2, 22)}, "1/10")
         with pytest.raises(EnumerationTooLarge):
             ReferenceActivationProcess(wide)
-        # 6859 configurations, but about 3e17 sorted clique tuples at size 20,
-        # refused before any smaller size is enumerated
+        # 6859 configurations, but 58^19 child-count tuples in the size-20
+        # cube, refused before any smaller size is enumerated
         large = model({2: 1 / 3, 3: 1 / 3, 4: 1 / 3}, {w: 1 / 19 for w in range(2, 21)}, "1/5")
         with pytest.raises(EnumerationTooLarge):
             ReferenceActivationProcess(large)
@@ -911,7 +911,7 @@ def _reference_rounds(graph, threshold) -> np.ndarray:
     rest = active[roots:]
     while True:
         neighbours = (
-            np.bincount(co[rest], minlength=graph.n_cliques)[co]
+            np.bincount(co[rest], minlength=graph.clique_size.size)[co]
             - rest
             + active[par]
             + np.bincount(par[rest], minlength=n)[roots:]
@@ -927,7 +927,7 @@ class ReferenceActivationProcess:
 
     The scalar reference for the census engine mc_sim.ActivationProcess:
     the root spawns communities from the raw membership law, each community
-    draws a cascade outcome from the exact clique law for its size, and every
+    draws a cascade outcome from the brute-force clique law for its size, and every
     later active vertex of type x draws its community sizes from the
     configuration law conditioned on total extra members x, enumerated over
     ordered size tuples.  Tables are enumerated once and sampled by inverse
@@ -946,7 +946,7 @@ class ReferenceActivationProcess:
         # largest size first: an oversized clique law fails before any work
         self._outcomes = {}
         for w in reversed(q.support):
-            law = clique_outcome_law(params, w)
+            law = brute_force_clique_law(params, w)
             ordered = sorted(law.items())
             self._outcomes[w] = _cumulative([(p, o) for o, p in ordered])
 
