@@ -30,13 +30,14 @@ def uniform(values) -> list:
     return [[v, 1.0 / len(values)] for v in values]
 
 
-# name: (memberships, community sizes, threshold).  p23-q23 is the one model
-# whose simulate draws from a configuration table with several rows (a type-2
-# vertex has one size-3 or two size-2 further communities); the wide models
-# have such tables but die out too soon.  subcritical is the one model whose
-# extinction probability is 1 without iterating.  No model reaches the gcd
-# reduction in Threshold: the CLI parses thresholds through Fraction, which
-# has already reduced them.  p61-underflow is the one model whose child-count
+# name: (memberships, community sizes, threshold).  p23-q23 and p247-q234
+# are the models whose simulate draws from a configuration table with several
+# rows (in p23-q23 a type-2 vertex has one size-3 or two size-2 further
+# communities; p247-q234 has 13 such types and 36 rows, and survives); the
+# wide models have such tables but die out too soon.  subcritical is the one
+# model whose extinction probability is 1 without iterating.  No model
+# reaches the gcd reduction in Threshold: the CLI parses thresholds through
+# Fraction, which has already reduced them.  p61-underflow is the one model whose child-count
 # law drops its top types (their masses underflow), so its dense mean matrix
 # (121 rows) reaches past the support's largest type, 116.
 MODELS = {
@@ -51,6 +52,7 @@ MODELS = {
     "p13-q23": ([[1, 0.5], [3, 0.5]], [[2, 0.5], [3, 0.5]], "1/5"),
     "p3-q24": ([[3, 1.0]], [[2, 0.3], [4, 0.7]], "1/4"),
     "p23-q23": ([[2, 0.5], [3, 0.5]], [[2, 0.5], [3, 0.5]], "1/5"),
+    "p247-q234": ([[2, 0.3], [4, 0.4], [7, 0.3]], [[2, 0.3], [3, 0.3], [4, 0.4]], "1/12"),
     "subcritical": ([[1, 0.9], [2, 0.1]], [[2, 1.0]], "1/10"),
     "p61-underflow": ([[61, 1.0]], [[2, 1.0 - 1e-6], [3, 1e-6]], "1/100"),
 }

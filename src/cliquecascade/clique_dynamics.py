@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 import sys
 from functools import lru_cache
-from math import comb, factorial, lgamma, log
+from math import comb, lgamma, log
 from typing import NamedTuple
 
 import numpy as np
@@ -73,14 +73,6 @@ def clique_cascade_size(threshold: Threshold, clique_size: int, sorted_child_cou
         if activation_requirement(threshold, x, clique_size) > i:
             return i - 1
     return clique_size - 1
-
-
-def _orderings(sorted_values) -> int:
-    """Distinct orderings of a sorted multiset, e.g. 6! / (3! 2!) = 60 for (1, 2, 2, 2, 5, 5)."""
-    ways = factorial(len(sorted_values))
-    for _, run in itertools.groupby(sorted_values):
-        ways //= factorial(len(list(run)))
-    return ways
 
 
 def _require_float_range(clique_size: int) -> None:

@@ -32,15 +32,16 @@ depends only on the model, the depth, the replicate count and the seed.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from math import comb
+from math import comb, exp, inf, lgamma, log
+from operator import mul
 
 import numpy as np
 
-from .clique_dynamics import _levels, _orderings, _require_float_range, _walk
+from .clique_dynamics import _levels, _require_float_range, _walk
 from .dist_core import ModelParams, Threshold, child_count_pmf, require_enumerable
 from .errors import CensusOverflow, ConfigInvalid
 
@@ -272,6 +273,13 @@ def _spread(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray) -> 
     return rng.multinomial(counts, probs)
 
 
+def _count_vectors(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Vectors of parts counts summing to total: first count descending, then the next."""
+    if parts == 1:
+        return [(total,)]
+    return [(n, *rest) for n in range(total, -1, -1) for rest in _count_vectors(total - n, parts - 1)]
+
+
 class ActivationProcess:
     """The activation process as a multi-type branching process: the census engine.
 
@@ -284,7 +292,7 @@ class ActivationProcess:
     size) counts of each type with one configuration, which draws nothing,
     and configs (type, probs, size counts) for the other types with
     communities in increasing order: their configuration law given the
-    extra members, one row per configuration in sorted-tuple order.
+    extra members, one row per size-count vector, in _count_vectors order.
     Raises EnumerationTooLarge before listing more than ENUMERATION_BUDGET
     configuration tuples, or for a community size past the walk's float
     range; both refusals come before the child-count law is composed.
@@ -299,27 +307,27 @@ class ActivationProcess:
             _require_float_range(w)
         xp = child_count_pmf(params)
         type_index = {x: i for i, x in enumerate(xp.support)}
-        size_index = {w: i for i, w in enumerate(q.support)}
-
-        by_type: dict[int, list[tuple[float, np.ndarray]]] = {}
+        # log P(K = d - 1) + log((d - 1)! / prod n_w!) + sum n_w log e_w; a zero mass weighs -inf
+        log_k = {k: log(mass) for k, mass in params.extra_communities.items}
+        log_e = {m: log(mass) for m, mass in params.extra_members.items}
+        terms = [[0.0] + [n * log_e.get(w - 1, -inf) - lgamma(n + 1) for n in range(1, p.support_max)]
+                 for w in q.support]
+        by_type = defaultdict(lambda: ([], []))
         for d in p.support:
-            weight_d = params.extra_communities(d - 1)
-            for combo in combinations_with_replacement(q.support, d - 1):
-                x = sum(w - 1 for w in combo)
-                weight = float(_orderings(combo))
-                counts = np.zeros(len(q.support), dtype=np.int64)
-                for w in combo:
-                    weight *= params.extra_members(w - 1)
-                    counts[size_index[w]] += 1
-                by_type.setdefault(x, []).append((weight_d * weight, counts))
+            base = log_k.get(d - 1, -inf) + lgamma(d)
+            for counts in _count_vectors(d - 1, len(q.support)):
+                logs, rows = by_type[sum(map(mul, counts, q.support)) - d + 1]  # sum n_w (w - 1)
+                logs.append(base + sum(t[n] for t, n in zip(terms, counts)))
+                rows.append(counts)
         configs, self.fixed = [], np.zeros((xp.values.size, len(q.support)), dtype=np.int64)
-        for x, weighted in sorted(by_type.items()):
+        for x, (logs, rows) in sorted(by_type.items()):
             if x > 0 and x in type_index:  # a type whose mass underflowed never occurs
-                probs = np.array([wt for wt, _ in weighted])
-                sizes = np.array([c for _, c in weighted], dtype=np.int64)
-                if probs.size == 1:
+                sizes = np.array(rows, dtype=np.int64)
+                if len(rows) == 1:
                     self.fixed[type_index[x]] = sizes[0]
                 else:
+                    top = max(logs)  # so that no weight can overflow
+                    probs = np.array([exp(lw - top) for lw in logs])
                     configs.append((type_index[x], probs / probs.sum(), sizes))
         self.params = params
         self.type_values = xp.values

@@ -73,8 +73,9 @@ def _random_pmf(rng: np.random.Generator, support: list[int]) -> dict[int, float
 def order_stat_pmf(base, n: int, sorted_values) -> float:
     """Joint pmf of the order statistics of n iid draws at the sorted point.
 
-    The reference for the census configuration weights, which must equal it
-    exactly: an integer count of orderings, then one float product in order.
+    The reference for the census configuration weights, which agree with it
+    within 1e-12 relative: an integer count of orderings, then one float
+    product in order.
     """
     vals = tuple(sorted_values)
     assert len(vals) == n and list(vals) == sorted(vals)

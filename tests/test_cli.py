@@ -323,6 +323,20 @@ class TestSimulate:
         assert captured.out == ""
         assert "enumeration too large: 34597290 configuration tuples" in captured.err
 
+    def test_configuration_count_past_float_range(self, tmp_path, capsys):
+        # a type-1099 parent has 1,100 configurations, and the multinomial
+        # count of the middle ones passes 1.8e308, so a weight formed as that
+        # count times a product overflows; the table forms it in log space.  A root's 1,100 communities hold 1.6 more
+        # members each in expectation, so the depth-1 mean is 1760 with a
+        # standard error of about 5; the bound is fixed before any run.
+        payload = {"memberships": [[1100, 1.0]], "community_sizes": [[2, 0.5], [3, 0.5]], "threshold": "1/5"}
+        argv = ["simulate", "--config", write_config(tmp_path, payload)]
+        assert run(argv + ["--depth", "2", "--replicates", "10", "--seed", "1"]) == 0
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        report = json.loads(captured.out)
+        assert abs(report["mean_vertices_by_depth"][1] - 1760) < 60
+
     def test_wide_clique_simulates(self, tmp_path, capsys):
         # the census walks the 307 states, so depth 3 runs, and depth 10
         # would outgrow int64 at level 8

@@ -21,7 +21,6 @@ from cliquecascade import (
 )
 from cliquecascade.clique_dynamics import (
     _levels,
-    _orderings,
     iter_enumerated_outcomes,
     mean_active_column,
 )
@@ -85,33 +84,8 @@ class TestCascadeSize:
         assert hi <= lo
 
 
-class TestOrderings:
-    def test_documented_example(self):
-        assert _orderings((1, 2, 2, 2, 5, 5)) == 60
-
-    def test_distinct_values(self):
-        assert _orderings((1, 2, 3)) == 6
-
-    def test_single_run(self):
-        assert _orderings((7, 7, 7)) == 1
-
-    def test_empty(self):
-        assert _orderings(()) == 1
-
-    @given(st.integers(1, 4))
-    def test_sorted_tuple_law_sums_to_one(self, n):
-        from itertools import combinations_with_replacement
-
-        base = Pmf.from_pairs({0: 0.2, 1: 0.3, 4: 0.5})
-        total = sum(
-            _orderings(xs) * math.prod(base(x) for x in xs)
-            for xs in combinations_with_replacement(base.support, n)
-        )
-        assert total == pytest.approx(1.0, abs=1e-12)
-
-
 class TestOrderStatPmf:
-    # the reference for the orderings weights (conftest.order_stat_pmf)
+    # the reference for the configuration weights (conftest.order_stat_pmf)
     @given(st.integers(1, 4))
     def test_sums_to_one(self, n):
         from itertools import combinations_with_replacement

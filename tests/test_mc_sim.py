@@ -38,6 +38,7 @@ from cliquecascade import (
     survival_by_threshold,
 )
 from cliquecascade import dist_core
+from cliquecascade.cascade_matrix import _other_communities
 from cliquecascade.clique_dynamics import (
     _levels,
     _walk,
@@ -51,6 +52,7 @@ from cliquecascade.mc_sim import (
     _blocks,
     _census_tables,
     _check_next_level,
+    _count_vectors,
     _settle,
     _spread,
 )
@@ -866,12 +868,20 @@ def reference_configurations(params) -> dict:
     }
 
 
+# compare_cli's models whose census draws from configuration tables with several rows
+MULTI_ROW = {
+    "p23-q23": model({2: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, "1/5"),
+    "p247-q234": model({2: 0.3, 4: 0.4, 7: 0.3}, {2: 0.3, 3: 0.3, 4: 0.4}, "1/12"),
+}
+
+
 class TestConfigurationWeights:
     @given(params=models(range(1, 6), range(2, 6), max_points=3))
     @example(params=model({5: 1.0}, {2: 0.5, 3: 0.5}, "1/5"))
     def test_orderings_weights_equal_order_stat_pmf(self, params):
-        # exact equality: the census draws from these floats, so any change
-        # in them would change every multi-configuration report
+        # the same types and rows in the same order; the weights are formed
+        # in log space, so they agree with the product form to rounding (the
+        # draws they feed are guarded by the sha256 pins and compare_cli)
         # a type with one configuration draws nothing: its sizes are a fixed row
         tables = _census_tables(params)
         expected = reference_configurations(params)
@@ -880,8 +890,56 @@ class TestConfigurationWeights:
             configs[int(tables.type_values[x])] = (np.ones(1), tables.fixed[x][None, :])
         assert set(configs) == set(expected) - {0}  # type 0 has no communities
         for x, (probs, sizes) in configs.items():
-            assert probs.tolist() == expected[x][0].tolist()
+            assert probs == pytest.approx(expected[x][0], rel=1e-12, abs=0.0)
             assert sizes.tolist() == expected[x][1].tolist()
+
+    @given(total=st.integers(0, 7), parts=st.integers(1, 4))
+    def test_count_vectors_follow_sorted_tuples(self, total, parts):
+        # one vector per sorted tuple, in the order the tuples are listed
+        tuples = combinations_with_replacement(range(parts), total)
+        expected = [tuple(t.count(i) for i in range(parts)) for t in tuples]
+        assert list(_count_vectors(total, parts)) == expected
+
+    @staticmethod
+    def _assert_means_match_marginal(params):
+        # E[n_w | X = x] from the table against the configuration marginal
+        # the mean matrix mixes: others[x - w + 1] e_{w-1} / P(X = x)
+        tables = _census_tables(params)
+        xp = child_count_pmf(params)
+        others = _other_communities(params.extra_communities, params.extra_members, params.max_child_count + 1)
+        means = tables.fixed.astype(float)
+        for x, probs, sizes in tables.configs:
+            means[x] = probs @ sizes
+        for i, x in enumerate(xp.support):
+            for j, w in enumerate(params.community_sizes.support):
+                marginal = others[x - w + 1] * params.extra_members(w - 1) / xp.probs[i] if x >= w - 1 else 0.0
+                assert means[i, j] == pytest.approx(marginal, rel=1e-9, abs=0.0), (x, w)
+
+    @given(params=models(range(1, 6), range(2, 6), max_points=3))
+    @example(params=MIXTURE)
+    @example(params=model({1: 0.5, 3: 0.5}, {2: 1.0}, "1/10"))  # the census_deep benchmark model
+    def test_table_means_match_configuration_marginal(self, params):
+        self._assert_means_match_marginal(params)
+
+    @pytest.mark.parametrize("name", sorted(MULTI_ROW))
+    def test_multi_row_means_match_configuration_marginal(self, name):
+        assert _census_tables(MULTI_ROW[name]).configs  # the means mix several rows
+        self._assert_means_match_marginal(MULTI_ROW[name])
+
+    def test_wide_membership_table(self):
+        # 60,787 configurations of 351 further communities: each must cost
+        # O(|q|) steps, not O(d) (17 s); the bound is fixed before any run
+        params = model({352: 1.0}, {2: 0.066, 3: 0.584, 5: 0.35}, "1/10")
+        start = perf_counter()
+        tables = ActivationProcess(params)
+        assert perf_counter() - start < 3.0
+        assert len(tables.configs) == 959
+        assert sum(sizes.shape[0] for _, _, sizes in tables.configs) == 60_787
+        members = np.array([w - 1 for w in params.community_sizes.support])
+        for x, probs, sizes in tables.configs:
+            assert (sizes.sum(axis=1) == 351).all()
+            assert (sizes @ members == tables.type_values[x]).all()
+            assert probs.sum() == pytest.approx(1.0, rel=1e-12)
 
 
 def _cumulative(weighted: list[tuple[float, object]]):
