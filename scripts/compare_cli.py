@@ -39,7 +39,10 @@ def uniform(values) -> list:
 # reaches the gcd reduction in Threshold: the CLI parses thresholds through
 # Fraction, which has already reduced them.  p61-underflow is the one model whose child-count
 # law drops its top types (their masses underflow), so its dense mean matrix
-# (121 rows) reaches past the support's largest type, 116.
+# (121 rows) reaches past the support's largest type, 116.  deeply-subcritical
+# has one 10-type component with rho about 3.4e-9, far below its row sums
+# (about 1.8), and underflowed-size a community size whose size-biased mass
+# underflows to zero, so the root's spread holds a 0.0.
 MODELS = {
     "census-deep": ([[1, 0.5], [3, 0.5]], [[2, 1.0]], "1/10"),
     "mixture": ([[2, 0.5], [4, 0.5]], [[2, 0.5], [3, 0.5]], "3/10"),
@@ -55,6 +58,8 @@ MODELS = {
     "p247-q234": ([[2, 0.3], [4, 0.4], [7, 0.3]], [[2, 0.3], [3, 0.3], [4, 0.4]], "1/12"),
     "subcritical": ([[1, 0.9], [2, 0.1]], [[2, 1.0]], "1/10"),
     "p61-underflow": ([[61, 1.0]], [[2, 1.0 - 1e-6], [3, 1e-6]], "1/100"),
+    "deeply-subcritical": ([[3, 0.5], [7, 0.5]], [[2, 2e-17], [5, 1.0]], "1/10"),
+    "underflowed-size": ([[3, 1.0]], [[2, 5e-324], [3, 0.5], [400, 0.5]], "1/5"),
 }
 
 RUNNER = """

@@ -2,8 +2,9 @@
 
 Under sys.settrace, runs every compare_cli.py command, then
 depth1_active_counts, branching_root_counts, histogram_match and
-survival_by_threshold, on each model, and prints module:line: statement for
-each statement in a package function that nothing ran (docstrings skipped).
+survival_by_threshold, on each model until one refuses it with a typed
+error, and prints module:line: statement for each statement in a package
+function that nothing ran (docstrings skipped).
 
 Example:
     PYTHONPATH=src python3 scripts/unreached.py
@@ -17,7 +18,7 @@ import tempfile
 from pathlib import Path
 
 import cliquecascade
-from cliquecascade import SimConfig, Threshold, cli, survival_by_threshold
+from cliquecascade import CascadeError, SimConfig, Threshold, cli, survival_by_threshold
 from cliquecascade.verification import branching_root_counts, depth1_active_counts, histogram_match
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
@@ -44,9 +45,10 @@ def exercise(models: dict, config_dir: Path) -> None:
             cli.main(argv)
     for name in models:
         params = cli.load_model(str(config_dir / f"{name}.json"))
-        graph = depth1_active_counts(params, 300, 1)
-        histogram_match(graph, branching_root_counts(params, 300, 2))
-        survival_by_threshold(params, [Threshold(1, 10), params.threshold], SimConfig(2, 300, 3))
+        with contextlib.suppress(CascadeError):  # a forest past the budget is refused
+            graph = depth1_active_counts(params, 300, 1)
+            histogram_match(graph, branching_root_counts(params, 300, 2))
+            survival_by_threshold(params, [Threshold(1, 10), params.threshold], SimConfig(2, 300, 3))
 
 
 def unreached(models: dict) -> list[str]:

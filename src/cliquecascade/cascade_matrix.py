@@ -187,29 +187,28 @@ def strongly_connected_components(adjacency: np.ndarray) -> list[list[int]]:
 def _perron_root(block: np.ndarray) -> float:
     """Perron root of an irreducible non-negative block by power iteration.
 
-    A diagonal shift by the max row sum makes the block primitive (periodic
-    blocks would otherwise cycle); the spectrum shifts by exactly that amount.
-    Positive iterates give certified ratio brackets around the root at every
-    step, so the stop rule is bracket width.  The iteration starts from the
-    uniform vector and draws nothing: the root is a function of the block
-    alone.  The bracket closes at the rate of the shifted block's spectral gap.
+    Each step reads the Collatz-Wielandt bracket lo <= rho <= hi, the extreme
+    ratios (B x)_i / x_i of a positive iterate, and stops once hi - lo <=
+    POWER_REL_TOL * hi, a tolerance relative to rho itself.  The step is
+    x <- (B + hi I) x: shifted by the bracket's upper end, a periodic block
+    cannot cycle, and the shift follows the root, not the row sums.  The
+    iteration starts from the uniform vector and draws nothing.
     """
     n = block.shape[0]
-    shift = float(block.sum(axis=1).max())
-    shifted = block + shift * np.eye(n)
     x = np.full(n, 1.0 / n)
     lo = hi = 0.0
     for _ in range(POWER_MAX_ITER):
-        y = shifted @ x
+        y = block @ x
         ratios = y / x
         lo = float(ratios.min())
         hi = float(ratios.max())
         if hi - lo <= POWER_REL_TOL * hi:
-            return 0.5 * (lo + hi) - shift
+            return 0.5 * (lo + hi)
+        y += hi * x
         x = y / y.sum()
     raise NoConvergence(
-        "power iteration exhausted its budget",
-        bracket=(lo - shift, hi - shift),
+        f"power iteration exhausted its budget with rho in [{lo:.17g}, {hi:.17g}]",
+        bracket=(lo, hi),
     )
 
 

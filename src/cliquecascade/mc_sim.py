@@ -287,11 +287,12 @@ class ActivationProcess:
     acts on a block of replicates, one row each, and returns the (active,
     inactive) children-by-type arrays of the next level.  Built once per
     model by _census_tables, which compiles its step plan: params is the
-    model, whose laws the root step draws from, type_values the child-count
-    support, cliques the walk plan of each community size, fixed the (type,
-    size) counts of each type with one configuration, which draws nothing,
-    and configs (type, probs, size counts) for the other types with
-    communities in increasing order: their configuration law given the
+    model, whose memberships the root step draws from, spread the size-biased
+    size law, one mass per community size (0.0 where it underflowed),
+    type_values the child-count support, cliques the walk plan of each size,
+    fixed the (type, size) counts of each type with one configuration, which
+    draws nothing, and configs (type, probs, size counts) for the other types
+    with communities in increasing order: their configuration law given the
     extra members, one row per size-count vector, in _count_vectors order.
     Raises EnumerationTooLarge before listing more than ENUMERATION_BUDGET
     configuration tuples, or for a community size past the walk's float
@@ -330,6 +331,7 @@ class ActivationProcess:
                     probs = np.array([exp(lw - top) for lw in logs])
                     configs.append((type_index[x], probs / probs.sum(), sizes))
         self.params = params
+        self.spread = np.array([params.extra_members(w - 1) for w in q.support])
         self.type_values = xp.values
         self.cliques = tuple(_walk_levels(params, w) for w in q.support)
         self.configs = tuple(configs)
@@ -370,8 +372,7 @@ class ActivationProcess:
     def root_step(self, rows: int, rng: np.random.Generator):
         """Active and inactive depth-1 children-by-type below each of rows roots."""
         communities = self.params.memberships.draw(rng, rows)
-        cliques_by_size = _spread(rng, communities, self.params.extra_members.probs)
-        return self._resolve_cliques(cliques_by_size, rng)
+        return self._resolve_cliques(_spread(rng, communities, self.spread), rng)
 
     def step(self, active: np.ndarray, rng: np.random.Generator):
         """Active and inactive children-by-type of each row's active vertices."""

@@ -319,6 +319,42 @@ class TestOneTypeSpace:
 STALLING_CYCLE = np.roll(np.diag([10.0] * 4 + [1.0] * 4), 1, axis=1)
 
 
+def wide_range_block(seed):
+    """An irreducible n x n block, n in 2..12, with entries from 1e-30 to 1e3.
+
+    About half the cells hold a log-uniform entry, and one cycle through
+    every index, also log-uniform, makes the block irreducible.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 13))
+    block = 10.0 ** rng.uniform(-30, 3, size=(n, n))
+    block *= rng.random((n, n)) < 0.5
+    order = rng.permutation(n)
+    block[order, np.roll(order, 1)] = 10.0 ** rng.uniform(-30, 3, size=n)
+    return block
+
+
+# The Perron roots of wide_range_block(0..15), from mpmath's eig at 60 digits
+WIDE_RANGE_ROOTS = {
+    0: 4.293652368247779409438458e-1,
+    1: 2.33660389478070859995725e-3,
+    2: 3.156149631588490045430717,
+    3: 8.204867266436080644909592e-2,
+    4: 3.526181727554430284336244e+1,
+    5: 1.209041597028489774943055e-1,
+    6: 5.106564479115998951834469e-5,
+    7: 1.459727498335015121639134,
+    8: 3.803083231362851697326878e+2,
+    9: 3.939532136135123354385967e+2,
+    10: 1.010187873406928815732169e+2,
+    11: 4.275272070909079680234299,
+    12: 1.749230794670592104213814e+1,
+    13: 5.769029131540215767971456e+2,
+    14: 9.215041985181124775535307e-10,
+    15: 6.469762227922273454559779,
+}
+
+
 class TestSpectralRadius:
     def test_budget_exhausted_raises_with_bracket(self, monkeypatch):
         root = max(abs(np.linalg.eigvals(STALLING_CYCLE)))
@@ -341,6 +377,26 @@ class TestSpectralRadius:
         monkeypatch.setattr(np.random, "default_rng", recording_rng)
         assert spectral_radius(STALLING_CYCLE) == pytest.approx(np.sqrt(10.0), abs=1e-9)
         assert built == []
+
+    def test_wide_range_blocks_converge(self):
+        # a root far below the row sums must not be lost next to the shift
+        for seed in range(300):
+            spectral_radius(wide_range_block(seed))
+
+    @pytest.mark.parametrize("seed", sorted(WIDE_RANGE_ROOTS))
+    def test_wide_range_blocks_match_pinned_roots(self, seed):
+        root = WIDE_RANGE_ROOTS[seed]
+        rho = spectral_radius(wide_range_block(seed))
+        assert abs(rho - root) <= cascade_matrix.POWER_REL_TOL * root
+
+    def test_exhausted_budget_names_its_bracket(self, monkeypatch):
+        monkeypatch.setattr(cascade_matrix, "POWER_MAX_ITER", 5)
+        with pytest.raises(NoConvergence) as info:
+            spectral_radius(STALLING_CYCLE)
+        lo, hi = info.value.bracket
+        assert str(info.value) == (
+            f"power iteration exhausted its budget with rho in [{lo:.17g}, {hi:.17g}]"
+        )
 
     def test_known_two_cycle(self):
         assert spectral_radius(np.array([[0.0, 1.0], [2.0, 0.0]])) == pytest.approx(

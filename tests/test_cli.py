@@ -74,6 +74,21 @@ MIXTURE = {
     "community_sizes": [[2, 0.5], [3, 0.5]],
     "threshold": "3/10",
 }
+# one 10-type component with entries from 2e-119 to 1.8 and rho far below
+# them: a Perron shift by the max row sum, 1.8, left its bracket open
+DEEPLY_SUBCRITICAL = {
+    "memberships": [[3, 0.5], [7, 0.5]],
+    "community_sizes": [[2, 2e-17], [5, 1.0]],
+    "threshold": "1/10",
+}
+# DEEPLY_SUBCRITICAL's Perron root, from mpmath's eig of its block at 60 digits
+DEEPLY_SUBCRITICAL_RHO = 3.3941126406650291227912759403818330916130958726886e-09
+# size 2's size-biased mass, 2 * 5e-324 / 201.5, rounds to zero
+UNDERFLOWED_SIZE = {
+    "memberships": [[3, 1.0]],
+    "community_sizes": [[2, 5e-324], [3, 0.5], [400, 0.5]],
+    "threshold": "1/5",
+}
 
 # every individual in two communities of two: the infinite path carve-out
 ALL_TWOS = {"memberships": [[2, 1.0]], "community_sizes": [[2, 1.0]], "threshold": "2/5"}
@@ -337,6 +352,15 @@ class TestSimulate:
         report = json.loads(captured.out)
         assert abs(report["mean_vertices_by_depth"][1] - 1760) < 60
 
+    def test_underflowed_size_simulates(self, tmp_path, capsys):
+        # the root's spread keeps one column per community size
+        config = write_config(tmp_path, UNDERFLOWED_SIZE)
+        argv = ["--depth", "2", "--replicates", "10", "--seed", "1"]
+        assert run(["simulate", "--config", config] + argv) == 0
+        report = json.loads(capsys.readouterr().out)
+        # three communities of 3 or 400 below the root
+        assert 6 <= report["mean_vertices_by_depth"][1] <= 1197
+
     def test_wide_clique_simulates(self, tmp_path, capsys):
         # the census walks the 307 states, so depth 3 runs, and depth 10
         # would outgrow int64 at level 8
@@ -407,6 +431,31 @@ class TestSweep:
                     "--grid", "1/10,1/0"]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: bad sweep threshold '1/0'")
+
+
+    def test_deeply_subcritical_root(self, tmp_path, capsys):
+        config = write_config(tmp_path, DEEPLY_SUBCRITICAL)
+        assert run(["sweep", "--config", config, "--grid", "1/10"]) == 0
+        _, rho, kind, boundary = capsys.readouterr().out.splitlines()[1].split(",")
+        assert (kind, boundary) == ("FiniteAlmostSurely", "false")
+        rel = abs(float(rho) - DEEPLY_SUBCRITICAL_RHO) / DEEPLY_SUBCRITICAL_RHO
+        assert rel <= cascade_matrix.POWER_REL_TOL
+        assert run(["analyze", "--config", config]) == 0
+        verdict = json.loads(capsys.readouterr().out)["verdict"]
+        assert verdict["kind"] == "FiniteAlmostSurely" and verdict["rho"] == float(rho)
+
+    def test_exhausted_perron_budget_exit_3(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cascade_matrix, "POWER_MAX_ITER", 5)
+        cascade_matrix._mean_matrix_cached.cache_clear()
+        config = write_config(tmp_path, DEEPLY_SUBCRITICAL)
+        assert run(["sweep", "--config", config, "--grid", "1/10"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        prefix = "error: iteration did not converge: power iteration exhausted its budget with rho in ["
+        (line,) = captured.err.splitlines()
+        assert line.startswith(prefix) and line.endswith("]")
+        lo, hi = map(float, line[len(prefix):-1].split(", "))
+        assert lo <= DEEPLY_SUBCRITICAL_RHO <= hi
 
 
 class TestVerify:

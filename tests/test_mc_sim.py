@@ -790,6 +790,22 @@ class TestActivationProcess:
         assert not active.any()
         assert censuses(proc, inactive) == [{4: 6}] * 25
 
+    def test_root_step_skips_an_underflowed_middle_size(self):
+        # size 3's size-biased mass, 3 * 5e-324 / 21, rounds to zero: the
+        # root spreads over all three census columns with 0.0 in the middle,
+        # and draws what the model without size 3 draws
+        gapped = ActivationProcess(model({3: 1.0}, {2: 0.5, 3: 5e-324, 40: 0.5}, "1/50"))
+        plain = ActivationProcess(model({3: 1.0}, {2: 0.5, 40: 0.5}, "1/50"))
+        assert gapped.spread[1] == 0.0
+        assert gapped.spread[[0, 2]].tolist() == plain.spread.tolist()
+        rngs = [np.random.default_rng(7) for _ in range(2)]
+        outs = [proc.root_step(50, rng) for proc, rng in zip((gapped, plain), rngs)]
+        assert outs[0][0].any() and outs[0][1].any()
+        assert all(np.array_equal(a, b) for a, b in zip(*outs))
+        outs = [proc.step(outs[0][0], rng) for proc, rng in zip((gapped, plain), rngs)]
+        assert all(np.array_equal(a, b) for a, b in zip(*outs))
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
     def test_root_step_matches_batched_root_level(self):
         # the scalar process and the census engine's block draw of the root
         # level share one law; 5 sigma per bin over about 25 bins, fixed

@@ -64,7 +64,7 @@ def test_compare_cli_same_tree(src_results):
     # a second interpreter on the same tree
     compare_cli, config_dir, named, results = src_results
     again = compare_cli.run_tree(ROOT / "src", named, config_dir)
-    assert compare_cli.compare(named, results, again) == ["70 commands compared, 0 differ"]
+    assert compare_cli.compare(named, results, again) == ["80 commands compared, 0 differ"]
 
 
 def test_compare_cli_reports_a_difference(tmp_path, src_results):
@@ -81,7 +81,7 @@ def test_compare_cli_reports_a_difference(tmp_path, src_results):
     compare_cli, config_dir, named, results = src_results
     lines = compare_cli.compare(named, results, compare_cli.run_tree(tmp_path, named, config_dir))
     assert any(line.startswith("triangle analyze: stdout first differs") for line in lines)
-    assert lines[-1].startswith("70 commands compared, ") and not lines[-1].endswith(" 0 differ")
+    assert lines[-1].startswith("80 commands compared, ") and not lines[-1].endswith(" 0 differ")
 
 
 def test_phase_sweep_solves_each_theta_once(monkeypatch, capsys):
