@@ -17,11 +17,12 @@ types.  MeanMatrix.entries expands it to the value-indexed dim x dim view,
 dim = max child count + 1, zero off the support, for the analyze report.
 
 Nothing here enumerates tuples.  Each clique size w contributes one column,
-clique_dynamics.mean_active_column, a fold over the floor-level walk.  Rows
-mix those columns by the configuration law: convolution powers of the
-extra-members law, i.e. pgf compositions, give each parent type's mass and
-the weight of a size-w community among its others.  Sorted-tuple
-enumeration survives only in the oracles.
+clique_dynamics.mean_active_column, the clique pgf's gradient at s = 1, read
+off the pgf's own fold over the floor-level walk.  Rows mix those columns
+by the configuration law: convolution powers of the extra-members law, i.e.
+pgf compositions, give each parent type's mass and the weight of a size-w
+community among its others.  Sorted-tuple enumeration survives only in the
+oracles.
 
 The Perron root is found by a deterministic power iteration on each
 strongly connected component, from the uniform vector: rho is a function of
@@ -39,7 +40,7 @@ from typing import Optional
 
 import numpy as np
 
-from .clique_dynamics import CliqueOutcome, mean_active_column
+from .clique_dynamics import mean_active_column
 from .dist_core import ModelParams, Pmf, _read_only, child_count_pmf, pgf_compose, require_enumerable
 from .errors import NoConvergence
 
@@ -59,15 +60,6 @@ def mean_active_of_type(params: ModelParams, x: int, clique_size: int) -> float:
     if i == types.size or types[i] != x:
         return 0.0
     return float(mean_active_column(params, clique_size)[i])
-
-
-def mean_active_by_type_oracle(law: dict[CliqueOutcome, float]) -> dict[int, float]:
-    """Expected activated children of every type under one clique outcome law."""
-    means: dict[int, float] = {}
-    for outcome, prob in law.items():
-        for x in set(outcome.types):
-            means[x] = means.get(x, 0) + prob * outcome.types.count(x)
-    return means
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,12 +14,13 @@ whose requirement exceeds the number of vertices already available.
 The same monotonicity gives a walk over floor levels f(x) = floor(threshold *
 (x + w - 1)), and this module is the only one that knows it: _levels holds
 its tables for one clique size and _walk steps through its reachable states.
-Three readers share that one walk: clique_pgf folds it into the exact law
-of the activated children by type, as its generating function;
-mean_active_column folds it into the mean activated count of every type;
-and the census engine in mc_sim turns its levels into draw tables.  The
-oracle for all of them is brute force: the synchronous-round dynamics run on
-every tuple of the child-count cube.
+Two readers share that one walk.  _fold passes over it once: clique_pgf
+reads it as the exact law of the activated children by type, as its
+generating function, and mean_active_column as the mean activated count of
+every type, that pgf's gradient at s = 1.  The census engine in mc_sim
+turns its levels into draw tables.  The oracle for all of them is brute
+force: the synchronous-round dynamics run on every tuple of the child-count
+cube.
 """
 
 from __future__ import annotations
@@ -130,31 +131,44 @@ def _walk(params: ModelParams, clique_size: int):
         m += 1
 
 
-@lru_cache(maxsize=None)
-def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
-    """Expected activated children of each type in one clique, one entry per support type.
+def _fold(params: ModelParams, clique_size: int, r) -> tuple[float, list[float]]:
+    """One pass over _walk, a child placed on level m weighing r[m]: (G_w, placed).
 
-    Entry i is for type child_count_pmf(params).values[i].  A child of type x
-    sits on level f(x) = floor(threshold * (x + w - 1)), and with N_m
-    children on levels <= m it is active iff N_j > j for all j <= f(x).  A
-    fold over _walk: alive[i] is P(N_m = i, N_j > j for all j <= m), and
-    every child a move places on level m is active (a stop at N_m = m places
-    none there).  Within a level, types follow the child-count law
-    conditioned on the level.  Cached and read-only.
+    A move of k = j - i children out of state i has reach = alive[i] *
+    weight; it adds reach * k to placed[m] and sends reach * r[m]^k on to j
+    or, for a stop, to G_w.  At r = 1, placed[m] is the expected count activated on
+    level m: every placed child is active, and a stop at N_m = m places none.
     """
-    xp, floors, mass, _ = _levels(params, clique_size)
-    n, alive, expected = clique_size - 1, {0: 1.0}, [0.0] * (clique_size - 1)
+    alive, total, placed = {0: 1.0}, 0.0, [0.0] * (clique_size - 1)
     for m, moves in _walk(params, clique_size):
         after = {}
         for i, steps in moves.items():
             for j, weight, live in steps:
-                expected[m] += alive[i] * weight * (j - i)
+                reach = alive[i] * weight
+                placed[m] += reach * (j - i)
+                value = reach * r[m] ** (j - i)
                 if live:
-                    after[j] = after.get(j, 0.0) + alive[i] * weight
+                    after[j] = after.get(j, 0.0) + value
+                else:
+                    total += value
         alive = after
+    return total, placed
+
+
+@lru_cache(maxsize=None)
+def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
+    """Expected activated children of each type in one clique, one entry per support type.
+
+    Entry i is for type child_count_pmf(params).values[i]: clique_pgf's
+    gradient at s = 1.  _fold at r = 1 gives the expected count activated on
+    each level f(x) = floor(threshold * (x + w - 1)), and within a level
+    types follow the child-count law conditioned on it.  Cached, read-only.
+    """
+    xp, floors, mass, _ = _levels(params, clique_size)
+    expected = _fold(params, clique_size, [1.0] * len(mass))[1]
     column = np.zeros(len(xp.items))
     for i, (x, p) in enumerate(xp.items):
-        if floors[x] < n:
+        if floors[x] < len(mass):
             column[i] = expected[floors[x]] * p / mass[floors[x]]
     column.flags.writeable = False
     return column
@@ -164,10 +178,8 @@ def clique_pgf(params: ModelParams, clique_size: int, s) -> float:
     """G_w(s) = E[prod_x s_x^{A_x}], A_x the activated children of type x in one clique.
 
     s has one entry per type, indexed like child_count_pmf(params).values;
-    any other length raises ValueError.  A fold over _walk: with r_m the
-    child-count law's mean of s over the types on level m, a move that
-    places k children on level m weighs r_m^k, inactive children weigh 1,
-    and the stop moves sum to G_w.
+    any other length raises ValueError.  With r_m the child-count law's mean
+    of s over the types on level m, G_w is _fold's total at r.
     """
     params.require_contagion_assumptions()
     xp, floors, mass, _ = _levels(params, clique_size)
@@ -178,18 +190,7 @@ def clique_pgf(params: ModelParams, clique_size: int, s) -> float:
         if floors[x] < len(mass):
             r[floors[x]] += p * float(s_x)
     r = [mean / m if m else 0.0 for mean, m in zip(r, mass)]
-    alive, total = {0: 1.0}, 0.0
-    for m, moves in _walk(params, clique_size):
-        after = {}
-        for i, steps in moves.items():
-            for j, weight, live in steps:
-                value = alive[i] * weight * r[m] ** (j - i)
-                if live:
-                    after[j] = after.get(j, 0.0) + value
-                else:
-                    total += value
-        alive = after
-    return total
+    return _fold(params, clique_size, r)[0]
 
 
 def _round_based_active(numerator: int, denominator: int, clique_size: int, child_counts) -> list[bool]:

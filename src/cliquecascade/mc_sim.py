@@ -124,46 +124,42 @@ def sample_local_graph(
     if roots < 1:
         raise ValueError("roots must be at least 1")
     child = child_count_pmf(params)
-    level_ids = np.arange(roots, dtype=np.int64)
-    vdepth = [np.zeros(roots, dtype=np.int64)]
-    vtree = [level_ids]
+    sizes = [roots]
+    vtree = [np.arange(roots, dtype=np.int64)]
     vparent = [np.full(roots, -1, dtype=np.int64)]
     vclique = [np.full(roots, -1, dtype=np.int64)]
     vchild: list[np.ndarray] = []
     csize: list[np.ndarray] = []
-    next_vertex = roots
-    next_clique = 0
-    level_trees = level_ids
+    first = next_clique = 0  # ids of the level's first vertex and next clique
     for level in range(depth):
-        n_here = level_ids.size
+        n_here = sizes[-1]
         counts = (params.memberships if level == 0 else params.extra_communities).draw(rng, n_here)
         n_new_cliques = int(counts.sum())
         members = params.extra_members.draw(rng, n_new_cliques)
         n_new = int(members.sum())
-        require_enumerable(next_vertex + n_new, "forest vertices")
+        require_enumerable(first + n_here + n_new, "forest vertices")
         owner = np.repeat(np.arange(n_here), counts)
+        local = np.repeat(np.arange(n_new_cliques), members)  # each new vertex's clique
+        up = owner[local]  # and its parent, both level-local
         vchild.append(
             np.bincount(owner, weights=members, minlength=n_here).astype(np.int64)
         )
         csize.append(members + 1)
-        vdepth.append(np.full(n_new, level + 1, dtype=np.int64))
-        vparent.append(np.repeat(level_ids[owner], members))
-        level_trees = np.repeat(level_trees[owner], members)
-        vtree.append(level_trees)
-        clique_ids = np.arange(next_clique, next_clique + n_new_cliques, dtype=np.int64)
-        vclique.append(np.repeat(clique_ids, members))
-        level_ids = np.arange(next_vertex, next_vertex + n_new, dtype=np.int64)
-        next_vertex += n_new
+        vparent.append(first + up)
+        vtree.append(vtree[-1][up])
+        vclique.append(next_clique + local)
+        first += n_here
         next_clique += n_new_cliques
-    vchild.append(child.draw(rng, level_ids.size))
+        sizes.append(n_new)
+    vchild.append(child.draw(rng, sizes[-1]))
     return LocalGraph(
         truncation_depth=depth,
-        depth=_joined(vdepth),
+        depth=np.repeat(np.arange(depth + 1, dtype=np.int64), sizes),
         tree=_joined(vtree),
         parent=_joined(vparent),
         clique_of=_joined(vclique),
         child_count=_joined(vchild),
-        active=np.zeros(next_vertex, dtype=bool),
+        active=np.zeros(first + sizes[-1], dtype=bool),
         clique_size=_joined(csize),
     )
 

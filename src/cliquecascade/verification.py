@@ -12,8 +12,9 @@ from math import prod, sqrt
 
 import numpy as np
 
-from .cascade_matrix import mean_active_by_type_oracle, mean_active_of_type
+from .cascade_matrix import mean_active_of_type
 from .clique_dynamics import (
+    CliqueOutcome,
     _require_float_range,
     clique_cascade_size,
     clique_pgf,
@@ -41,6 +42,15 @@ def _pgf_points(size: int) -> list[list[float]]:
     """The fixed points of the clique pgf checks: s = 1, s = 0 and two type-varying vectors."""
     rising = [(i + 1) / (size + 1) for i in range(size)]
     return [[1.0] * size, [0.0] * size, rising, rising[::-1]]
+
+
+def mean_active_by_type_oracle(law: dict[CliqueOutcome, float]) -> dict[int, float]:
+    """Expected activated children of every type under one clique outcome law."""
+    means: dict[int, float] = {}
+    for outcome, prob in law.items():
+        for x in set(outcome.types):
+            means[x] = means.get(x, 0) + prob * outcome.types.count(x)
+    return means
 
 
 def oracle_equivalence_checks(params: ModelParams) -> list[OracleCheck]:

@@ -28,7 +28,7 @@ from cliquecascade import (
     root_degree_pmf,
     survival_by_threshold,
 )
-from cliquecascade.cascade_matrix import mean_active_by_type_oracle
+from cliquecascade.verification import mean_active_by_type_oracle
 from cliquecascade.clique_dynamics import iter_enumerated_outcomes
 from cliquecascade.verification import (
     _pgf_points,

@@ -24,7 +24,7 @@ from cliquecascade import (
     spectral_radius,
     strongly_connected_components,
 )
-from cliquecascade.cascade_matrix import mean_active_by_type_oracle
+from cliquecascade.verification import mean_active_by_type_oracle
 from cliquecascade.clique_dynamics import _levels, mean_active_column
 
 from conftest import UNDERFLOW_MODELS, model, models, standard_model_suite

@@ -136,6 +136,22 @@ class TestWalkReaders:
                 alive = after
             assert np.abs(column - mean_active_column(params, w)).max() <= 1e-12
 
+    @given(models(range(1, 5), range(2, 9), max_points=3))
+    @example(TWO_POINT)
+    def test_column_is_the_pgf_gradient_at_one(self, params):
+        # the fold's two readers: E[A_x] = dG_w/ds_x at s = 1, by a central
+        # difference.  At most 7 children make |d^3 G / ds_x^3| <= 7 * 6 * 5,
+        # so the truncation error h^2 / 6 * 210 stays below 4e-9
+        h, tol = 1e-5, 1e-8
+        size = len(child_count_pmf(params).support)
+        for w in params.community_sizes.support:
+            column = mean_active_column(params, w)
+            for i in range(size):
+                up, down = np.ones(size), np.ones(size)
+                up[i], down[i] = 1.0 + h, 1.0 - h
+                slope = (clique_pgf(params, w, up) - clique_pgf(params, w, down)) / (2 * h)
+                assert abs(slope - column[i]) <= tol
+
 
 class TestOutcomeLaw:
     def test_triangle_full_cascade(self, triangle_model):

@@ -10,7 +10,7 @@ from cliquecascade import (
     clique_pgf,
     mean_active_of_type,
 )
-from cliquecascade.cascade_matrix import mean_active_by_type_oracle
+from cliquecascade.verification import mean_active_by_type_oracle
 from cliquecascade.clique_dynamics import iter_enumerated_outcomes
 from cliquecascade.verification import ORACLE_TOL, _pgf_points, oracle_equivalence_checks
 
