@@ -13,35 +13,27 @@ whose requirement exceeds the number of vertices already available.
 
 The same monotonicity gives a walk over floor levels f(x) = floor(threshold *
 (x + w - 1)), and this module is the only one that knows it: _levels holds
-its tables for one clique size and _walk steps through its reachable states.
-Two readers share that one walk.  _fold passes over it once: clique_pgf
-reads it as the exact law of the activated children by type, as its
-generating function, and mean_active_column as the mean activated count of
-every type, that pgf's gradient at s = 1.  The census engine in mc_sim
-turns its levels into draw tables.  The oracle for all of them is brute
-force: the synchronous-round dynamics run on every tuple of the child-count
-cube.
+its tables for one clique size, the support cut into one run per level, and
+_walk steps through its reachable states.  Two readers share that one walk.
+_fold passes over it once: clique_pgf reads it as the exact law of the
+activated children by type, as its generating function, and
+mean_active_column as the mean activated count of every type, that pgf's
+gradient at s = 1.  The census engine in mc_sim turns its levels into draw
+tables.  The oracle for all of them, the synchronous-round dynamics run on
+every tuple of the child-count cube, lives in verification.
 """
 
 from __future__ import annotations
 
-import itertools
 import sys
+from bisect import bisect_left
 from functools import lru_cache
 from math import comb, lgamma, log
-from typing import NamedTuple
 
 import numpy as np
 
-from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf, require_enumerable
+from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf
 from .errors import EnumerationTooLarge, InvalidOutcome, UnsortedInput
-
-
-class CliqueOutcome(NamedTuple):
-    """Number of activated children and their child counts in sorted order."""
-
-    ell: int
-    types: tuple[int, ...]
 
 
 def activation_requirement(threshold: Threshold, child_count: int, clique_size: int) -> int:
@@ -86,22 +78,27 @@ def _require_float_range(clique_size: int) -> None:
 
 
 @lru_cache(maxsize=None)
-def _levels(params: ModelParams, clique_size: int) -> tuple[Pmf, dict, tuple, tuple]:
-    """The floor-level walk of one clique size: (xp, floors, mass, tail), cached.
+def _levels(params: ModelParams, clique_size: int) -> tuple[Pmf, tuple, tuple, tuple]:
+    """The floor-level walk of one clique size: (xp, bounds, mass, tail), cached.
 
-    A child of type x sits on level floors[x] = floor(threshold * (x + w - 1)).
-    mass[m] = P(f(X) = m) on the w - 1 levels a cascade can reach; tail[m] =
-    P(f(X) > m), m = 0..w-1, is the chance a fresh child is out of reach even
-    with m activated brothers plus the parent.  Checks _require_float_range
-    before any table is built.
+    Type x sits on level f(x) = floor(threshold * (x + w - 1)), which never
+    decreases along the support.  So bounds[m], m = 0..w-1, the first support
+    position on level m or above, cuts the support into runs: level m's
+    types are xp.items[bounds[m]:bounds[m + 1]], and no cascade reaches those
+    from bounds[w - 1] on.  mass[m] = P(f(X) = m) and tail[m] = P(f(X) > m),
+    m = 0..w-2, the chance a fresh child is out of reach even with m
+    activated brothers plus the parent.  Checks _require_float_range before
+    any table is built; the walk's oracle, the brute-force cube, is in
+    verification.
     """
     _require_float_range(clique_size)
     n = clique_size - 1
     xp = child_count_pmf(params)
-    floors = {x: params.threshold.floor_times(x + n) for x in xp.support}
-    mass = tuple(sum(p for x, p in xp.items if floors[x] == m) for m in range(n))
-    tail = tuple(sum(p for x, p in xp.items if floors[x] > m) for m in range(n + 1))
-    return xp, floors, mass, tail
+    floors = [params.threshold.floor_times(x + n) for x in xp.support]
+    bounds = tuple(bisect_left(floors, m) for m in range(clique_size))
+    mass = tuple(sum(p for _, p in xp.items[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
+    tail = tuple(sum(p for _, p in xp.items[hi:]) for hi in bounds[1:])
+    return xp, bounds, mass, tail
 
 
 def _walk(params: ModelParams, clique_size: int):
@@ -164,12 +161,11 @@ def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
     each level f(x) = floor(threshold * (x + w - 1)), and within a level
     types follow the child-count law conditioned on it.  Cached, read-only.
     """
-    xp, floors, mass, _ = _levels(params, clique_size)
-    expected = _fold(params, clique_size, [1.0] * len(mass))[1]
+    xp, bounds, mass, _ = _levels(params, clique_size)
+    placed = _fold(params, clique_size, [1.0] * len(mass))[1]
     column = np.zeros(len(xp.items))
-    for i, (x, p) in enumerate(xp.items):
-        if floors[x] < len(mass):
-            column[i] = expected[floors[x]] * p / mass[floors[x]]
+    for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        column[lo:hi] = [placed[m] * p / mass[m] for _, p in xp.items[lo:hi]]
     column.flags.writeable = False
     return column
 
@@ -182,61 +178,10 @@ def clique_pgf(params: ModelParams, clique_size: int, s) -> float:
     of s over the types on level m, G_w is _fold's total at r.
     """
     params.require_contagion_assumptions()
-    xp, floors, mass, _ = _levels(params, clique_size)
+    xp, bounds, mass, _ = _levels(params, clique_size)
     if len(s) != len(xp.items):
         raise ValueError(f"s has {len(s)} entries but the child-count support has {len(xp.items)}")
-    r = [0.0] * len(mass)
-    for (x, p), s_x in zip(xp.items, s):
-        if floors[x] < len(mass):
-            r[floors[x]] += p * float(s_x)
-    r = [mean / m if m else 0.0 for mean, m in zip(r, mass)]
+    weighted = [p * float(s_x) for (_, p), s_x in zip(xp.items[: bounds[-1]], s)]
+    runs = zip(bounds, bounds[1:])
+    r = [sum(weighted[lo:hi]) / mass[m] if mass[m] else 0.0 for m, (lo, hi) in enumerate(runs)]
     return _fold(params, clique_size, r)[0]
-
-
-def _round_based_active(numerator: int, denominator: int, clique_size: int, child_counts) -> list[bool]:
-    """Synchronous-round fixpoint of the clique dynamics for one child-count tuple.
-
-    Deliberately independent of the order-statistics shortcut: every round,
-    every inactive child compares parent-plus-activated-brothers against its
-    exact threshold.
-    """
-    w = clique_size
-    need = [numerator * (x + w - 1) // denominator + 1 for x in child_counts]
-    active = [False] * len(need)
-    count = 0
-    while True:
-        newly = [i for i, a in enumerate(active) if not a and 1 + count >= need[i]]
-        if not newly:
-            return active
-        for i in newly:
-            active[i] = True
-        count += len(newly)
-
-
-def iter_enumerated_outcomes(params: ModelParams, clique_size: int):
-    """Yield (child-count tuple, weight, round-based outcome) over the full cube."""
-    params.require_contagion_assumptions()
-    xp = child_count_pmf(params)
-    values = xp.support
-    n_children = clique_size - 1
-    require_enumerable(len(values) ** n_children, "child-count tuples")
-    num, den = params.threshold.numerator, params.threshold.denominator
-    for xs in itertools.product(values, repeat=n_children):
-        weight = 1.0
-        for x in xs:
-            weight *= xp(x)
-        active = _round_based_active(num, den, clique_size, xs)
-        types = tuple(sorted(x for x, a in zip(xs, active) if a))
-        yield xs, weight, CliqueOutcome(len(types), types)
-
-
-def brute_force_clique_law(params: ModelParams, clique_size: int) -> dict[CliqueOutcome, float]:
-    """Outcome law by exhaustive enumeration of child-count tuples.
-
-    The oracle for clique_pgf: runs the synchronous-round dynamics on
-    every tuple in the support cube and aggregates by outcome.
-    """
-    law: dict[CliqueOutcome, float] = {}
-    for _, weight, outcome in iter_enumerated_outcomes(params, clique_size):
-        law[outcome] = law.get(outcome, 0.0) + weight
-    return law

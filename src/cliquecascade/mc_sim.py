@@ -230,17 +230,16 @@ def _walk_levels(params: ModelParams, clique_size: int) -> tuple:
     probs is None, weights a multiplier per key.  Several moves have probs
     and weights (each run key's members per move, the move to each state).
     runs gives (key, types, probs): the support's run on level m or above it
-    (f is monotone), whose types are iid given f(X) = m or f(X) > m.
+    (_levels' bounds), whose types are iid given f(X) = m or f(X) > m.
     """
-    xp, floors, _, _ = _levels(params, clique_size)
-    n, level = clique_size - 1, np.array([floors[x] for x in xp.support])
+    xp, bounds, _, _ = _levels(params, clique_size)
+    n = clique_size - 1
 
     def run(types):
         return types, xp.probs[types] / xp.probs[types].sum()
 
     levels = []
     for m, moves in _walk(params, clique_size):
-        lo, hi = np.searchsorted(level, [m, m + 1])  # f is monotone, so level is sorted
         states = []
         for i, steps in moves.items():
             fills = {"on": [j - i for j, _, _ in steps]}
@@ -254,7 +253,7 @@ def _walk_levels(params: ModelParams, clique_size: int) -> tuple:
                 probs = np.array([p for _, p, _ in steps])
                 columns = tuple(np.array(c, dtype=np.int64) for c in fills.values())
                 states.append((i, probs / probs.sum(), keys, (columns, np.array(live, dtype=np.intp))))
-        runs = ("on", *run(slice(lo, hi))), ("above", *run(slice(hi, None)))
+        runs = ("on", *run(slice(bounds[m], bounds[m + 1]))), ("above", *run(slice(bounds[m + 1], None)))
         levels.append((tuple(states), runs))
     return tuple(levels)
 

@@ -1,30 +1,33 @@
 """Cross-checks between independent computation routes.
 
 Every closed-form law in the package has a brute-force counterpart that
-enumerates raw child-count draws directly.  The checks here compare the two
-routes and are used both by the test suite and by the `verify` CLI command.
+enumerates raw child-count draws directly: for the clique, the cube of
+child-count tuples, one pass per community size.  The checks here compare
+the routes and are used both by the test suite and by the `verify` CLI
+command.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import prod, sqrt
+from typing import NamedTuple
 
 import numpy as np
 
-from .cascade_matrix import mean_active_of_type
-from .clique_dynamics import (
-    CliqueOutcome,
-    _require_float_range,
-    clique_cascade_size,
-    clique_pgf,
-    iter_enumerated_outcomes,
-    require_enumerable,
-)
-from .dist_core import ModelParams, child_count_pmf
+from .clique_dynamics import _require_float_range, clique_cascade_size, clique_pgf, mean_active_column
+from .dist_core import ModelParams, child_count_pmf, require_enumerable
 from .mc_sim import _blocks, _census_tables, run_contagion, sample_local_graph
 
 ORACLE_TOL = 1e-9
+
+
+class CliqueOutcome(NamedTuple):
+    """Number of activated children and their child counts in sorted order."""
+
+    ell: int
+    types: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -36,6 +39,59 @@ class OracleCheck:
     @property
     def passed(self) -> bool:
         return self.worst <= self.tolerance
+
+
+def _round_based_active(numerator: int, denominator: int, clique_size: int, child_counts) -> list[bool]:
+    """Synchronous-round fixpoint of the clique dynamics for one child-count tuple.
+
+    Deliberately independent of the order-statistics shortcut: every round,
+    every inactive child compares parent-plus-activated-brothers against its
+    exact threshold.
+    """
+    w = clique_size
+    need = [numerator * (x + w - 1) // denominator + 1 for x in child_counts]
+    active = [False] * len(need)
+    count = 0
+    while True:
+        newly = [i for i, a in enumerate(active) if not a and 1 + count >= need[i]]
+        if not newly:
+            return active
+        for i in newly:
+            active[i] = True
+        count += len(newly)
+
+
+def iter_enumerated_outcomes(params: ModelParams, clique_size: int):
+    """Yield (child-count tuple, weight, round-based outcome) over the full cube."""
+    params.require_contagion_assumptions()
+    xp = child_count_pmf(params)
+    values = xp.support
+    n_children = clique_size - 1
+    require_enumerable(len(values) ** n_children, "child-count tuples")
+    num, den = params.threshold.numerator, params.threshold.denominator
+    for xs in itertools.product(values, repeat=n_children):
+        weight = 1.0
+        for x in xs:
+            weight *= xp(x)
+        active = _round_based_active(num, den, clique_size, xs)
+        types = tuple(sorted(x for x, a in zip(xs, active) if a))
+        yield xs, weight, CliqueOutcome(len(types), types)
+
+
+def _cube_pass(params: ModelParams, clique_size: int) -> tuple[dict[CliqueOutcome, float], float]:
+    """One pass over the cube: (outcome law, worst |clique_cascade_size - rounds' count|)."""
+    law: dict[CliqueOutcome, float] = {}
+    worst_size = 0.0
+    for xs, weight, outcome in iter_enumerated_outcomes(params, clique_size):
+        law[outcome] = law.get(outcome, 0.0) + weight
+        direct = clique_cascade_size(params.threshold, clique_size, tuple(sorted(xs)))
+        worst_size = max(worst_size, float(abs(direct - outcome.ell)))
+    return law, worst_size
+
+
+def brute_force_clique_law(params: ModelParams, clique_size: int) -> dict[CliqueOutcome, float]:
+    """The outcome law of the synchronous-round dynamics over the cube: clique_pgf's oracle."""
+    return _cube_pass(params, clique_size)[0]
 
 
 def _pgf_points(size: int) -> list[list[float]]:
@@ -65,11 +121,7 @@ def oracle_equivalence_checks(params: ModelParams) -> list[OracleCheck]:
     points = _pgf_points(len(index))
     checks, mean_checks = [], []
     for w in params.community_sizes.support:
-        brute, worst_size = {}, 0.0
-        for xs, weight, outcome in iter_enumerated_outcomes(params, w):
-            brute[outcome] = brute.get(outcome, 0.0) + weight
-            direct = clique_cascade_size(params.threshold, w, tuple(sorted(xs)))
-            worst_size = max(worst_size, float(abs(direct - outcome.ell)))
+        brute, worst_size = _cube_pass(params, w)
         pgf = [clique_pgf(params, w, s) for s in points]
         worst = max(
             abs(g - sum(p * prod(s[index[x]] for x in o.types) for o, p in brute.items()))
@@ -79,7 +131,8 @@ def oracle_equivalence_checks(params: ModelParams) -> list[OracleCheck]:
         checks.append(OracleCheck(f"clique_law_mass_w{w}", abs(pgf[0] - 1.0), ORACLE_TOL))
         checks.append(OracleCheck(f"cascade_size_w{w}", worst_size, 0.0))
         means = mean_active_by_type_oracle(brute)
-        worst = max(abs(mean_active_of_type(params, x, w) - means.get(x, 0)) for x in xp.support)
+        column = mean_active_column(params, w).tolist()
+        worst = max(abs(c - means.get(x, 0)) for x, c in zip(xp.support, column))
         mean_checks.append(OracleCheck(f"mean_active_w{w}", worst, ORACLE_TOL))
     return checks + mean_checks
 

@@ -28,13 +28,13 @@ from cliquecascade import (
     root_degree_pmf,
     survival_by_threshold,
 )
-from cliquecascade.verification import mean_active_by_type_oracle
-from cliquecascade.clique_dynamics import iter_enumerated_outcomes
 from cliquecascade.verification import (
     _pgf_points,
     branching_root_counts,
     depth1_active_counts,
     histogram_match,
+    iter_enumerated_outcomes,
+    mean_active_by_type_oracle,
 )
 
 from conftest import law_pgf, model, standard_model_suite

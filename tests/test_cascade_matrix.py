@@ -18,14 +18,14 @@ from cliquecascade import (
     cascade_matrix,
     cascade_verdict,
     child_count_pmf,
-    clique_dynamics,
     mean_active_of_type,
     mean_matrix,
     spectral_radius,
     strongly_connected_components,
+    verification,
 )
 from cliquecascade.verification import mean_active_by_type_oracle
-from cliquecascade.clique_dynamics import _levels, mean_active_column
+from cliquecascade.clique_dynamics import mean_active_column
 
 from conftest import UNDERFLOW_MODELS, model, models, standard_model_suite
 
@@ -105,8 +105,10 @@ def reference_mean_active_column(params, clique_size):
     for all j <= m) over every count k at every level, stepped through its
     own (w x w) tables of placed children, staying children and orderings.
     """
-    xp, floors, mass, tail = _levels(params, clique_size)
-    n = clique_size - 1
+    xp, n = child_count_pmf(params), clique_size - 1
+    floors = {x: params.threshold.floor_times(x + n) for x in xp.support}
+    mass = [sum(p for x, p in xp.items if floors[x] == m) for m in range(n)]
+    tail = [sum(p for x, p in xp.items if floors[x] > m) for m in range(n)]
     i, j = np.arange(n + 1)[:, None], np.arange(n + 1)[None, :]
     placed, stay = np.maximum(j - i, 0), n - np.maximum(i, j)
     ways = np.vectorize(math.comb, otypes=[float])(n - i, placed) * (j >= i)
@@ -204,7 +206,7 @@ class TestMeanMatrix:
         def refuse(*args):
             raise AssertionError("mean matrix enumerated clique outcomes")
 
-        monkeypatch.setattr(clique_dynamics, "iter_enumerated_outcomes", refuse)
+        monkeypatch.setattr(verification, "iter_enumerated_outcomes", refuse)
         params = wide_model("13/37")
         assert mean_matrix(params).dim == 19
         assert cascade_verdict(params).kind is VerdictKind.FINITE_ALMOST_SURELY

@@ -19,14 +19,10 @@ from cliquecascade import (
     clique_cascade_size,
     clique_pgf,
 )
-from cliquecascade.clique_dynamics import (
-    _levels,
-    iter_enumerated_outcomes,
-    mean_active_column,
-)
+from cliquecascade.clique_dynamics import _levels, mean_active_column
 from cliquecascade.errors import InvalidOutcome, UnsortedInput
 from cliquecascade.mc_sim import _census_tables
-from cliquecascade.verification import _pgf_points
+from cliquecascade.verification import _pgf_points, iter_enumerated_outcomes
 
 from conftest import law_pgf, model, models, order_stat_pmf, plan_moves
 
@@ -111,6 +107,27 @@ class TestFloatRangeGuard:
         _levels(model({1: 0.5, 2: 0.5}, {1030: 1.0}, "1/3000"), 1030)
         with pytest.raises(EnumerationTooLarge, match="float range"):
             _levels(model({1: 0.5, 2: 0.5}, {1031: 1.0}, "1/3000"), 1031)
+
+
+class TestLevelMap:
+    @given(models(range(1, 5), range(2, 9), max_points=3))
+    @example(model({2: 0.5, 3: 0.5}, {2: 0.5, 5: 0.5}, "1/4"))
+    @example(model({1: 0.5, 4: 0.5}, {3: 1.0}, "1/2"))
+    def test_bounds_cut_the_support_into_level_runs(self, params):
+        # f(x) = floor(theta (x + w - 1)) never decreases along the support, so
+        # level m's types are the run bounds[m]:bounds[m + 1], and the types
+        # from bounds[w - 1] on are out of every cascade's reach
+        for w in params.community_sizes.support:
+            xp, bounds, mass, tail = _levels(params, w)
+            n = w - 1
+            level = [params.threshold.floor_times(x + n) for x in xp.support]
+            assert len(bounds) == w and bounds[0] == 0
+            for m in range(n):
+                assert all(level[i] == m for i in range(bounds[m], bounds[m + 1]))
+            assert all(f >= n for f in level[bounds[n]:])
+            placed = [(p, f) for (_, p), f in zip(xp.items, level)]
+            assert mass == tuple(sum(p for p, f in placed if f == m) for m in range(n))
+            assert tail == tuple(sum(p for p, f in placed if f > m) for m in range(n))
 
 
 class TestWalkReaders:

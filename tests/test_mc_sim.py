@@ -39,13 +39,8 @@ from cliquecascade import (
 )
 from cliquecascade import dist_core
 from cliquecascade.cascade_matrix import _other_communities
-from cliquecascade.clique_dynamics import (
-    _levels,
-    _walk,
-    clique_cascade_size,
-    mean_active_column,
-    require_enumerable,
-)
+from cliquecascade.clique_dynamics import _walk, clique_cascade_size, mean_active_column
+from cliquecascade.dist_core import require_enumerable
 from cliquecascade.mc_sim import (
     _BLOCK,
     ActivationProcess,
@@ -1227,8 +1222,8 @@ def reference_estimate(params, config):
 
 def reference_walk_levels(params, clique_size):
     """Level m as (moves, on, above): (i, probs, (placed, left) rows, onward pairs) per state."""
-    xp, floors, _, _ = _levels(params, clique_size)
-    n, level = clique_size - 1, np.array([floors[x] for x in xp.support])
+    xp, n = child_count_pmf(params), clique_size - 1
+    level = np.array([params.threshold.floor_times(x + n) for x in xp.support])
 
     def run(types):
         return types, xp.probs[types] / xp.probs[types].sum()

@@ -111,7 +111,7 @@ def test_unreached_in_process(monkeypatch):
     # with several configurations.
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import unreached
-    from cliquecascade import cascade_matrix, cli, clique_dynamics, mc_sim
+    from cliquecascade import cascade_matrix, cli, clique_dynamics, mc_sim, verification
 
     names = ("mixture", "census-deep", "p23-q23")
     started = time.monotonic()
@@ -134,18 +134,22 @@ def test_unreached_in_process(monkeypatch):
         'raise ValueError("matrix must be square")',
         'raise ValueError("matrix must be entrywise non-negative")',
     ]
-    # the floor-level walk and its readers, the census engine as a whole,
-    # analyze and the one owner of rho run every statement
+    # the floor-level walk, its level map, its fold and its readers, the
+    # brute-force cube pass, the census engine as a whole, analyze and the
+    # one owner of rho run every statement
     engine = mc_sim.ActivationProcess
     for module, obj in (
         (cli, cli.cmd_analyze),
         (cascade_matrix, cascade_matrix.MeanMatrix.rho.func),
+        (clique_dynamics, clique_dynamics._levels),
         (clique_dynamics, clique_dynamics._walk),
+        (clique_dynamics, clique_dynamics._fold),
         (clique_dynamics, clique_dynamics.mean_active_column),
         (mc_sim, mc_sim._walk_levels),
         (mc_sim, engine._resolve_cliques),
         (mc_sim, engine.root_step),
         (mc_sim, engine.step),
         (mc_sim, engine),
+        (verification, verification._cube_pass),
     ):
         assert not unrun(module, obj), obj.__qualname__

@@ -10,9 +10,13 @@ from cliquecascade import (
     clique_pgf,
     mean_active_of_type,
 )
-from cliquecascade.verification import mean_active_by_type_oracle
-from cliquecascade.clique_dynamics import iter_enumerated_outcomes
-from cliquecascade.verification import ORACLE_TOL, _pgf_points, oracle_equivalence_checks
+from cliquecascade.verification import (
+    ORACLE_TOL,
+    _pgf_points,
+    iter_enumerated_outcomes,
+    mean_active_by_type_oracle,
+    oracle_equivalence_checks,
+)
 
 from conftest import law_pgf, standard_model_suite
 
