@@ -34,7 +34,6 @@ from .clique_dynamics import activation_requirement, clique_cascade_size, clique
 from .dist_core import (
     ModelParams,
     Pmf,
-    PowerSeries,
     Threshold,
     child_count_pmf,
     pgf_compose,
@@ -86,7 +85,6 @@ __all__ = [
     "NoConvergence",
     "OracleCheck",
     "Pmf",
-    "PowerSeries",
     "SimConfig",
     "SimReport",
     "Threshold",

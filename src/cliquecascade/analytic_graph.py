@@ -6,8 +6,8 @@ communities by the size-biased membership law, communities spawn individuals
 by the size-biased size law.  This module answers three questions about that
 object alone: does the branching process survive (and with what extinction
 probability), what does the root's degree look like, and how clustered is the
-graph.  The fixed point reads the child-count pgf as child_count_pmf's
-series, the one cached law the mean matrix and the samplers read too.
+graph.  The fixed point reads the child-count pgf off child_count_pmf, the
+one cached law the mean matrix and the samplers read too.
 """
 
 from __future__ import annotations
@@ -68,12 +68,11 @@ def smallest_fixed_point(params: ModelParams) -> float:
     Raises NoConvergence (carrying the last iterate) if FIXED_POINT_MAX_ITER
     steps are not enough.
     """
-    f = child_count_pmf(params).series
-    df = f.derivative
+    law = child_count_pmf(params)
     x = 0.0
     for _ in range(FIXED_POINT_MAX_ITER):
-        slope = df(x) - 1.0
-        nxt = x - (f(x) - x) / slope if slope < 0.0 else x
+        slope = sum(v * p * x ** (v - 1) for v, p in law.items if v) - 1.0
+        nxt = x - (law.pgf(x) - x) / slope if slope < 0.0 else x
         if nxt <= x:
             return x
         x = nxt

@@ -101,8 +101,8 @@ def _other_communities(further: Pmf, extra_members: Pmf, dim: int) -> np.ndarray
     """
     others = np.zeros(dim)
     if further.support_max > 0:
-        composed = pgf_compose(further.size_biased_shifted(), extra_members).dense()
-        others[: len(composed)] = further.mean() * composed
+        composed = pgf_compose(further.size_biased_shifted(), extra_members)
+        others[composed.values] = further.mean() * composed.probs
     return _read_only(others)
 
 
@@ -111,13 +111,13 @@ def _mean_matrix_cached(params: ModelParams) -> "MeanMatrix":
     params.require_contagion_assumptions()
     dim = params.max_child_count + 1
     require_enumerable(dim * dim, "mean matrix entries")
-    extra = params.extra_members.dense()
     xp = child_count_pmf(params)
     others = _other_communities(params.extra_communities, params.extra_members, dim)
     block = np.zeros((xp.values.size, xp.values.size))
     for w in params.community_sizes.support:
-        parents = np.concatenate((np.zeros(w - 1), others))[xp.values]
-        block += np.outer(parents, extra[w - 1] * mean_active_column(params, w))
+        # others[x - w + 1] for a type x >= w - 1, else 0; types stay below dim
+        parents = np.concatenate((np.zeros(min(w - 1, dim)), others))[xp.values]
+        block += np.outer(parents, params.extra_members(w - 1) * mean_active_column(params, w))
     # condition each row on its type; type 0 has no communities, so a zero row
     block /= xp.probs[:, None]
     return MeanMatrix(types=xp.values, block=_read_only(block), dim=dim)

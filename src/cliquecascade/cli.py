@@ -135,7 +135,7 @@ def _pmf_pairs(pmf: Pmf) -> list:
 
 
 def cmd_analyze(params: ModelParams) -> dict:
-    matrix = mean_matrix(params)  # first: its budget refuses before any slow composition
+    matrix = mean_matrix(params)  # first: its budget is the cheapest refusal
     criterion = survival_criterion(params)
     branching = extinction_probability(params)
     clustering = clustering_coefficient(params)

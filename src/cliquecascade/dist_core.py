@@ -8,20 +8,19 @@ built from four derived objects defined here:
   the count of *further* communities of the chosen member, and of *further*
   members of the chosen community), built once per model by ModelParams and
   read by both the analytic and the simulation paths,
-* probability generating functions of those laws and their polynomial
-  composition, pgf_compose, which returns the compound law as a Pmf: the law
-  of the number of children of a non-root vertex in the projected
-  tree-of-cliques, whose one cached owner is child_count_pmf and whose series
-  is that generating function,
+* probability generating functions of those laws (Pmf.pgf) and their
+  composition, pgf_compose, priced and run over the supports: the law of the
+  number of children of a non-root vertex in the projected tree-of-cliques,
+  whose one cached owner is child_count_pmf,
 * an exact rational activation threshold, kept in integer arithmetic so that
   floor comparisons never suffer float rounding.
 
 ModelParams.infinite_path names the one degenerate model both the contagion
 verdict and the graph's extinction report single out.
 
-Every Pmf carries its read-only array views (values, probs) and the
-package's one inverse-cdf draw.  Combinatorial weights stay exact integers
-until the final multiplication by float masses.
+Every law is held over its support alone: its items, their read-only array
+views (values, probs) and the package's one inverse-cdf draw.  Combinatorial
+weights stay exact integers until the final multiplication by float masses.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd
+from math import comb, gcd
 
 import numpy as np
 
@@ -125,17 +124,6 @@ class Pmf:
     def support_max(self) -> int:
         return self.items[-1][0]
 
-    def dense(self) -> np.ndarray:
-        """Coefficient vector indexed 0..support_max (zeros fill the gaps).
-
-        Raises EnumerationTooLarge before allocating past ENUMERATION_BUDGET.
-        """
-        require_enumerable(self.support_max + 1, "dense coefficients")
-        out = np.zeros(self.support_max + 1)
-        for v, p in self.items:
-            out[v] = p
-        return out
-
     def mean(self) -> float:
         return sum(v * p for v, p in self.items)
 
@@ -183,14 +171,9 @@ class Pmf:
         idx = np.searchsorted(self._cdf, rng.random(size), side="right")
         return self.values[np.minimum(idx, len(self.values) - 1)]
 
-    @cached_property
-    def series(self) -> "PowerSeries":
-        """The generating series, coefficients as dense(), built on first use and kept."""
-        return PowerSeries(coeffs=tuple(float(c) for c in self.dense()))
-
     def pgf(self, x: float) -> float:
-        """Evaluate the probability generating function at x (Horner)."""
-        return self.series(x)
+        """The probability generating function at x: the sum of p x^v over the support."""
+        return sum(p * x**v for v, p in self.items)
 
 
 @dataclass(frozen=True)
@@ -313,39 +296,61 @@ class ModelParams:
             raise AssumptionViolated("community sizes must not put mass at 0 or 1")
 
 
-@dataclass(frozen=True)
-class PowerSeries:
-    """Polynomial with float coefficients, index = power."""
+def _merge(powers: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A series given as (power, coefficient) terms, equal powers summed in term order."""
+    ordered = np.sort(powers)
+    merged = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    return merged, np.bincount(np.searchsorted(merged, powers), weights=coeffs)
 
-    coeffs: tuple[float, ...]
 
-    def __call__(self, x: float) -> float:
-        acc = 0.0
-        for coeff in reversed(self.coeffs):
-            acc = acc * x + coeff
-        return acc
-
-    @cached_property
-    def derivative(self) -> "PowerSeries":
-        """The derivative series, built on first use and kept."""
-        return PowerSeries(tuple(k * c for k, c in enumerate(self.coeffs))[1:])
+def _times(a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray]):
+    """The product of two series: every pair of terms, then equal powers merged."""
+    return _merge(np.add.outer(a[0], b[0]).ravel(), np.multiply.outer(a[1], b[1]).ravel())
 
 
 def pgf_compose(outer: Pmf, inner: Pmf) -> Pmf:
     """The compound law whose pgf is outer-pgf applied to inner-pgf, validated.
 
-    Horner over convolutions: both pgfs are polynomials, so the composition
-    is computed exactly (up to float rounding) with no truncation, to degree
-    outer.support_max * inner.support_max.  Coefficients that round to zero
-    leave the support; the masses must sum to one within DERIVED_MASS_TOL.
+    Horner over the outer support, descending, on (powers, coefficients)
+    arrays: each outer mass joins at power 0, and the gap g to the next outer
+    value multiplies by inner^g, one product per binary digit of g with the
+    squares inner^(2^b).  A bound on all products' pairs is priced before the
+    first, so a refusal costs no product: inner^e has at most min(e * span + 1,
+    C(e + s - 1, s - 1)) powers (s, span: the inner support's size, max - min),
+    the series after t outer values t times that at e = outer.support_max, or
+    its degree + 1 powers and one mass not yet merged.
+    Raises EnumerationTooLarge past ENUMERATION_BUDGET pairs or a degree past
+    int64.  Zero coefficients leave the support; the masses must sum to one
+    within DERIVED_MASS_TOL.
     """
-    outer_c = outer.dense()
-    inner_c = inner.dense()
-    result = np.array([outer_c[-1]])
-    for k in range(len(outer_c) - 2, -1, -1):
-        result = np.convolve(result, inner_c)
-        result[0] += outer_c[k]
-    return Pmf.from_pairs(enumerate(result), tol=DERIVED_MASS_TOL)
+    degree = outer.support_max * inner.support_max
+    if degree >= 2**63:  # the powers are int64
+        raise EnumerationTooLarge(f"composition degree at least 2^{degree.bit_length() - 1} exceeds int64")
+    s, span = len(inner.items), inner.support_max - inner.support[0]
+
+    def powers_of(e: int) -> int:  # a bound on the support size of inner^e
+        return min(e * span + 1, comb(e + s - 1, s - 1))
+
+    values = outer.support[::-1]
+    gaps = [v - after for v, after in zip(values, values[1:] + (0,))]
+    plan = [[b for b in range(g.bit_length()) if g >> b & 1] for g in gaps]
+    bounds = [powers_of(1 << b) for b in range(max(gaps).bit_length())]
+    work, top, e = sum(n * n for n in bounds[:-1]), powers_of(outer.support_max), 0
+    for t, bits in enumerate(plan, 1):
+        for b in bits:
+            work += min(t * top, e * inner.support_max + 2) * bounds[b]
+            e += 1 << b
+    require_enumerable(work, "composition products")
+    squares = [(inner.values, inner.probs)]
+    for _ in bounds[1:]:
+        squares.append(_times(squares[-1], squares[-1]))
+    powers, coeffs = np.zeros(0, dtype=np.int64), np.zeros(0)
+    for (_, mass), bits in zip(reversed(outer.items), plan):
+        powers, coeffs = np.concatenate(([0], powers)), np.concatenate(([mass], coeffs))
+        for b in bits:
+            powers, coeffs = _times((powers, coeffs), squares[b])
+    powers, coeffs = _merge(powers, coeffs)
+    return Pmf.from_pairs(zip(powers.tolist(), coeffs.tolist()), tol=DERIVED_MASS_TOL)
 
 
 @lru_cache(maxsize=None)
@@ -358,7 +363,6 @@ def child_count_pmf(params: ModelParams) -> Pmf:
 
     The vertex sits in one community already; it joins extra communities per
     the size-biased membership law, and each contributes an independent
-    size-biased count of further members.  Its series is the generating
-    series of the child count.
+    size-biased count of further members.
     """
     return _child_count_pmf(params.extra_communities, params.extra_members)

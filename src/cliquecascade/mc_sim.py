@@ -305,15 +305,13 @@ class ActivationProcess:
         type_index = {x: i for i, x in enumerate(xp.support)}
         # log P(K = d - 1) + log((d - 1)! / prod n_w!) + sum n_w log e_w; a zero mass weighs -inf
         log_k = {k: log(mass) for k, mass in params.extra_communities.items}
-        log_e = {m: log(mass) for m, mass in params.extra_members.items}
-        terms = [[0.0] + [n * log_e.get(w - 1, -inf) - lgamma(n + 1) for n in range(1, p.support_max)]
-                 for w in q.support]
+        log_e = [log(e) if e else -inf for e in map(params.extra_members, [w - 1 for w in q.support])]
         by_type = defaultdict(lambda: ([], []))
         for d in p.support:
             base = log_k.get(d - 1, -inf) + lgamma(d)
             for counts in _count_vectors(d - 1, len(q.support)):
                 logs, rows = by_type[sum(map(mul, counts, q.support)) - d + 1]  # sum n_w (w - 1)
-                logs.append(base + sum(t[n] for t, n in zip(terms, counts)))
+                logs.append(base + sum(n * le - lgamma(n + 1) if n else 0.0 for le, n in zip(log_e, counts)))
                 rows.append(counts)
         configs, self.fixed = [], np.zeros((xp.values.size, len(q.support)), dtype=np.int64)
         for x, (logs, rows) in sorted(by_type.items()):

@@ -88,6 +88,21 @@ def order_stat_pmf(base, n: int, sorted_values) -> float:
     return prob
 
 
+def dense_horner(outer, inner) -> np.ndarray:
+    """The composition outer(inner(z)) as coefficients indexed 0..degree.
+
+    The reference for pgf_compose: Horner over every power of the outer law,
+    each step one np.convolve with the dense inner law, zeros included.
+    """
+    outer_c, inner_c = np.zeros(outer.support_max + 1), np.zeros(inner.support_max + 1)
+    outer_c[outer.values], inner_c[inner.values] = outer.probs, inner.probs
+    result = np.array([outer_c[-1]])
+    for k in range(len(outer_c) - 2, -1, -1):
+        result = np.convolve(result, inner_c)
+        result[0] += outer_c[k]
+    return result
+
+
 def law_pgf(params: ModelParams, law: dict, s) -> float:
     """The pgf of a clique outcome law at s, indexed like child_count_pmf(params).values.
 

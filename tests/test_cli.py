@@ -44,11 +44,37 @@ CONFIGURATION_BUDGET = {
     "community_sizes": [[w, 1 / 19] for w in range(2, 21)],
     "threshold": "1/10",
 }
-# a dense coefficient vector of 10^12 + 1 floats, about 7.3 TiB
+# a 10^12-square mean matrix, and 10^24 vertices by depth 2 of the census;
+# verify passes, since the one child needs 10^11 + 1 active neighbours
 HUGE_MEMBERSHIP = {
     "memberships": [[10**12, 1.0]],
     "community_sizes": [[2, 1.0]],
     "threshold": "1/10",
+}
+# one community of 10^12 members: the mean matrix is 1 x 1, and its column
+# needs binomial coefficients far past the float range
+HUGE_COMMUNITY = {
+    "memberships": [[1, 1.0]],
+    "community_sizes": [[10**12, 1.0]],
+    "threshold": "1/10",
+}
+# one large membership value against large communities: each composition
+# needs a few point-mass products, where Horner over dense convolutions ran
+# for tens of seconds
+LARGE_MEMBERSHIP = {
+    "p703-q776": {"memberships": [[703, 1.0]], "community_sizes": [[776, 1.0]], "threshold": "1/15"},
+    "p1e6-q2": {"memberships": [[10**6, 1.0]], "community_sizes": [[2, 1.0]], "threshold": "1/10"},
+    "p703-q409-879": {
+        "memberships": [[703, 1.0]],
+        "community_sizes": [[409, 0.5], [879, 0.5]],
+        "threshold": "1/15",
+    },
+}
+# about 1.5e11 priced pairs to compose the child-count law
+WIDE_COMPOSITION = {
+    "memberships": [[d, 1 / 700] for d in range(1, 701)],
+    "community_sizes": [[w, 1 / 775] for w in range(2, 777)],
+    "threshold": "1/15",
 }
 # C(1999, 999) binomial coefficients in the level walk, far past the float range
 PAST_FLOAT_RANGE = {
@@ -513,18 +539,60 @@ def test_float_range_guard_exit_1(tmp_path, argv):
     assert "Traceback" not in result.stderr
 
 
+SIMULATE_DEPTH_2 = ["simulate", "--depth", "2", "--replicates", "10", "--seed", "1"]
+
+
 @pytest.mark.parametrize(
-    "argv",
-    [["analyze"], ["simulate", "--depth", "2", "--replicates", "10", "--seed", "1"], ["verify"]],
+    "argv, code, stderr",
+    [(["analyze"], 1, "error: enumeration too large: at least 2^79 mean matrix entries exceed "),
+     (SIMULATE_DEPTH_2, 1, "error: simulation overflow: level 2 would hold "),
+     (["verify"], 0, None)],
     ids=["analyze", "simulate", "verify"],
 )
-def test_dense_table_guard_exit_1(tmp_path, argv):
-    result, _ = fresh_cli(argv, write_config(tmp_path, HUGE_MEMBERSHIP))
+def test_huge_membership_value(tmp_path, argv, code, stderr):
+    result, seconds = fresh_cli(argv, write_config(tmp_path, HUGE_MEMBERSHIP))
+    assert seconds < 5.0
+    assert result.returncode == code
+    if code:
+        assert result.stdout == ""
+        lines = result.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(stderr)
+    else:
+        assert result.stderr == ""
+        assert json.loads(result.stdout)["all_passed"] is True
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["sweep", "--grid", "1/10,1/5"]], ids=["analyze", "sweep"])
+def test_huge_community_size_refused_at_once(tmp_path, argv):
+    result, seconds = fresh_cli(argv, write_config(tmp_path, HUGE_COMMUNITY))
+    assert seconds < 5.0
+    assert result.returncode == 1
+    assert result.stdout == ""
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: enumeration too large: community size 1000000000000 ")
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("p703-q776", SIMULATE_DEPTH_2), ("p703-q776", ["verify"]), ("p1e6-q2", SIMULATE_DEPTH_2),
+     ("p1e6-q2", ["verify"]), ("p703-q409-879", SIMULATE_DEPTH_2)],
+    ids=["p703-q776-simulate", "p703-q776-verify", "p1e6-q2-simulate", "p1e6-q2-verify",
+         "p703-q409-879-simulate"],
+)
+def test_one_large_membership_value_composes_at_once(tmp_path, name, argv):
+    result, seconds = fresh_cli(argv, write_config(tmp_path, LARGE_MEMBERSHIP[name]))
+    assert result.returncode == 0, result.stderr
+    assert seconds < 5.0
+
+
+def test_wide_composition_refused_at_once(tmp_path):
+    result, seconds = fresh_cli(["verify"], write_config(tmp_path, WIDE_COMPOSITION))
+    assert seconds < 2.0
     assert result.returncode == 1
     assert result.stdout == ""
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: enumeration too large: ")
-    assert "Traceback" not in result.stderr
+    assert lines[0].endswith(" composition products exceed the 10000000 budget")
 
 
 @pytest.mark.parametrize("name", sorted(OVERSIZED))

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import time
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,7 +28,10 @@ from cliquecascade import (
 )
 from cliquecascade.errors import AssumptionViolated
 
-from conftest import model, standard_model_suite
+from conftest import dense_horner, model, standard_model_suite
+
+
+TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def pmf_strategy(min_value=0, max_value=6):
@@ -40,6 +44,19 @@ def pmf_strategy(min_value=0, max_value=6):
         st.integers(1, 100),
         min_size=1,
         max_size=5,
+    ).map(build)
+
+
+def sparse_pmf_strategy(max_value=40):
+    """Gapped supports whose masses include 1e-17, 1e-300 and 5e-324."""
+
+    def build(weights):
+        total = sum(w for w in weights.values() if w >= 0.01)
+        return Pmf.from_pairs({v: w / total if w >= 0.01 else w for v, w in weights.items()})
+
+    masses = st.one_of(st.floats(0.01, 1.0), st.sampled_from([1e-17, 1e-300, 5e-324]))
+    return st.dictionaries(st.integers(0, max_value), masses, min_size=1, max_size=6).filter(
+        lambda weights: max(weights.values()) >= 0.01
     ).map(build)
 
 
@@ -141,17 +158,6 @@ class TestPmf:
         assert pmf.draw(rng, size).tolist() == expected.tolist()
         # one uniform per draw, so the streams stay in step
         assert rng.random() == reference.random()
-
-    def test_dense_roundtrip(self):
-        pmf = Pmf.from_pairs({0: 0.25, 3: 0.75})
-        dense = pmf.dense()
-        assert list(dense) == pytest.approx([0.25, 0.0, 0.0, 0.75])
-
-    def test_dense_refused_past_the_budget(self, monkeypatch):
-        monkeypatch.setattr(dist_core, "ENUMERATION_BUDGET", 4)
-        assert Pmf.from_pairs({0: 0.25, 3: 0.75}).dense().shape == (4,)
-        with pytest.raises(EnumerationTooLarge, match="5 dense coefficients"):
-            Pmf.from_pairs({0: 0.25, 4: 0.75}).dense()
 
 
 class TestThreshold:
@@ -270,13 +276,60 @@ class TestComposition:
         outer = Pmf.point(2)
         inner = Pmf.from_pairs({0: 0.5, 1: 0.5})
         law = pgf_compose(outer, inner)
-        assert list(law.dense()) == pytest.approx([0.25, 0.5, 0.25])
+        assert law.items == ((0, 0.25), (1, 0.5), (2, 0.25))
 
     @given(pmf_strategy(0, 4), pmf_strategy(0, 4))
     def test_compose_evaluates_like_nesting(self, outer, inner):
         law = pgf_compose(outer, inner)
         for x in (0.0, 0.3, 0.9, 1.0):
             assert law.pgf(x) == pytest.approx(outer.pgf(inner.pgf(x)), abs=1e-9)
+
+    @given(sparse_pmf_strategy(), sparse_pmf_strategy())
+    @example(Pmf.point(37), Pmf.from_pairs({3: 0.5, 29: 0.5}))
+    @example(Pmf.from_pairs({0: 0.5, 9: 0.5 - 1e-17, 40: 1e-17}), Pmf.from_pairs({1: 1 - 1e-300, 17: 1e-300}))
+    @example(Pmf.from_pairs({2: 0.5, 3: 0.5}), Pmf.from_pairs({0: 5e-324, 11: 1.0}))
+    def test_compose_matches_dense_horner(self, outer, inner):
+        # equal supports, but a coefficient that underflows on one side may
+        # round to zero on the other; the normal ones agree to rounding
+        ours, theirs = dict(pgf_compose(outer, inner).items), dense_horner(outer, inner)
+        theirs = {v: float(c) for v, c in enumerate(theirs) if c > 0.0}
+        for v in ours.keys() ^ theirs.keys():
+            assert ours.get(v, 0.0) < TINY and theirs.get(v, 0.0) < TINY, v
+        for v in ours.keys() & theirs.keys():
+            if min(ours[v], theirs[v]) >= TINY:
+                assert ours[v] == pytest.approx(theirs[v], rel=1e-12, abs=0.0), v
+
+    @given(sparse_pmf_strategy(), sparse_pmf_strategy())
+    def test_compose_prices_every_product_first(self, outer, inner):
+        priced, formed, times = [], [], dist_core._times
+
+        def counted(a, b):
+            assert priced, "a product ran before the price"
+            formed.append(a[0].size * b[0].size)
+            return times(a, b)
+
+        with mock.patch.object(dist_core, "_times", counted), \
+                mock.patch.object(dist_core, "require_enumerable", lambda n, what: priced.append((n, what))):
+            pgf_compose(outer, inner)
+        [(work, what)] = priced
+        assert what == "composition products"
+        assert sum(formed) <= work
+
+    def test_compose_refused_past_the_budget(self, monkeypatch):
+        # inner = {0, 1}; the gap 3 is inner^1 then inner^2, and squaring
+        # prices 2 * 2 pairs.  The series is priced by its degree bound:
+        # 2 * 2 pairs against inner, then 3 * 3 against inner^2
+        outer, inner = Pmf.from_pairs({0: 0.5, 3: 0.5}), Pmf.from_pairs({0: 0.5, 1: 0.5})
+        monkeypatch.setattr(dist_core, "ENUMERATION_BUDGET", 17)
+        assert pgf_compose(outer, inner).support == (0, 1, 2, 3)
+        monkeypatch.setattr(dist_core, "ENUMERATION_BUDGET", 16)
+        with pytest.raises(EnumerationTooLarge, match="17 composition products"):
+            pgf_compose(outer, inner)
+
+    def test_compose_refuses_a_degree_past_int64(self):
+        assert pgf_compose(Pmf.point(2**62), Pmf.point(1)).items == ((2**62, 1.0),)
+        with pytest.raises(EnumerationTooLarge, match="degree at least 2\\^63 exceeds int64"):
+            pgf_compose(Pmf.point(2**62), Pmf.point(2))
 
     def test_child_count_point_masses(self, triangle_model):
         assert child_count_pmf(triangle_model).items == ((4, 1.0),)
@@ -295,12 +348,6 @@ class TestComposition:
         expected = params.extra_communities.mean() * params.extra_members.mean()
         assert law.mean() == pytest.approx(expected, rel=1e-9, abs=1e-9)
         assert law.support_max <= params.max_child_count
-
-    def test_series_matches_pmf(self, mixed_model):
-        law = child_count_pmf(mixed_model)
-        series = law.series
-        for x, p in law.items:
-            assert series.coeffs[x] == pytest.approx(p, abs=1e-12)
 
     def test_series_is_the_composition(self, mixed_model):
         # the one cached law is the composed law as it is

@@ -111,7 +111,7 @@ def test_unreached_in_process(monkeypatch):
     # with several configurations.
     monkeypatch.syspath_prepend(str(ROOT / "scripts"))
     import unreached
-    from cliquecascade import cascade_matrix, cli, clique_dynamics, mc_sim, verification
+    from cliquecascade import cascade_matrix, cli, clique_dynamics, dist_core, mc_sim, verification
 
     names = ("mixture", "census-deep", "p23-q23")
     started = time.monotonic()
@@ -134,6 +134,9 @@ def test_unreached_in_process(monkeypatch):
         'raise ValueError("matrix must be square")',
         'raise ValueError("matrix must be entrywise non-negative")',
     ]
+    # the pgf composition runs all but its refusal of a degree past int64
+    [line] = unrun(dist_core, dist_core.pgf_compose)
+    assert line.startswith("raise EnumerationTooLarge(") and "degree" in line
     # the floor-level walk, its level map, its fold and its readers, the
     # brute-force cube pass, the census engine as a whole, analyze and the
     # one owner of rho run every statement
