@@ -11,10 +11,9 @@ half kills every cascade, and the all-2s degenerate model is an infinite path
 (ModelParams.infinite_path) that activates surely.
 
 The types are the child counts that occur, the support of child_count_pmf,
-and the matrix is built and solved on them alone: MeanMatrix.block is
+and the matrix is built, priced, solved and reported on them alone: block is
 |support| x |support|, indexed by support position like the census engine's
-types.  MeanMatrix.entries expands it to the value-indexed dim x dim view,
-dim = max child count + 1, zero off the support, for the analyze report.
+types.  entries, its value-indexed dim x dim view, is priced where it is built.
 
 Nothing here enumerates tuples.  Each clique size w contributes one column,
 clique_dynamics.mean_active_column, the clique pgf's gradient at s = 1, read
@@ -36,11 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
-from .clique_dynamics import mean_active_column
+from .clique_dynamics import _walk_moves, mean_active_column
 from .dist_core import ModelParams, Pmf, _read_only, child_count_pmf, pgf_compose, require_enumerable
 from .errors import NoConvergence
 
@@ -68,8 +68,8 @@ class MeanMatrix:
 
     types is the child-count support, child_count_pmf(params).values, and
     block[i, j] the entry for types (types[i], types[j]): the one owner of
-    the type index.  dim = max child count + 1 is the size of entries, the
-    value-indexed view the analyze report emits.
+    the type index, and what the analyze report emits.  dim = max child
+    count + 1 is the size of entries, the value-indexed view.
     """
 
     types: np.ndarray
@@ -78,7 +78,8 @@ class MeanMatrix:
 
     @cached_property
     def entries(self) -> np.ndarray:
-        """block expanded to dim x dim, zero off the support; built on first use, read-only."""
+        """block expanded to dim x dim, zero off the support; priced, built on first use, read-only."""
+        require_enumerable(self.dim * self.dim, "dense mean matrix entries")
         dense = np.zeros((self.dim, self.dim))
         dense[np.ix_(self.types, self.types)] = self.block
         return _read_only(dense)
@@ -90,37 +91,37 @@ class MeanMatrix:
 
 
 @lru_cache(maxsize=None)
-def _other_communities(further: Pmf, extra_members: Pmf, dim: int) -> np.ndarray:
+def _other_communities(further: Pmf, extra_members: Pmf) -> MappingProxyType:
     """others[y]: a parent's K further communities, one singled out, the rest holding y members.
 
     A parent's type is the sum of its further communities' extra members, so
     the type's mass is the child-count law.  Singling out one of the K leaves
     K - 1 summing freely; weighted by K that is E[K] times the size-biased
-    shift of K, composed with the extra-members pgf.  No threshold enters,
-    so the thresholds of a sweep share one entry.
+    shift of K, composed with the extra-members pgf, keyed by its support.
+    No threshold enters, so the thresholds of a sweep share one entry.
     """
-    others = np.zeros(dim)
+    others = {}
     if further.support_max > 0:
         composed = pgf_compose(further.size_biased_shifted(), extra_members)
-        others[composed.values] = further.mean() * composed.probs
-    return _read_only(others)
+        others = dict(zip(composed.support, (further.mean() * composed.probs).tolist()))
+    return MappingProxyType(others)
 
 
 @lru_cache(maxsize=None)
 def _mean_matrix_cached(params: ModelParams) -> "MeanMatrix":
     params.require_contagion_assumptions()
-    dim = params.max_child_count + 1
-    require_enumerable(dim * dim, "mean matrix entries")
     xp = child_count_pmf(params)
-    others = _other_communities(params.extra_communities, params.extra_members, dim)
+    _walk_moves(params)  # the walks' price, before the block's
+    require_enumerable(xp.values.size**2, "mean matrix entries")
+    others = _other_communities(params.extra_communities, params.extra_members)
     block = np.zeros((xp.values.size, xp.values.size))
     for w in params.community_sizes.support:
-        # others[x - w + 1] for a type x >= w - 1, else 0; types stay below dim
-        parents = np.concatenate((np.zeros(min(w - 1, dim)), others))[xp.values]
+        # a type-x parent's other communities hold x - (w - 1) members, 0 weight off their support
+        parents = np.array([others.get(x - w + 1, 0.0) for x, _ in xp.items])
         block += np.outer(parents, params.extra_members(w - 1) * mean_active_column(params, w))
     # condition each row on its type; type 0 has no communities, so a zero row
     block /= xp.probs[:, None]
-    return MeanMatrix(types=xp.values, block=_read_only(block), dim=dim)
+    return MeanMatrix(types=xp.values, block=_read_only(block), dim=params.max_child_count + 1)
 
 
 def mean_matrix(params: ModelParams) -> MeanMatrix:

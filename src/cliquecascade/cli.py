@@ -135,7 +135,7 @@ def _pmf_pairs(pmf: Pmf) -> list:
 
 
 def cmd_analyze(params: ModelParams) -> dict:
-    matrix = mean_matrix(params)  # first: its budget is the cheapest refusal
+    matrix = mean_matrix(params)  # first: its walk and |support|^2 prices refuse cheapest
     criterion = survival_criterion(params)
     branching = extinction_probability(params)
     clustering = clustering_coefficient(params)
@@ -163,7 +163,7 @@ def cmd_analyze(params: ModelParams) -> dict:
             "degenerate": clustering.degenerate_triples,
         },
         "child_count_pmf": _pmf_pairs(child_count_pmf(params)),
-        "mean_matrix": matrix.entries.tolist(),
+        "mean_matrix": {"types": matrix.types.tolist(), "entries": matrix.block.tolist()},
         "spectral_radius": matrix.rho,
         "verdict": {
             "kind": verdict.kind.value,

@@ -13,8 +13,9 @@ whose requirement exceeds the number of vertices already available.
 
 The same monotonicity gives a walk over floor levels f(x) = floor(threshold *
 (x + w - 1)), and this module is the only one that knows it: _levels holds
-its tables for one clique size, the support cut into one run per level, and
-_walk steps through its reachable states.  Two readers share that one walk.
+its tables for one clique size, the support cut into one run per level,
+_walk_moves prices all sizes' walks from those tables, and _walk steps
+through its reachable states.  Two readers share that one walk.
 _fold passes over it once: clique_pgf reads it as the exact law of the
 activated children by type, as its generating function, and
 mean_active_column as the mean activated count of every type, that pgf's
@@ -32,7 +33,7 @@ from math import comb, lgamma, log
 
 import numpy as np
 
-from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf
+from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf, require_enumerable
 from .errors import EnumerationTooLarge, InvalidOutcome, UnsortedInput
 
 
@@ -101,6 +102,33 @@ def _levels(params: ModelParams, clique_size: int) -> tuple[Pmf, tuple, tuple, t
     return xp, bounds, mass, tail
 
 
+@lru_cache(maxsize=None)
+def _walk_moves(params: ModelParams) -> int:
+    """The moves _walk yields, summed over the model's community sizes, counted without walking.
+
+    Read off _levels' mass and tail alone, in O(w) per size: a size's alive
+    states form an interval [lo, hi].  A level with positive mass and tail
+    gives state i its n - i + 1 moves and leaves [max(lo, m + 1), n - 1];
+    any other level gives each state one move and leaves the states above m,
+    or none if it has no tail.  Raises EnumerationTooLarge past
+    ENUMERATION_BUDGET moves, so a refusal walks nothing.
+    """
+    moves = 0
+    for w in params.community_sizes.support:
+        _, _, mass, tail = _levels(params, w)
+        n, m, lo, hi = len(mass), 0, 0, 0
+        while lo <= hi < n:  # a size-1 community, n = 0, has no children to place
+            if mass[m] and tail[m]:
+                moves += (hi - lo + 1) * (2 * n + 2 - lo - hi) // 2
+                hi = n - 1
+            else:
+                moves += hi - lo + 1
+                hi = hi if tail[m] else -1
+            lo, m = max(lo, m + 1), m + 1
+    require_enumerable(moves, "walk moves")
+    return moves
+
+
 def _walk(params: ModelParams, clique_size: int):
     """Walk one clique size's floor levels: yield (m, moves) while a state is alive.
 
@@ -111,7 +139,9 @@ def _walk(params: ModelParams, clique_size: int):
     iff k = 0 or mass_m > 0, and k = rest or tail_m > 0.  The cascade stops
     at j = m (too few to go on: n - j children stay inactive above m) or at
     j = n (every child placed); live = m < j < n flags the other moves.
+    _walk_moves prices the model's walks before the first move.
     """
+    _walk_moves(params)
     _, _, mass, tail = _levels(params, clique_size)
     n, m, alive = len(mass), 0, [0]
     while alive:  # alive states lie in m..n-1, so m < n and reach > 0

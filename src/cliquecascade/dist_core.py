@@ -315,10 +315,13 @@ def pgf_compose(outer: Pmf, inner: Pmf) -> Pmf:
     arrays: each outer mass joins at power 0, and the gap g to the next outer
     value multiplies by inner^g, one product per binary digit of g with the
     squares inner^(2^b).  A bound on all products' pairs is priced before the
-    first, so a refusal costs no product: inner^e has at most min(e * span + 1,
-    C(e + s - 1, s - 1)) powers (s, span: the inner support's size, max - min),
-    the series after t outer values t times that at e = outer.support_max, or
-    its degree + 1 powers and one mass not yet merged.
+    first, not counted as they run, so that a refusal costs no product (the
+    walk's price, clique_dynamics._walk_moves, keeps the same rule); being a
+    bound, it may refuse a composition that would fit.  inner^e has at most
+    min(e * span + 1, C(e + s - 1, s - 1)) powers (s, span: the inner
+    support's size, max - min), the series after t outer values t times that
+    at e = outer.support_max, or its degree + 1 powers and one mass not yet
+    merged.
     Raises EnumerationTooLarge past ENUMERATION_BUDGET pairs or a degree past
     int64.  Zero coefficients leave the support; the masses must sum to one
     within DERIVED_MASS_TOL.

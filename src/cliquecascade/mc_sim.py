@@ -41,7 +41,7 @@ from operator import mul
 
 import numpy as np
 
-from .clique_dynamics import _levels, _require_float_range, _walk
+from .clique_dynamics import _levels, _require_float_range, _walk, _walk_moves
 from .dist_core import ModelParams, Threshold, child_count_pmf, require_enumerable
 from .errors import CensusOverflow, ConfigInvalid
 
@@ -291,7 +291,8 @@ class ActivationProcess:
     extra members, one row per size-count vector, in _count_vectors order.
     Raises EnumerationTooLarge before listing more than ENUMERATION_BUDGET
     configuration tuples, or for a community size past the walk's float
-    range; both refusals come before the child-count law is composed.
+    range, both before the child-count law is composed; and, before the
+    table is listed, for walks of more than ENUMERATION_BUDGET moves in all.
     """
 
     def __init__(self, params: ModelParams):
@@ -302,6 +303,7 @@ class ActivationProcess:
         for w in q.support:
             _require_float_range(w)
         xp = child_count_pmf(params)
+        _walk_moves(params)  # the walks' price, before the configuration table is listed
         type_index = {x: i for i, x in enumerate(xp.support)}
         # log P(K = d - 1) + log((d - 1)! / prod n_w!) + sum n_w log e_w; a zero mass weighs -inf
         log_k = {k: log(mass) for k, mass in params.extra_communities.items}

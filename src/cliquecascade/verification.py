@@ -115,8 +115,9 @@ def oracle_equivalence_checks(params: ModelParams) -> list[OracleCheck]:
     for w in params.community_sizes.support:
         _require_float_range(w)  # the walk's guard, before the child-count law is composed
     xp = child_count_pmf(params)
-    for w in params.community_sizes.support:
-        require_enumerable(len(xp.support) ** (w - 1), "child-count tuples")
+    # the cubes are priced together, as the walk's moves are
+    cubes = sum(len(xp.support) ** (w - 1) for w in params.community_sizes.support)
+    require_enumerable(cubes, "child-count tuples")
     index = {x: i for i, x in enumerate(xp.support)}
     points = _pgf_points(len(index))
     checks, mean_checks = [], []

@@ -219,10 +219,16 @@ class TestMeanMatrix:
         assert np.abs(entries - product_mean_matrix(params)).max() <= 1e-12
 
     def test_oversized_matrix_refused_before_allocation(self):
-        # 30000 types: 9e8 entries, a 7.2 GB matrix; 3000 types still fit
-        assert mean_matrix(model({3000: 1.0}, {2: 1.0}, "1/10")).dim == 3000
-        with pytest.raises(EnumerationTooLarge, match="900000000 mean matrix entries"):
-            mean_matrix(model({30000: 1.0}, {2: 1.0}, "1/10"))
+        # one type of 29999 builds a 1 x 1 block, but its dense view would
+        # hold 9e8 entries, a 7.2 GB array; a dim of 3000 still fits
+        assert mean_matrix(model({3000: 1.0}, {2: 1.0}, "1/10")).entries.shape == (3000, 3000)
+        matrix = mean_matrix(model({30000: 1.0}, {2: 1.0}, "1/10"))
+        assert matrix.block.shape == (1, 1)
+        with pytest.raises(EnumerationTooLarge, match="900000000 dense mean matrix entries"):
+            matrix.entries
+        # 4000 types: a 1.6e7-entry block is refused before it is built
+        with pytest.raises(EnumerationTooLarge, match="16000000 mean matrix entries"):
+            mean_matrix(model({d: 1 / 4000 for d in range(1, 4001)}, {2: 1.0}, "1/10"))
 
     def test_triangle_single_entry(self, triangle_model):
         matrix = mean_matrix(triangle_model)

@@ -20,6 +20,10 @@ from cliquecascade import (
     mean_matrix,
     strongly_connected_components,
 )
+from cliquecascade.clique_dynamics import mean_active_column
+from cliquecascade.dist_core import pgf_compose
+
+from conftest import standard_model_suite
 
 TRIANGLE = {
     "memberships": [[3, 1.0]],
@@ -89,7 +93,7 @@ PAST_WEIGHT_RANGE = {
     "community_sizes": [[1025, 1.0]],
     "threshold": "1/3000",
 }
-# 18 child-count types: 18^6 = 34012224 tuples in the size-7 cube
+# 18 child-count types: 18 + 18^2 + ... + 18^6 = 36012942 tuples in the six cubes
 WIDE = {
     "memberships": [[d, 1 / 3] for d in (2, 3, 4)],
     "community_sizes": [[w, 1 / 6] for w in range(2, 8)],
@@ -138,6 +142,23 @@ def write_config(tmp_path, payload, name="model.json"):
 
 def run(argv):
     return cli.main(argv)
+
+
+def dense_mean_matrix(params):
+    """The dim x dim mean matrix built as it was before the support form: weights padded to dim."""
+    dim = params.max_child_count + 1
+    xp, further = child_count_pmf(params), params.extra_communities
+    others = np.zeros(dim)
+    if further.support_max > 0:
+        composed = pgf_compose(further.size_biased_shifted(), params.extra_members)
+        others[composed.values] = further.mean() * composed.probs
+    block = np.zeros((xp.values.size, xp.values.size))
+    for w in params.community_sizes.support:
+        parents = np.concatenate((np.zeros(min(w - 1, dim)), others))[xp.values]
+        block += np.outer(parents, params.extra_members(w - 1) * mean_active_column(params, w))
+    dense = np.zeros((dim, dim))
+    dense[np.ix_(xp.values, xp.values)] = block / xp.probs[:, None]
+    return dense
 
 
 class TestConfigParsing:
@@ -226,7 +247,17 @@ class TestAnalyze:
         assert report["clustering"]["value"] == pytest.approx(0.2)
         assert report["child_count_pmf"] == [[4, 1.0]]
         assert report["model"]["threshold"] == "1/10"
-        assert report["mean_matrix"][4][4] == pytest.approx(4.0)
+        assert report["mean_matrix"]["types"] == [4]
+        assert report["mean_matrix"]["entries"] == [[pytest.approx(4.0)]]
+
+    @pytest.mark.parametrize("params", standard_model_suite())
+    def test_block_expands_to_the_dense_matrix(self, params):
+        # the report's {types, entries}, expanded, is the dense view analyze
+        # once emitted, bit for bit
+        report = json.loads(cli.emit_json(cli.cmd_analyze(params)))["mean_matrix"]
+        dense = np.zeros((params.max_child_count + 1,) * 2)
+        dense[np.ix_(report["types"], report["types"])] = report["entries"]
+        assert np.array_equal(dense, dense_mean_matrix(params))
 
     def test_roundtrip(self, tmp_path, capsys):
         run(["analyze", "--config", write_config(tmp_path, TRIANGLE)])
@@ -356,7 +387,9 @@ class TestSimulate:
         assert report["config"]["depth"] == 10
         assert run(["analyze", "--config", config]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert len(report["mean_matrix"]) == 58
+        types = report["mean_matrix"]["types"]  # 57 types on a dense dim of 58
+        assert len(types) == 57 and max(types) == 57
+        assert [len(row) for row in report["mean_matrix"]["entries"]] == [57] * 57
         assert report["verdict"]["kind"] == "FiniteAlmostSurely"
         config = write_config(tmp_path, CONFIGURATION_BUDGET, name="configs.json")
         assert run(["simulate", "--config", config] + argv) == 1
@@ -543,23 +576,25 @@ SIMULATE_DEPTH_2 = ["simulate", "--depth", "2", "--replicates", "10", "--seed", 
 
 
 @pytest.mark.parametrize(
-    "argv, code, stderr",
-    [(["analyze"], 1, "error: enumeration too large: at least 2^79 mean matrix entries exceed "),
+    "argv, code, expected",
+    [(["analyze"], 0, {"mean_matrix": {"types": [10**12 - 1], "entries": [[0.0]]}}),
      (SIMULATE_DEPTH_2, 1, "error: simulation overflow: level 2 would hold "),
-     (["verify"], 0, None)],
+     (["verify"], 0, {"all_passed": True})],
     ids=["analyze", "simulate", "verify"],
 )
-def test_huge_membership_value(tmp_path, argv, code, stderr):
+def test_huge_membership_value(tmp_path, argv, code, expected):
+    # one type: analyze reports its 1 x 1 block, whatever its dense dim
     result, seconds = fresh_cli(argv, write_config(tmp_path, HUGE_MEMBERSHIP))
     assert seconds < 5.0
     assert result.returncode == code
     if code:
         assert result.stdout == ""
         lines = result.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith(stderr)
+        assert len(lines) == 1 and lines[0].startswith(expected)
     else:
         assert result.stderr == ""
-        assert json.loads(result.stdout)["all_passed"] is True
+        report = json.loads(result.stdout)
+        assert {key: report[key] for key in expected} == expected
 
 
 @pytest.mark.parametrize("argv", [["analyze"], ["sweep", "--grid", "1/10,1/5"]], ids=["analyze", "sweep"])
@@ -637,7 +672,7 @@ def test_huge_depth_refused_before_allocating(tmp_path):
 @pytest.mark.parametrize(
     "payload, message",
     [
-        (WIDE, "enumeration too large: 34012224 child-count tuples exceed the 10000000 budget"),
+        (WIDE, "enumeration too large: 36012942 child-count tuples exceed the 10000000 budget"),
         (
             PAST_WEIGHT_RANGE,
             "enumeration too large: at least 2^1024 child-count tuples exceed the 10000000 budget",
@@ -661,8 +696,6 @@ def test_verify_refuses_before_enumerating(tmp_path, payload, message):
 @pytest.mark.parametrize(
     "command, memberships, community_sizes",
     [
-        ("analyze", [[100000, 1.0]], [[2, 1.0]]),
-        ("analyze", [[1000000, 1.0]], [[2, 1.0]]),
         ("analyze", [[4, 1.0]], [[100000, 1.0]]),
         ("simulate", [[4, 1.0]], [[100000, 1.0]]),
         ("analyze", [[4, 1.0]], [[2, 0.5], [100000, 0.5]]),
@@ -670,13 +703,13 @@ def test_verify_refuses_before_enumerating(tmp_path, payload, message):
         ("verify", [[4, 1.0]], [[100000, 1.0]]),
         ("verify", [[4, 1.0]], [[2, 0.5], [100000, 0.5]]),
     ],
-    ids=["analyze-p1e5", "analyze-p1e6", "analyze-q1e5", "simulate-q1e5",
-         "analyze-q-mixed", "simulate-q-mixed", "verify-q1e5", "verify-q-mixed"],
+    ids=["analyze-q1e5", "simulate-q1e5", "analyze-q-mixed", "simulate-q-mixed", "verify-q1e5",
+         "verify-q-mixed"],
 )
 def test_refused_before_composing(tmp_path, command, memberships, community_sizes):
-    # the mean matrix's budget, the census engine's budgets and verify's
-    # float-range guard need no child-count composition, which alone takes
-    # seconds to minutes here
+    # a community size past the walk's float range: the census engine and
+    # verify refuse it before composing the child-count law, and analyze in
+    # the walk price, after a composition of one or two points
     payload = {"memberships": memberships, "community_sizes": community_sizes, "threshold": "1/10"}
     argv = [command]
     if command == "simulate":
@@ -688,6 +721,63 @@ def test_refused_before_composing(tmp_path, command, memberships, community_size
     lines = result.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: enumeration too large: ")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("members", [5000, 10**5, 10**6], ids=["p5000", "p1e5", "p1e6"])
+def test_one_type_reported_at_once(tmp_path, members):
+    # p = {d: 1}, q = {2: 1} has the one type d - 1: a 1 x 1 block, however
+    # large the dense d x d view it was once refused on
+    payload = {"memberships": [[members, 1.0]], "community_sizes": [[2, 1.0]], "threshold": "1/10"}
+    result, seconds = fresh_cli(["analyze"], write_config(tmp_path, payload))
+    assert seconds < 2.0
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout)["mean_matrix"] == {"types": [members - 1], "entries": [[0.0]]}
+
+
+# walks of 20,833,251 moves in one size, and of 3.1M-3.8M in each of four
+# sizes but 13,764,022 together; the folds and the census plan ran 64-87 s
+WIDE_WALKS = {
+    "p1-1000-q500": ([[d, 1 / 1000] for d in range(1, 1001)], [[500, 1.0]], "1/600", 20833251),
+    "p1-100-q300-330": (
+        [[d, 1 / 100] for d in range(1, 101)], [[w, 0.25] for w in (300, 310, 320, 330)], "1/340", 13764022,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WIDE_WALKS))
+@pytest.mark.parametrize("argv", [["analyze"], SIMULATE_DEPTH_2], ids=["analyze", "simulate"])
+def test_walk_moves_refused_at_once(tmp_path, argv, name):
+    memberships, community_sizes, theta, moves = WIDE_WALKS[name]
+    payload = {"memberships": memberships, "community_sizes": community_sizes, "threshold": theta}
+    result, seconds = fresh_cli(argv, write_config(tmp_path, payload))
+    assert seconds < 2.0
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        f"error: enumeration too large: {moves} walk moves exceed the 10000000 budget"
+    ]
+
+
+@pytest.mark.parametrize("argv", [["analyze"], SIMULATE_DEPTH_2], ids=["analyze", "simulate"])
+def test_one_move_walk_answered(tmp_path, argv):
+    # one type, 999, on level 199 of the size-1000 walk: one move, the parent alone activates nothing
+    payload = {"memberships": [[2, 1.0]], "community_sizes": [[1000, 1.0]], "threshold": "1/10"}
+    result, seconds = fresh_cli(argv, write_config(tmp_path, payload))
+    assert seconds < 2.0
+    assert result.returncode == 0, result.stderr
+
+
+def test_verify_prices_its_cubes_together(tmp_path):
+    # 5 types: cubes of 1,953,125 and 9,765,625 tuples, each inside the
+    # budget but 11,718,750 together: about 2 minutes of rounds at ~12 us a tuple
+    payload = {"memberships": [[2, 0.5], [3, 0.5]], "community_sizes": [[10, 0.5], [11, 0.5]], "threshold": "1/10"}
+    result, seconds = fresh_cli(["verify"], write_config(tmp_path, payload))
+    assert seconds < 2.0
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: enumeration too large: 11718750 child-count tuples exceed the 10000000 budget"
+    ]
 
 
 P23_Q23 = {

@@ -19,7 +19,8 @@ from cliquecascade import (
     clique_cascade_size,
     clique_pgf,
 )
-from cliquecascade.clique_dynamics import _levels, mean_active_column
+from cliquecascade import clique_dynamics
+from cliquecascade.clique_dynamics import _levels, _walk, _walk_moves, mean_active_column
 from cliquecascade.errors import InvalidOutcome, UnsortedInput
 from cliquecascade.mc_sim import _census_tables
 from cliquecascade.verification import _pgf_points, iter_enumerated_outcomes
@@ -128,6 +129,34 @@ class TestLevelMap:
             placed = [(p, f) for (_, p), f in zip(xp.items, level)]
             assert mass == tuple(sum(p for p, f in placed if f == m) for m in range(n))
             assert tail == tuple(sum(p for p, f in placed if f > m) for m in range(n))
+
+
+class TestWalkPrice:
+    @given(models(range(1, 6), range(2, 10), max_points=3))
+    @example(model({2: 0.5, 3: 0.5}, {2: 0.5, 5: 0.5}, "1/4"))
+    @example(model({1: 1.0}, {4: 1.0}, "1/10"))
+    def test_price_counts_the_moves_walked(self, params):
+        # the count from mass and tail alone is exact: every (state, next
+        # state) pair the walk yields, over all the community sizes
+        walked = sum(
+            len(steps) for w in params.community_sizes.support for _, moves in _walk(params, w)
+            for steps in moves.values()
+        )
+        assert _walk_moves(params) == walked
+
+    def test_price_without_walking(self, monkeypatch):
+        # p uniform on 1..D, one size w: 1,321,041 moves at D = w = 200,
+        # and 20,833,251 at D = 1000, w = 500, past the budget
+        def refuse(*args):
+            raise AssertionError("the price walked")
+
+        monkeypatch.setattr(clique_dynamics, "_walk", refuse)
+        monkeypatch.setattr(clique_dynamics, "_fold", refuse)
+        params = model({d: 1 / 200 for d in range(1, 201)}, {200: 1.0}, "1/250")
+        assert _walk_moves(params) == 1321041
+        params = model({d: 1 / 1000 for d in range(1, 1001)}, {500: 1.0}, "1/600")
+        with pytest.raises(EnumerationTooLarge, match="^20833251 walk moves exceed the 10000000 budget$"):
+            _walk_moves(params)
 
 
 class TestWalkReaders:

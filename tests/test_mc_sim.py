@@ -917,13 +917,13 @@ class TestConfigurationWeights:
         # the mean matrix mixes: others[x - w + 1] e_{w-1} / P(X = x)
         tables = _census_tables(params)
         xp = child_count_pmf(params)
-        others = _other_communities(params.extra_communities, params.extra_members, params.max_child_count + 1)
+        others = _other_communities(params.extra_communities, params.extra_members)
         means = tables.fixed.astype(float)
         for x, probs, sizes in tables.configs:
             means[x] = probs @ sizes
         for i, x in enumerate(xp.support):
             for j, w in enumerate(params.community_sizes.support):
-                marginal = others[x - w + 1] * params.extra_members(w - 1) / xp.probs[i] if x >= w - 1 else 0.0
+                marginal = others.get(x - w + 1, 0.0) * params.extra_members(w - 1) / xp.probs[i]
                 assert means[i, j] == pytest.approx(marginal, rel=1e-9, abs=0.0), (x, w)
 
     @given(params=models(range(1, 6), range(2, 6), max_points=3))

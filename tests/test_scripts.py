@@ -64,7 +64,7 @@ def test_compare_cli_same_tree(src_results):
     # a second interpreter on the same tree
     compare_cli, config_dir, named, results = src_results
     again = compare_cli.run_tree(ROOT / "src", named, config_dir)
-    assert compare_cli.compare(named, results, again) == ["80 commands compared, 0 differ"]
+    assert compare_cli.compare(named, results, again) == ["85 commands compared, 0 differ"]
 
 
 def test_compare_cli_reports_a_difference(tmp_path, src_results):
@@ -81,7 +81,7 @@ def test_compare_cli_reports_a_difference(tmp_path, src_results):
     compare_cli, config_dir, named, results = src_results
     lines = compare_cli.compare(named, results, compare_cli.run_tree(tmp_path, named, config_dir))
     assert any(line.startswith("triangle analyze: stdout first differs") for line in lines)
-    assert lines[-1].startswith("80 commands compared, ") and not lines[-1].endswith(" 0 differ")
+    assert lines[-1].startswith("85 commands compared, ") and not lines[-1].endswith(" 0 differ")
 
 
 def test_phase_sweep_solves_each_theta_once(monkeypatch, capsys):
@@ -137,14 +137,18 @@ def test_unreached_in_process(monkeypatch):
     # the pgf composition runs all but its refusal of a degree past int64
     [line] = unrun(dist_core, dist_core.pgf_compose)
     assert line.startswith("raise EnumerationTooLarge(") and "degree" in line
-    # the floor-level walk, its level map, its fold and its readers, the
-    # brute-force cube pass, the census engine as a whole, analyze and the
-    # one owner of rho run every statement
+    # the floor-level walk, its level map, its price, its fold and its
+    # readers, the brute-force cube pass, the census engine as a whole,
+    # analyze, the mean matrix's build and the one owner of rho run every
+    # statement
     engine = mc_sim.ActivationProcess
     for module, obj in (
         (cli, cli.cmd_analyze),
+        (cascade_matrix, cascade_matrix._mean_matrix_cached.__wrapped__),
+        (cascade_matrix, cascade_matrix._other_communities.__wrapped__),
         (cascade_matrix, cascade_matrix.MeanMatrix.rho.func),
         (clique_dynamics, clique_dynamics._levels),
+        (clique_dynamics, clique_dynamics._walk_moves.__wrapped__),
         (clique_dynamics, clique_dynamics._walk),
         (clique_dynamics, clique_dynamics._fold),
         (clique_dynamics, clique_dynamics.mean_active_column),
