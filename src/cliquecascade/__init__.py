@@ -30,7 +30,7 @@ from .cascade_matrix import (
     spectral_radius,
     strongly_connected_components,
 )
-from .clique_dynamics import activation_requirement, clique_cascade_size, clique_pgf
+from .clique_dynamics import clique_pgf
 from .dist_core import (
     ModelParams,
     Pmf,
@@ -61,7 +61,14 @@ from .mc_sim import (
     sample_local_graph,
     survival_by_threshold,
 )
-from .verification import CliqueOutcome, OracleCheck, brute_force_clique_law, oracle_equivalence_checks
+from .verification import (
+    CliqueOutcome,
+    OracleCheck,
+    activation_requirement,
+    brute_force_clique_law,
+    clique_cascade_size,
+    oracle_equivalence_checks,
+)
 
 __version__ = "0.1.0"
 

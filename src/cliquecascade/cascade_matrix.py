@@ -110,8 +110,8 @@ def _other_communities(further: Pmf, extra_members: Pmf) -> MappingProxyType:
 @lru_cache(maxsize=None)
 def _mean_matrix_cached(params: ModelParams) -> "MeanMatrix":
     params.require_contagion_assumptions()
+    _walk_moves(params)  # the walk's gate, before the composition and the block's price
     xp = child_count_pmf(params)
-    _walk_moves(params)  # the walks' price, before the block's
     require_enumerable(xp.values.size**2, "mean matrix entries")
     others = _other_communities(params.extra_communities, params.extra_members)
     block = np.zeros((xp.values.size, xp.values.size))

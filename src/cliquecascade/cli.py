@@ -252,9 +252,6 @@ def _emit(node, out: list[str], indent: int) -> None:
             out.append(",\n" if i < len(node) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(node, list):
-        if not node:
-            out.append("[]")
-            return
         flat = all(not isinstance(v, (dict, list)) for v in node)
         if flat:
             out.append("[" + ", ".join(_scalar(v) for v in node) + "]")

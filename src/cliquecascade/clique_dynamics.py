@@ -1,4 +1,4 @@
-"""Exact law of the cascade inside a single clique whose parent just fired.
+"""The floor-level walk of the cascade inside a single clique whose parent just fired.
 
 A community of size w projects to a clique: one already-active parent plus
 w - 1 fresh children.  Child i has some number x_i of children of its own
@@ -7,21 +7,18 @@ neighbours (parent plus activated brothers) strictly exceed threshold *
 degree, i.e. reach floor(threshold * (x_i + w - 1)) + 1.
 
 Because the activation requirement is monotone in x, the cascade fills the
-clique in increasing order of x: clique_cascade_size sorts the children's
-child counts, scans the order statistics, and stops at the first position
-whose requirement exceeds the number of vertices already available.
-
-The same monotonicity gives a walk over floor levels f(x) = floor(threshold *
-(x + w - 1)), and this module is the only one that knows it: _levels holds
-its tables for one clique size, the support cut into one run per level,
-_walk_moves prices all sizes' walks from those tables, and _walk steps
-through its reachable states.  Two readers share that one walk.
-_fold passes over it once: clique_pgf reads it as the exact law of the
-activated children by type, as its generating function, and
-mean_active_column as the mean activated count of every type, that pgf's
-gradient at s = 1.  The census engine in mc_sim turns its levels into draw
-tables.  The oracle for all of them, the synchronous-round dynamics run on
-every tuple of the child-count cube, lives in verification.
+clique in increasing order of x: a walk over floor levels f(x) =
+floor(threshold * (x + w - 1)).  This module holds that walk alone:
+_levels holds its tables for one clique size, the support cut into one run
+per level, _walk_moves is its gate, which checks every size's float range
+and prices all sizes' walks before a reader composes, and _walk steps
+through its reachable states.  _fold passes over the walk once:
+clique_pgf reads it as the exact law of the activated children by type, as
+its generating function, and mean_active_column as the mean activated
+count of every type, that pgf's gradient at s = 1.  The census engine in
+mc_sim turns its levels into draw tables.  The oracles for all of them,
+the order-statistics scan clique_cascade_size and the synchronous-round
+dynamics on every tuple of the child-count cube, live in verification.
 """
 
 from __future__ import annotations
@@ -33,40 +30,8 @@ from math import comb, lgamma, log
 
 import numpy as np
 
-from .dist_core import ModelParams, Pmf, Threshold, child_count_pmf, require_enumerable
-from .errors import EnumerationTooLarge, InvalidOutcome, UnsortedInput
-
-
-def activation_requirement(threshold: Threshold, child_count: int, clique_size: int) -> int:
-    """Minimum active neighbours for a child with the given child count."""
-    if clique_size < 2:
-        raise ValueError("clique size must be at least 2")
-    if child_count < 0:
-        raise ValueError("child count must be non-negative")
-    return threshold.floor_times(child_count + clique_size - 1) + 1
-
-
-def _check_sorted(values) -> tuple[int, ...]:
-    vals = tuple(int(v) for v in values)
-    if any(b < a for a, b in zip(vals, vals[1:])):
-        raise UnsortedInput(f"sequence must be non-decreasing: {vals}")
-    return vals
-
-
-def clique_cascade_size(threshold: Threshold, clique_size: int, sorted_child_counts) -> int:
-    """Number of children the cascade activates, from sorted child counts.
-
-    Scan positions i = 1..w-1: the first position whose activation
-    requirement exceeds i caps the cascade at i - 1; if no position fails the
-    whole clique activates.
-    """
-    xs = _check_sorted(sorted_child_counts)
-    if len(xs) != clique_size - 1:
-        raise InvalidOutcome(f"expected {clique_size - 1} child counts, got {len(xs)}")
-    for i, x in enumerate(xs, start=1):
-        if activation_requirement(threshold, x, clique_size) > i:
-            return i - 1
-    return clique_size - 1
+from .dist_core import ModelParams, Pmf, child_count_pmf, require_enumerable
+from .errors import EnumerationTooLarge
 
 
 def _require_float_range(clique_size: int) -> None:
@@ -89,8 +54,8 @@ def _levels(params: ModelParams, clique_size: int) -> tuple[Pmf, tuple, tuple, t
     from bounds[w - 1] on.  mass[m] = P(f(X) = m) and tail[m] = P(f(X) > m),
     m = 0..w-2, the chance a fresh child is out of reach even with m
     activated brothers plus the parent.  Checks _require_float_range before
-    any table is built; the walk's oracle, the brute-force cube, is in
-    verification.
+    any table is built, for direct callers; the walk's readers pass
+    _walk_moves, which checks every size first.
     """
     _require_float_range(clique_size)
     n = clique_size - 1
@@ -104,15 +69,18 @@ def _levels(params: ModelParams, clique_size: int) -> tuple[Pmf, tuple, tuple, t
 
 @lru_cache(maxsize=None)
 def _walk_moves(params: ModelParams) -> int:
-    """The moves _walk yields, summed over the model's community sizes, counted without walking.
+    """The walk's gate: every size's float range, then the moves _walk yields over all sizes.
 
-    Read off _levels' mass and tail alone, in O(w) per size: a size's alive
-    states form an interval [lo, hi].  A level with positive mass and tail
-    gives state i its n - i + 1 moves and leaves [max(lo, m + 1), n - 1];
-    any other level gives each state one move and leaves the states above m,
-    or none if it has no tail.  Raises EnumerationTooLarge past
-    ENUMERATION_BUDGET moves, so a refusal walks nothing.
+    Every reader passes here before the child-count law is composed.  The
+    moves are counted off _levels' mass and tail alone, in O(w) per size: a
+    size's alive states form an interval [lo, hi].  A level with positive
+    mass and tail gives state i its n - i + 1 moves and leaves [max(lo,
+    m + 1), n - 1]; any other level gives each state one move and leaves the
+    states above m, or none if it has no tail.  Raises EnumerationTooLarge
+    past ENUMERATION_BUDGET moves, so a refusal walks nothing.
     """
+    for w in params.community_sizes.support:
+        _require_float_range(w)
     moves = 0
     for w in params.community_sizes.support:
         _, _, mass, tail = _levels(params, w)
@@ -139,7 +107,7 @@ def _walk(params: ModelParams, clique_size: int):
     iff k = 0 or mass_m > 0, and k = rest or tail_m > 0.  The cascade stops
     at j = m (too few to go on: n - j children stay inactive above m) or at
     j = n (every child placed); live = m < j < n flags the other moves.
-    _walk_moves prices the model's walks before the first move.
+    The walk's gate, _walk_moves, passes the model before the first move.
     """
     _walk_moves(params)
     _, _, mass, tail = _levels(params, clique_size)

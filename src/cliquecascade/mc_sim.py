@@ -41,7 +41,7 @@ from operator import mul
 
 import numpy as np
 
-from .clique_dynamics import _levels, _require_float_range, _walk, _walk_moves
+from .clique_dynamics import _levels, _walk, _walk_moves
 from .dist_core import ModelParams, Threshold, child_count_pmf, require_enumerable
 from .errors import CensusOverflow, ConfigInvalid
 
@@ -224,13 +224,15 @@ def _walk_levels(params: ModelParams, clique_size: int) -> tuple:
     """The floor-level walk of one community size as a census step plan.
 
     Level m is (states, runs).  Each alive state i (members placed so far)
-    is (i, probs, keys, weights), keys naming what its moves feed: "on"
-    (members placed on level m), "above" (the n - j a stop at j leaves
-    inactive) and each state j a move keeps alive.  One move draws nothing:
-    probs is None, weights a multiplier per key.  Several moves have probs
-    and weights (each run key's members per move, the move to each state).
-    runs gives (key, types, probs): the support's run on level m or above it
-    (_levels' bounds), whose types are iid given f(X) = m or f(X) > m.
+    is (i, probs, keys, effects, live), keys naming what its moves feed:
+    "on" (members placed on level m), "above" (the n - j a stop at j leaves
+    inactive), then each state j a move keeps alive.  effects is an int64
+    matrix with a row per move and a column per run key, the members each
+    move adds to it; live is the slice of moves, consecutive since j ascends,
+    that reach the remaining keys in order.  probs is the moves' law, or
+    None for one move, which draws nothing.  runs gives (key, types, probs):
+    the support's run on level m or above it (_levels' bounds), whose types
+    are iid given f(X) = m or f(X) > m.
     """
     xp, bounds, _, _ = _levels(params, clique_size)
     n = clique_size - 1
@@ -242,17 +244,14 @@ def _walk_levels(params: ModelParams, clique_size: int) -> tuple:
     for m, moves in _walk(params, clique_size):
         states = []
         for i, steps in moves.items():
-            fills = {"on": [j - i for j, _, _ in steps]}
-            fills["above"] = [0 if live else n - j for j, _, live in steps]
+            fills = {"on": [j - i for j, _, _ in steps], "above": [0 if on else n - j for j, _, on in steps]}
             fills = {key: column for key, column in fills.items() if any(column)}
-            live = [col for col, step in enumerate(steps) if step[2]]
-            keys = (*fills, *(steps[col][0] for col in live))  # moves reach distinct states
-            if len(steps) == 1:
-                states.append((i, None, keys, (*(c[0] for c in fills.values()), *(1 for _ in live))))
-            else:
-                probs = np.array([p for _, p, _ in steps])
-                columns = tuple(np.array(c, dtype=np.int64) for c in fills.values())
-                states.append((i, probs / probs.sum(), keys, (columns, np.array(live, dtype=np.intp))))
+            effects = np.array([*fills.values()], dtype=np.int64).reshape(len(fills), len(steps)).T
+            onward = [col for col, step in enumerate(steps) if step[2]]
+            keys = (*fills, *(steps[col][0] for col in onward))
+            live = slice(onward[0], onward[-1] + 1) if onward else slice(0)
+            probs = np.array([p for _, p, _ in steps])
+            states.append((i, probs / probs.sum() if len(steps) > 1 else None, keys, effects, live))
         runs = ("on", *run(slice(bounds[m], bounds[m + 1]))), ("above", *run(slice(bounds[m + 1], None)))
         levels.append((tuple(states), runs))
     return tuple(levels)
@@ -290,9 +289,9 @@ class ActivationProcess:
     with communities in increasing order: their configuration law given the
     extra members, one row per size-count vector, in _count_vectors order.
     Raises EnumerationTooLarge before listing more than ENUMERATION_BUDGET
-    configuration tuples, or for a community size past the walk's float
-    range, both before the child-count law is composed; and, before the
-    table is listed, for walks of more than ENUMERATION_BUDGET moves in all.
+    configuration tuples, then at the walk's gate _walk_moves, before the
+    child-count law is composed: for a community size past the walk's float
+    range, or for walks of more than ENUMERATION_BUDGET moves in all.
     """
 
     def __init__(self, params: ModelParams):
@@ -300,10 +299,8 @@ class ActivationProcess:
         p, q = params.memberships, params.community_sizes
         count = sum(comb(len(q.support) + d - 2, d - 1) for d in p.support)
         require_enumerable(count, "configuration tuples")
-        for w in q.support:
-            _require_float_range(w)
+        _walk_moves(params)  # the walk's gate, before the composition and the configuration table
         xp = child_count_pmf(params)
-        _walk_moves(params)  # the walks' price, before the configuration table is listed
         type_index = {x: i for i, x in enumerate(xp.support)}
         # log P(K = d - 1) + log((d - 1)! / prod n_w!) + sum n_w log e_w; a zero mass weighs -inf
         log_k = {k: log(mass) for k, mass in params.extra_communities.items}
@@ -345,15 +342,16 @@ class ActivationProcess:
             alive = {0: cliques_by_size[:, wi]}
             for states, runs in levels:
                 sums = {}  # per key: members of a run, or cliques in a next state
-                for i, probs, keys, weights in states:
+                for i, probs, keys, effects, live in states:
                     counts = alive.get(i)  # None when every way in was skipped
                     if counts is None or probs is not None and not counts.any():
                         continue
                     if probs is None:
-                        parts = [counts if k == 1 else k * counts for k in weights]
+                        parts = [counts if k == 1 else k * counts for k in effects[0].tolist()]
+                        parts += [counts] * (len(keys) - len(parts))
                     else:
-                        drawn, (columns, live) = rng.multinomial(counts, probs), weights
-                        parts = [drawn @ column for column in columns] + list(drawn.T[live])
+                        drawn = rng.multinomial(counts, probs)
+                        parts = [*(drawn @ effects).T, *drawn.T[live]]
                     for key, part in zip(keys, parts):  # part is never written to
                         sums[key] = sums[key] + part if key in sums else part
                 for key, types, probs in runs:

@@ -1,10 +1,10 @@
 """Cross-checks between independent computation routes.
 
-Every closed-form law in the package has a brute-force counterpart that
-enumerates raw child-count draws directly: for the clique, the cube of
-child-count tuples, one pass per community size.  The checks here compare
-the routes and are used both by the test suite and by the `verify` CLI
-command.
+Every closed-form law in the package has a brute-force counterpart: for the
+clique, the synchronous rounds and the order-statistics scan on every tuple
+of the child-count cube, one pass per community size.  The checks here
+compare the routes and are used both by the test suite and by the `verify`
+CLI command.
 """
 
 from __future__ import annotations
@@ -16,8 +16,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .clique_dynamics import _require_float_range, clique_cascade_size, clique_pgf, mean_active_column
-from .dist_core import ModelParams, child_count_pmf, require_enumerable
+from .clique_dynamics import _walk_moves, clique_pgf, mean_active_column
+from .dist_core import ModelParams, Threshold, child_count_pmf, require_enumerable
+from .errors import InvalidOutcome, UnsortedInput
 from .mc_sim import _blocks, _census_tables, run_contagion, sample_local_graph
 
 ORACLE_TOL = 1e-9
@@ -39,6 +40,34 @@ class OracleCheck:
     @property
     def passed(self) -> bool:
         return self.worst <= self.tolerance
+
+
+def activation_requirement(threshold: Threshold, child_count: int, clique_size: int) -> int:
+    """Minimum active neighbours for a child with the given child count."""
+    if clique_size < 2:
+        raise ValueError("clique size must be at least 2")
+    if child_count < 0:
+        raise ValueError("child count must be non-negative")
+    return threshold.floor_times(child_count + clique_size - 1) + 1
+
+
+def clique_cascade_size(threshold: Threshold, clique_size: int, sorted_child_counts) -> int:
+    """Number of children the cascade activates, from sorted child counts.
+
+    The cascade fills the clique in increasing order of child count, so scan
+    positions i = 1..w-1: the first position whose activation requirement
+    exceeds i caps the cascade at i - 1; if no position fails the whole
+    clique activates.
+    """
+    xs = tuple(int(v) for v in sorted_child_counts)
+    if any(b < a for a, b in zip(xs, xs[1:])):
+        raise UnsortedInput(f"sequence must be non-decreasing: {xs}")
+    if len(xs) != clique_size - 1:
+        raise InvalidOutcome(f"expected {clique_size - 1} child counts, got {len(xs)}")
+    for i, x in enumerate(xs, start=1):
+        if activation_requirement(threshold, x, clique_size) > i:
+            return i - 1
+    return clique_size - 1
 
 
 def _round_based_active(numerator: int, denominator: int, clique_size: int, child_counts) -> list[bool]:
@@ -78,20 +107,12 @@ def iter_enumerated_outcomes(params: ModelParams, clique_size: int):
         yield xs, weight, CliqueOutcome(len(types), types)
 
 
-def _cube_pass(params: ModelParams, clique_size: int) -> tuple[dict[CliqueOutcome, float], float]:
-    """One pass over the cube: (outcome law, worst |clique_cascade_size - rounds' count|)."""
-    law: dict[CliqueOutcome, float] = {}
-    worst_size = 0.0
-    for xs, weight, outcome in iter_enumerated_outcomes(params, clique_size):
-        law[outcome] = law.get(outcome, 0.0) + weight
-        direct = clique_cascade_size(params.threshold, clique_size, tuple(sorted(xs)))
-        worst_size = max(worst_size, float(abs(direct - outcome.ell)))
-    return law, worst_size
-
-
 def brute_force_clique_law(params: ModelParams, clique_size: int) -> dict[CliqueOutcome, float]:
     """The outcome law of the synchronous-round dynamics over the cube: clique_pgf's oracle."""
-    return _cube_pass(params, clique_size)[0]
+    law: dict[CliqueOutcome, float] = {}
+    for _, weight, outcome in iter_enumerated_outcomes(params, clique_size):
+        law[outcome] = law.get(outcome, 0.0) + weight
+    return law
 
 
 def _pgf_points(size: int) -> list[list[float]]:
@@ -112,8 +133,7 @@ def mean_active_by_type_oracle(law: dict[CliqueOutcome, float]) -> dict[int, flo
 def oracle_equivalence_checks(params: ModelParams) -> list[OracleCheck]:
     """Walk pgf, cascade sizes and mean columns vs one pass per size's cube, budgets first."""
     params.require_contagion_assumptions()
-    for w in params.community_sizes.support:
-        _require_float_range(w)  # the walk's guard, before the child-count law is composed
+    _walk_moves(params)  # the walk's gate, before the child-count law is composed
     xp = child_count_pmf(params)
     # the cubes are priced together, as the walk's moves are
     cubes = sum(len(xp.support) ** (w - 1) for w in params.community_sizes.support)
@@ -122,7 +142,12 @@ def oracle_equivalence_checks(params: ModelParams) -> list[OracleCheck]:
     points = _pgf_points(len(index))
     checks, mean_checks = [], []
     for w in params.community_sizes.support:
-        brute, worst_size = _cube_pass(params, w)
+        brute: dict[CliqueOutcome, float] = {}
+        worst_size = 0.0
+        for xs, weight, outcome in iter_enumerated_outcomes(params, w):
+            brute[outcome] = brute.get(outcome, 0.0) + weight
+            direct = clique_cascade_size(params.threshold, w, tuple(sorted(xs)))
+            worst_size = max(worst_size, float(abs(direct - outcome.ell)))
         pgf = [clique_pgf(params, w, s) for s in points]
         worst = max(
             abs(g - sum(p * prod(s[index[x]] for x in o.types) for o, p in brute.items()))

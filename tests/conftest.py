@@ -121,21 +121,21 @@ def plan_moves(state):
     """One state of mc_sim's census walk plan as (i, probs, members, onward).
 
     members holds one (placed, left) row per move and onward maps a move to
-    the state it keeps alive, for one-move and several-move states alike.
+    the state it keeps alive.  Asserts the plan's one form: the run keys
+    first, each fed by some move, an int64 row of their members per move,
+    and a slice of consecutive moves, one for each next state.
     """
-    i, probs, keys, weights = state
-    runs = [key for key in keys if key in ("on", "above")]
-    assert list(keys[: len(runs)]) == runs  # the run keys come first
-    if probs is None:  # one move: a multiplier per key, 1 for the state it reaches
-        assert all(k == 1 for k in weights[len(runs):])
-        probs, columns = np.ones(1), [[k] for k in weights[: len(runs)]]
-        live = [0] * (len(keys) - len(runs))
-    else:
-        columns, live = weights
+    i, probs, keys, effects, live = state
+    probs = np.ones(1) if probs is None else probs
+    runs, after = keys[: effects.shape[1]], keys[effects.shape[1]:]
+    assert list(runs) == [key for key in ("on", "above") if key in runs]
+    assert effects.dtype == np.int64 and effects.shape[0] == probs.size and effects.any(axis=0).all()
+    onward = range(probs.size)[live]
+    assert live.step is None and list(after) == [i + col for col in onward]  # move col places col members
     members = np.zeros((probs.size, 2), dtype=np.int64)
-    for key, column in zip(runs, columns):
+    for key, column in zip(runs, effects.T):
         members[:, ("on", "above").index(key)] = column
-    return i, probs, members, dict(zip(np.asarray(live).tolist(), keys[len(runs):]))
+    return i, probs, members, dict(zip(onward, after))
 
 
 @st.composite

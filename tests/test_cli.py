@@ -233,6 +233,11 @@ class TestEmitter:
         }
         assert json.loads(cli.emit_json(document)) == document
 
+    def test_empty_containers(self):
+        # empty lists take the flat-list branch, at any depth
+        text = cli.emit_json({"c": [], "d": {}, "e": [[], [1]]})
+        assert text == '{\n  "c": [],\n  "d": {},\n  "e": [\n    [],\n    [1]\n  ]\n}\n'
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             cli.emit_json({"x": float("nan")})
@@ -707,9 +712,9 @@ def test_verify_refuses_before_enumerating(tmp_path, payload, message):
          "verify-q-mixed"],
 )
 def test_refused_before_composing(tmp_path, command, memberships, community_sizes):
-    # a community size past the walk's float range: the census engine and
-    # verify refuse it before composing the child-count law, and analyze in
-    # the walk price, after a composition of one or two points
+    # a community size past the walk's float range: analyze, simulate and
+    # verify all refuse it at the walk's gate, before composing the
+    # child-count law
     payload = {"memberships": memberships, "community_sizes": community_sizes, "threshold": "1/10"}
     argv = [command]
     if command == "simulate":
@@ -745,7 +750,9 @@ WIDE_WALKS = {
 
 
 @pytest.mark.parametrize("name", sorted(WIDE_WALKS))
-@pytest.mark.parametrize("argv", [["analyze"], SIMULATE_DEPTH_2], ids=["analyze", "simulate"])
+@pytest.mark.parametrize(
+    "argv", [["analyze"], SIMULATE_DEPTH_2, ["verify"]], ids=["analyze", "simulate", "verify"]
+)
 def test_walk_moves_refused_at_once(tmp_path, argv, name):
     memberships, community_sizes, theta, moves = WIDE_WALKS[name]
     payload = {"memberships": memberships, "community_sizes": community_sizes, "threshold": theta}

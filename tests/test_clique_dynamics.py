@@ -19,10 +19,10 @@ from cliquecascade import (
     clique_cascade_size,
     clique_pgf,
 )
-from cliquecascade import clique_dynamics
+from cliquecascade import cascade_matrix, clique_dynamics, dist_core, mean_matrix, oracle_equivalence_checks
 from cliquecascade.clique_dynamics import _levels, _walk, _walk_moves, mean_active_column
 from cliquecascade.errors import InvalidOutcome, UnsortedInput
-from cliquecascade.mc_sim import _census_tables
+from cliquecascade.mc_sim import ActivationProcess, _census_tables
 from cliquecascade.verification import _pgf_points, iter_enumerated_outcomes
 
 from conftest import law_pgf, model, models, order_stat_pmf, plan_moves
@@ -108,6 +108,23 @@ class TestFloatRangeGuard:
         _levels(model({1: 0.5, 2: 0.5}, {1030: 1.0}, "1/3000"), 1030)
         with pytest.raises(EnumerationTooLarge, match="float range"):
             _levels(model({1: 0.5, 2: 0.5}, {1031: 1.0}, "1/3000"), 1031)
+
+    @pytest.mark.parametrize(
+        "reader", [mean_matrix, ActivationProcess, oracle_equivalence_checks], ids=lambda f: f.__name__
+    )
+    def test_every_reader_refuses_before_composing(self, monkeypatch, reader):
+        # the walk's gate checks every size's float range before the
+        # child-count law of the size-2 walk is composed, whichever reader asks
+        def refuse(*args):
+            raise AssertionError("composed before the gate")
+
+        dist_core._child_count_pmf.cache_clear()
+        cascade_matrix._other_communities.cache_clear()
+        monkeypatch.setattr(dist_core, "pgf_compose", refuse)
+        monkeypatch.setattr(cascade_matrix, "pgf_compose", refuse)
+        message = "^community size 100000 needs binomial coefficients beyond the float range$"
+        with pytest.raises(EnumerationTooLarge, match=message):
+            reader(model({4: 1.0}, {2: 0.5, 100000: 0.5}, "1/10"))
 
 
 class TestLevelMap:

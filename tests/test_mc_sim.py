@@ -30,6 +30,7 @@ from cliquecascade import (
     Threshold,
     brute_force_clique_law,
     child_count_pmf,
+    clique_cascade_size,
     estimate,
     mean_active_of_type,
     mean_matrix,
@@ -39,7 +40,7 @@ from cliquecascade import (
 )
 from cliquecascade import dist_core
 from cliquecascade.cascade_matrix import _other_communities
-from cliquecascade.clique_dynamics import _walk, clique_cascade_size, mean_active_column
+from cliquecascade.clique_dynamics import _walk, mean_active_column
 from cliquecascade.dist_core import require_enumerable
 from cliquecascade.mc_sim import (
     _BLOCK,

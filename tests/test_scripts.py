@@ -138,7 +138,7 @@ def test_unreached_in_process(monkeypatch):
     [line] = unrun(dist_core, dist_core.pgf_compose)
     assert line.startswith("raise EnumerationTooLarge(") and "degree" in line
     # the floor-level walk, its level map, its price, its fold and its
-    # readers, the brute-force cube pass, the census engine as a whole,
+    # readers, verify's oracle checks, the census engine as a whole,
     # analyze, the mean matrix's build and the one owner of rho run every
     # statement
     engine = mc_sim.ActivationProcess
@@ -157,6 +157,6 @@ def test_unreached_in_process(monkeypatch):
         (mc_sim, engine.root_step),
         (mc_sim, engine.step),
         (mc_sim, engine),
-        (verification, verification._cube_pass),
+        (verification, verification.oracle_equivalence_checks),
     ):
         assert not unrun(module, obj), obj.__qualname__
