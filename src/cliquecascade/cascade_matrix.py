@@ -10,10 +10,12 @@ carve-outs handled in :func:`cascade_verdict`: a threshold of at least one
 half kills every cascade, and the all-2s degenerate model is an infinite path
 (ModelParams.infinite_path) that activates surely.
 
-The types are the child counts that occur, the support of child_count_pmf,
-and the matrix is built, priced, solved and reported on them alone: block is
-|support| x |support|, indexed by support position like the census engine's
-types.  entries, its value-indexed dim x dim view, is priced where it is built.
+The types are the child counts that occur, the support of child_count_pmf.
+The matrix is held as two |support| x |sizes| factors, one outer product per
+community size.  Their product the other way round, the |sizes| x |sizes|
+community matrix of the alternating process, has the same nonzero
+eigenvalues (Horn and Johnson, Matrix Analysis, Thm 1.3.22), so rho is
+solved on it.  block and entries are each priced where they are built.
 
 Nothing here enumerates tuples.  Each clique size w contributes one column,
 clique_dynamics.mean_active_column, the clique pgf's gradient at s = 1, read
@@ -25,9 +27,8 @@ oracles.
 
 The Perron root is found by a deterministic power iteration on each
 strongly connected component, from the uniform vector: rho is a function of
-the matrix alone and the analytic path does not import numpy.random.
-MeanMatrix.rho solves the block once per matrix and keeps it; the verdict,
-the CLI and the scripts all read it there.
+the matrix alone and the analytic path does not import numpy.random.  The
+verdict, the CLI and the scripts all read MeanMatrix.rho, solved once.
 """
 
 from __future__ import annotations
@@ -64,17 +65,29 @@ def mean_active_of_type(params: ModelParams, x: int, clique_size: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MeanMatrix:
-    """Mean activated-children counts by (parent type, child type).
+    """Mean activated-children counts by (parent type, child type), as two factors.
 
-    types is the child-count support, child_count_pmf(params).values, and
-    block[i, j] the entry for types (types[i], types[j]): the one owner of
-    the type index, and what the analyze report emits.  dim = max child
-    count + 1 is the size of entries, the value-indexed view.
+    types is the child-count support and masses its law.  Column w is
+    community size w: a type-types[i] vertex opens e_w parents[i, w] /
+    masses[i] further such communities on average, each activating
+    children[j, w] / e_w type-types[j] children (e_w = extra_members(w - 1)).
     """
 
     types: np.ndarray
-    block: np.ndarray
-    dim: int
+    masses: np.ndarray
+    parents: np.ndarray
+    children: np.ndarray
+    dim: int  # max child count + 1, the size of entries
+
+    @cached_property
+    def block(self) -> np.ndarray:
+        """parents children^T / masses, size by size; priced, built on first use, read-only."""
+        require_enumerable(self.types.size**2, "mean matrix entries")
+        block = np.zeros((self.types.size,) * 2)
+        for parents, children in zip(self.parents.T, self.children.T):
+            block += np.outer(parents, children)
+        block /= self.masses[:, None]  # each row on its type; type 0 has no communities
+        return _read_only(block)
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -86,8 +99,8 @@ class MeanMatrix:
 
     @cached_property
     def rho(self) -> float:
-        """The Perron root of block: solved on first use, then kept with the matrix."""
-        return spectral_radius(self.block)
+        """block's Perron root, that of children^T (parents / masses): solved once, then kept."""
+        return spectral_radius(self.children.T @ (self.parents / self.masses[:, None]))
 
 
 @lru_cache(maxsize=None)
@@ -110,18 +123,15 @@ def _other_communities(further: Pmf, extra_members: Pmf) -> MappingProxyType:
 @lru_cache(maxsize=None)
 def _mean_matrix_cached(params: ModelParams) -> "MeanMatrix":
     params.require_contagion_assumptions()
-    _walk_moves(params)  # the walk's gate, before the composition and the block's price
+    _walk_moves(params)  # the walk's gate, before the composition
     xp = child_count_pmf(params)
-    require_enumerable(xp.values.size**2, "mean matrix entries")
     others = _other_communities(params.extra_communities, params.extra_members)
-    block = np.zeros((xp.values.size, xp.values.size))
-    for w in params.community_sizes.support:
-        # a type-x parent's other communities hold x - (w - 1) members, 0 weight off their support
-        parents = np.array([others.get(x - w + 1, 0.0) for x, _ in xp.items])
-        block += np.outer(parents, params.extra_members(w - 1) * mean_active_column(params, w))
-    # condition each row on its type; type 0 has no communities, so a zero row
-    block /= xp.probs[:, None]
-    return MeanMatrix(types=xp.values, block=_read_only(block), dim=params.max_child_count + 1)
+    sizes = params.community_sizes.support
+    # a type-x parent's other communities hold x - (w - 1) members, 0 weight off their support
+    parents = [[others.get(x - w + 1, 0.0) for w in sizes] for x in xp.values.tolist()]
+    children = [params.extra_members(w - 1) * mean_active_column(params, w) for w in sizes]
+    factors = _read_only(np.array(parents)), _read_only(np.column_stack(children))
+    return MeanMatrix(xp.values, xp.probs, *factors, params.max_child_count + 1)
 
 
 def mean_matrix(params: ModelParams) -> MeanMatrix:
@@ -215,8 +225,8 @@ def spectral_radius(matrix) -> float:
     arr = np.asarray(matrix, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("matrix must be square")
-    if (arr < 0).any():
-        raise ValueError("matrix must be entrywise non-negative")
+    if not (np.isfinite(arr) & (arr >= 0)).all():
+        raise ValueError("matrix must be finite and entrywise non-negative")
     best = 0.0
     for comp in strongly_connected_components(arr > 0):
         if len(comp) == 1:

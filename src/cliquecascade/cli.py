@@ -135,7 +135,8 @@ def _pmf_pairs(pmf: Pmf) -> list:
 
 
 def cmd_analyze(params: ModelParams) -> dict:
-    matrix = mean_matrix(params)  # first: its walk and |support|^2 prices refuse cheapest
+    matrix = mean_matrix(params)
+    block = matrix.block  # first: its walk and |support|^2 prices refuse cheapest
     criterion = survival_criterion(params)
     branching = extinction_probability(params)
     clustering = clustering_coefficient(params)
@@ -163,7 +164,7 @@ def cmd_analyze(params: ModelParams) -> dict:
             "degenerate": clustering.degenerate_triples,
         },
         "child_count_pmf": _pmf_pairs(child_count_pmf(params)),
-        "mean_matrix": {"types": matrix.types.tolist(), "entries": matrix.block.tolist()},
+        "mean_matrix": {"types": matrix.types.tolist(), "entries": block.tolist()},
         "spectral_radius": matrix.rho,
         "verdict": {
             "kind": verdict.kind.value,

@@ -226,9 +226,14 @@ class TestMeanMatrix:
         assert matrix.block.shape == (1, 1)
         with pytest.raises(EnumerationTooLarge, match="900000000 dense mean matrix entries"):
             matrix.entries
-        # 4000 types: a 1.6e7-entry block is refused before it is built
+        # 4000 types: the factors are 4000 x 1 and rho reads them alone, but
+        # the 1.6e7-entry block is refused before it is built.  Types x <= 8
+        # activate, each weighing x (x + 1) / (4000 * 2000.5)
+        wide = mean_matrix(model({d: 1 / 4000 for d in range(1, 4001)}, {2: 1.0}, "1/10"))
+        assert wide.rho == pytest.approx(240 / 8_002_000, rel=1e-12)
         with pytest.raises(EnumerationTooLarge, match="16000000 mean matrix entries"):
-            mean_matrix(model({d: 1 / 4000 for d in range(1, 4001)}, {2: 1.0}, "1/10"))
+            wide.block
+        assert "block" not in vars(wide)
 
     def test_triangle_single_entry(self, triangle_model):
         matrix = mean_matrix(triangle_model)
@@ -265,6 +270,25 @@ class TestMeanMatrix:
         for x0 in range(matrix.dim):
             assert matrix.entries[x0].sum() <= x0 + 1e-9
 
+    @given(models(range(1, 5), range(2, 7), max_points=5))
+    def test_rho_by_two_routes(self, params):
+        # rho on the community matrix against the Perron solve of the block,
+        # and against LAPACK's eigenvalues of the block.  Their error is
+        # absolute, scaled by the block's norm, and a defective zero
+        # eigenvalue of order k moves by about eps^(1/k) of it: 1e-5 covers
+        # k = 3 (6e-6)
+        matrix = mean_matrix(params)
+        rho, reference = matrix.rho, spectral_radius(matrix.block)
+        assert (rho == 0.0) == (reference == 0.0)
+        assert abs(rho - reference) <= 1e-9 * reference
+        eigenvalue = max(abs(np.linalg.eigvals(matrix.block)))
+        assert abs(rho - eigenvalue) <= 1e-5 * np.linalg.norm(matrix.block)
+
+    def test_verdict_leaves_the_block_unbuilt(self, triangle_model):
+        cascade_matrix._mean_matrix_cached.cache_clear()
+        assert cascade_verdict(triangle_model).rho == pytest.approx(4.0, abs=1e-10)
+        assert "block" not in vars(mean_matrix(triangle_model))
+
     def test_tiny_threshold_rank_one(self):
         # every child activates, so rho collapses to the mean child count
         params = model({1: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, "1/1000")
@@ -299,7 +323,10 @@ class TestOneTypeSpace:
         on_support[np.ix_(types, types)] = True
         assert np.array_equal(matrix.entries[np.ix_(types, types)], matrix.block)
         assert not matrix.entries[~on_support].any()
-        assert spectral_radius(matrix.entries) == matrix.rho
+        # rho comes from the community matrix, so it matches the block's own
+        # Perron solve to the power iteration's tolerance, not bit for bit
+        assert spectral_radius(matrix.entries) == spectral_radius(matrix.block)
+        assert matrix.rho == pytest.approx(spectral_radius(matrix.block), rel=1e-9)
         for array in (matrix.entries, matrix.block):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
@@ -432,6 +459,16 @@ class TestSpectralRadius:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             spectral_radius(np.array([[0.0, -1.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [[[np.nan]], [[0.5, np.nan], [1.0, 0.2]], [[np.inf]], [[1.0, np.inf], [1.0, 0.0]]],
+        ids=["nan", "nan-edge", "inf", "inf-edge"],
+    )
+    def test_rejects_non_finite_entries(self, matrix):
+        # a NaN edge would drop out of the condensation and leave a plausible root
+        with pytest.raises(ValueError, match="must be finite"):
+            spectral_radius(np.array(matrix))
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):

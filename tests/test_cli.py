@@ -20,7 +20,7 @@ from cliquecascade import (
     mean_matrix,
     strongly_connected_components,
 )
-from cliquecascade.clique_dynamics import mean_active_column
+from cliquecascade.clique_dynamics import _walk_moves, mean_active_column
 from cliquecascade.dist_core import pgf_compose
 
 from conftest import standard_model_suite
@@ -774,6 +774,52 @@ def test_one_move_walk_answered(tmp_path, argv):
     assert result.returncode == 0, result.stderr
 
 
+# p uniform on 1..4000 with pairs: 4000 types, a 1.6e7-entry block.  At
+# theta 1/10 (1/5) the types x <= 8 (x <= 3) activate, each weighing
+# x (x + 1) / (4000 * 2000.5), so rho is 240 (20) / 8,002,000
+WIDE_PAIRS = {
+    "memberships": [[d, 1 / 4000] for d in range(1, 4001)],
+    "community_sizes": [[2, 1.0]],
+    "threshold": "1/10",
+}
+# p uniform on 1..40, q uniform on the 21 primes in 101..199: 3,783 types
+# and a 14,311,089-entry block, but 21 walk moves, since no child activates
+PRIME_SIZES = {
+    "memberships": [[d, 1 / 40] for d in range(1, 41)],
+    "community_sizes": [[w, 1 / 21] for w in range(101, 200) if all(w % f for f in range(2, 15))],
+    "threshold": "1/12",
+}
+
+
+def test_sweep_answers_past_the_block_budget(tmp_path, capsys):
+    # sweep solves rho on the community matrix and never builds the block;
+    # analyze reports the block, so it still refuses it
+    config = write_config(tmp_path, WIDE_PAIRS)
+    assert run(["analyze", "--config", config]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: enumeration too large: 16000000 mean matrix entries exceed the 10000000 budget"
+    ]
+    assert run(["sweep", "--config", config, "--grid", "1/10,1/5"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [(theta, kind, boundary) for theta, _, kind, boundary in rows] == [
+        ("1/10", "FiniteAlmostSurely", "false"), ("1/5", "FiniteAlmostSurely", "false")
+    ]
+    for (_, rho, _, _), expected in zip(rows, (240 / 8_002_000, 20 / 8_002_000)):
+        assert float(rho) == pytest.approx(expected, rel=1e-12)
+    assert "block" not in vars(mean_matrix(cli.load_model(config)))
+
+
+def test_sweep_answers_many_types_with_a_short_walk(tmp_path, capsys):
+    config = write_config(tmp_path, PRIME_SIZES)
+    started = time.monotonic()
+    assert run(["sweep", "--config", config, "--grid", "1/12"]) == 0
+    assert time.monotonic() - started < 5.0
+    assert capsys.readouterr().out.splitlines()[1] == "1/12,0.0,FiniteAlmostSurely,false"
+    params = cli.load_model(config)
+    assert len(params.community_sizes.support) == 21 and _walk_moves(params) == 21
+    assert child_count_pmf(params).values.size == 3783
+
+
 def test_verify_prices_its_cubes_together(tmp_path):
     # 5 types: cubes of 1,953,125 and 9,765,625 tuples, each inside the
     # budget but 11,718,750 together: about 2 minutes of rounds at ~12 us a tuple
@@ -853,9 +899,9 @@ def test_census_deep_reports_are_pinned(tmp_path, replicates, seed):
     ids=["triangle", "mixture", "all-2s-path"],
 )
 def test_one_perron_solve_per_point(tmp_path, capsys, monkeypatch, payload):
-    # every spectral_radius call condenses its matrix once, on the child-count
-    # support; the verdict, analyze's spectral_radius field and each sweep
-    # row read MeanMatrix.rho
+    # every spectral_radius call condenses its matrix once, on the community
+    # sizes; the verdict, analyze's spectral_radius field and each sweep row
+    # read MeanMatrix.rho
     solves = []
 
     def counting(adjacency):
@@ -864,13 +910,13 @@ def test_one_perron_solve_per_point(tmp_path, capsys, monkeypatch, payload):
 
     monkeypatch.setattr(cascade_matrix, "strongly_connected_components", counting)
     config = write_config(tmp_path, payload)
-    types = len(child_count_pmf(cli.load_model(config)).support)
+    sizes = len(cli.load_model(config).community_sizes.support)
     for argv, points in ((["analyze"], 1), (["sweep", "--grid", "1/20,1/5,2/5,1/2,3/5"], 5)):
         cascade_matrix._mean_matrix_cached.cache_clear()
         solves.clear()
         assert run(argv + ["--config", config]) == 0
         capsys.readouterr()
-        assert solves == [types] * points
+        assert solves == [sizes] * points
 
 
 def test_analytic_commands_never_import_numpy_random(tmp_path):
@@ -880,8 +926,9 @@ def test_analytic_commands_never_import_numpy_random(tmp_path):
     grid = "0.1,0.3"  # 0.3 is the model's own threshold
     params = cli.load_model(config)
     for theta in grid.split(","):
-        entries = mean_matrix(params.with_threshold(Threshold.from_string(theta))).entries
-        components = strongly_connected_components(entries > 0)
+        matrix = mean_matrix(params.with_threshold(Threshold.from_string(theta)))
+        community = matrix.children.T @ (matrix.parents / matrix.masses[:, None])
+        components = strongly_connected_components(community > 0)
         assert max(len(c) for c in components) >= 2  # the Perron solve iterates
     script = (
         "import os, sys\n"

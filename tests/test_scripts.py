@@ -132,20 +132,21 @@ def test_unreached_in_process(monkeypatch):
     # spectral_radius takes arrays only: its two input refusals are all it leaves
     assert unrun(cascade_matrix, cascade_matrix.spectral_radius) == [
         'raise ValueError("matrix must be square")',
-        'raise ValueError("matrix must be entrywise non-negative")',
+        'raise ValueError("matrix must be finite and entrywise non-negative")',
     ]
     # the pgf composition runs all but its refusal of a degree past int64
     [line] = unrun(dist_core, dist_core.pgf_compose)
     assert line.startswith("raise EnumerationTooLarge(") and "degree" in line
     # the floor-level walk, its level map, its price, its fold and its
     # readers, verify's oracle checks, the census engine as a whole,
-    # analyze, the mean matrix's build and the one owner of rho run every
-    # statement
+    # analyze, the mean matrix's build, the block analyze reports and the one
+    # owner of rho run every statement
     engine = mc_sim.ActivationProcess
     for module, obj in (
         (cli, cli.cmd_analyze),
         (cascade_matrix, cascade_matrix._mean_matrix_cached.__wrapped__),
         (cascade_matrix, cascade_matrix._other_communities.__wrapped__),
+        (cascade_matrix, cascade_matrix.MeanMatrix.block.func),
         (cascade_matrix, cascade_matrix.MeanMatrix.rho.func),
         (clique_dynamics, clique_dynamics._levels),
         (clique_dynamics, clique_dynamics._walk_moves.__wrapped__),
