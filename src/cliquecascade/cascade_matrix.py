@@ -70,18 +70,25 @@ class MeanMatrix:
     types is the child-count support and masses its law.  Column w is
     community size w: a type-types[i] vertex opens e_w parents[i, w] /
     masses[i] further such communities on average, each activating
-    children[j, w] / e_w type-types[j] children (e_w = extra_members(w - 1)).
+    children[j, w] / e_w type-types[j] children (e_w = extra_members(w - 1)),
+    folded on first use, so block is priced before any column is folded.
     """
 
+    params: ModelParams
     types: np.ndarray
     masses: np.ndarray
     parents: np.ndarray
-    children: np.ndarray
     dim: int  # max child count + 1, the size of entries
 
     @cached_property
+    def children(self) -> np.ndarray:
+        """e_w mean_active_column(params, w), one column per size; folded on first use, read-only."""
+        e, sizes = self.params.extra_members, self.params.community_sizes.support
+        return _read_only(np.column_stack([e(w - 1) * mean_active_column(self.params, w) for w in sizes]))
+
+    @cached_property
     def block(self) -> np.ndarray:
-        """parents children^T / masses, size by size; priced, built on first use, read-only."""
+        """parents children^T / masses, size by size; priced before children is folded, read-only."""
         require_enumerable(self.types.size**2, "mean matrix entries")
         block = np.zeros((self.types.size,) * 2)
         for parents, children in zip(self.parents.T, self.children.T):
@@ -126,12 +133,9 @@ def _mean_matrix_cached(params: ModelParams) -> "MeanMatrix":
     _walk_moves(params)  # the walk's gate, before the composition
     xp = child_count_pmf(params)
     others = _other_communities(params.extra_communities, params.extra_members)
-    sizes = params.community_sizes.support
     # a type-x parent's other communities hold x - (w - 1) members, 0 weight off their support
-    parents = [[others.get(x - w + 1, 0.0) for w in sizes] for x in xp.values.tolist()]
-    children = [params.extra_members(w - 1) * mean_active_column(params, w) for w in sizes]
-    factors = _read_only(np.array(parents)), _read_only(np.column_stack(children))
-    return MeanMatrix(xp.values, xp.probs, *factors, params.max_child_count + 1)
+    parents = [[others.get(x - w + 1, 0.0) for w in params.community_sizes.support] for x in xp.support]
+    return MeanMatrix(params, xp.values, xp.probs, _read_only(np.array(parents)), params.max_child_count + 1)
 
 
 def mean_matrix(params: ModelParams) -> MeanMatrix:

@@ -10,9 +10,9 @@ Because the activation requirement is monotone in x, the cascade fills the
 clique in increasing order of x: a walk over floor levels f(x) =
 floor(threshold * (x + w - 1)).  This module holds that walk alone:
 _levels holds its tables for one clique size, the support cut into one run
-per level, _walk_moves is its gate, which checks every size's float range
-and prices all sizes' walks before a reader composes, and _walk steps
-through its reachable states.  _fold passes over the walk once:
+per level, _alive its reach, _walk_moves its gate, which checks every
+size's float range and prices all sizes' walks before a reader composes,
+and _walk steps through its alive states.  _fold passes over the walk once:
 clique_pgf reads it as the exact law of the activated children by type, as
 its generating function, and mean_active_column as the mean activated
 count of every type, that pgf's gradient at s = 1.  The census engine in
@@ -67,38 +67,43 @@ def _levels(params: ModelParams, clique_size: int) -> tuple[Pmf, tuple, tuple, t
     return xp, bounds, mass, tail
 
 
+def _alive(mass: tuple, tail: tuple):
+    """Yield (m, lo, hi) for each level the walk visits: states lo..hi are alive entering level m.
+
+    From state 0 on level 0, a level with positive mass and tail leaves
+    [max(lo, m + 1), n - 1]; any other level leaves the states above m, or
+    none if it has no tail.  A size-1 community, n = 0, visits no level.
+    """
+    n, m, lo, hi = len(mass), 0, 0, 0
+    while lo <= hi < n:
+        yield m, lo, hi
+        hi = -1 if not tail[m] else n - 1 if mass[m] else hi
+        lo, m = max(lo, m + 1), m + 1
+
+
 @lru_cache(maxsize=None)
 def _walk_moves(params: ModelParams) -> int:
     """The walk's gate: every size's float range, then the moves _walk yields over all sizes.
 
     Every reader passes here before the child-count law is composed.  The
-    moves are counted off _levels' mass and tail alone, in O(w) per size: a
-    size's alive states form an interval [lo, hi].  A level with positive
-    mass and tail gives state i its n - i + 1 moves and leaves [max(lo,
-    m + 1), n - 1]; any other level gives each state one move and leaves the
-    states above m, or none if it has no tail.  Raises EnumerationTooLarge
-    past ENUMERATION_BUDGET moves, so a refusal walks nothing.
+    moves are counted off _alive's intervals, in O(w) per size: a level with
+    positive mass and tail gives state i its n - i + 1 moves, any other
+    level gives each state one.  Raises EnumerationTooLarge past
+    ENUMERATION_BUDGET moves, so a refusal walks nothing.
     """
     for w in params.community_sizes.support:
         _require_float_range(w)
     moves = 0
     for w in params.community_sizes.support:
         _, _, mass, tail = _levels(params, w)
-        n, m, lo, hi = len(mass), 0, 0, 0
-        while lo <= hi < n:  # a size-1 community, n = 0, has no children to place
-            if mass[m] and tail[m]:
-                moves += (hi - lo + 1) * (2 * n + 2 - lo - hi) // 2
-                hi = n - 1
-            else:
-                moves += hi - lo + 1
-                hi = hi if tail[m] else -1
-            lo, m = max(lo, m + 1), m + 1
+        for m, lo, hi in _alive(mass, tail):
+            moves += (hi - lo + 1) * (2 * w - lo - hi) // 2 if mass[m] and tail[m] else hi - lo + 1
     require_enumerable(moves, "walk moves")
     return moves
 
 
 def _walk(params: ModelParams, clique_size: int):
-    """Walk one clique size's floor levels: yield (m, moves) while a state is alive.
+    """Walk one clique size's floor levels: yield (m, moves) for each level _alive visits.
 
     moves maps each alive state i = N_{m-1} to its moves of positive
     probability, (j, C(rest, k) (mass_m / reach)^k (tail_m / reach)^(rest - k),
@@ -111,19 +116,17 @@ def _walk(params: ModelParams, clique_size: int):
     """
     _walk_moves(params)
     _, _, mass, tail = _levels(params, clique_size)
-    n, m, alive = len(mass), 0, [0]
-    while alive:  # alive states lie in m..n-1, so m < n and reach > 0
+    n = len(mass)
+    for m, lo, hi in _alive(mass, tail):  # alive states lie in m..n-1, so reach > 0
         reach, moves = mass[m] + tail[m], {}
         up, stay = mass[m] / reach, tail[m] / reach
-        for i in alive:
+        for i in range(lo, hi + 1):
             rest = n - i
             moves[i] = [
                 (i + k, comb(rest, k) * up**k * stay ** (rest - k), m < i + k < n)
                 for k in range(0 if tail[m] else rest, rest + 1 if mass[m] else 1)
             ]
         yield m, moves
-        alive = sorted({j for steps in moves.values() for j, _, live in steps if live})
-        m += 1
 
 
 def _fold(params: ModelParams, clique_size: int, r) -> tuple[float, list[float]]:

@@ -267,11 +267,14 @@ def _spread(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray) -> 
     return rng.multinomial(counts, probs)
 
 
-def _count_vectors(total: int, parts: int) -> list[tuple[int, ...]]:
-    """Vectors of parts counts summing to total: first count descending, then the next."""
-    if parts == 1:
+def _count_vectors(total: int, weights: tuple[int, ...], room: int) -> list[tuple[int, ...]]:
+    """Vectors n summing to total with n . weights <= room: first count descending, then the next."""
+    w, rest = weights[0], weights[1:]
+    if total * w > room:  # weights ascend, so total * w is the least any vector here costs
+        return []
+    if not rest:
         return [(total,)]
-    return [(n, *rest) for n in range(total, -1, -1) for rest in _count_vectors(total - n, parts - 1)]
+    return [(n, *v) for n in range(total, -1, -1) for v in _count_vectors(total - n, rest, room - n * w)]
 
 
 class ActivationProcess:
@@ -288,10 +291,11 @@ class ActivationProcess:
     draws nothing, and configs (type, probs, size counts) for the other types
     with communities in increasing order: their configuration law given the
     extra members, one row per size-count vector, in _count_vectors order.
-    Raises EnumerationTooLarge before listing more than ENUMERATION_BUDGET
-    configuration tuples, then at the walk's gate _walk_moves, before the
-    child-count law is composed: for a community size past the walk's float
-    range, or for walks of more than ENUMERATION_BUDGET moves in all.
+    Only types a walk activates have rows: those before bounds[len(plan)]
+    of some size.  Raises EnumerationTooLarge past ENUMERATION_BUDGET
+    configuration tuples, an upper bound on the rows listed, then at the
+    walk's gate _walk_moves, before composing the child-count law: for a
+    size past the walk's float range, or walks past ENUMERATION_BUDGET moves.
     """
 
     def __init__(self, params: ModelParams):
@@ -300,16 +304,20 @@ class ActivationProcess:
         count = sum(comb(len(q.support) + d - 2, d - 1) for d in p.support)
         require_enumerable(count, "configuration tuples")
         _walk_moves(params)  # the walk's gate, before the composition and the configuration table
+        self.cliques = tuple(_walk_levels(params, w) for w in q.support)
+        reach = max(_levels(params, w)[1][len(plan)] for w, plan in zip(q.support, self.cliques))
         xp = child_count_pmf(params)
+        room = int(xp.values[reach - 1]) if reach else -1  # the largest type a walk activates
         type_index = {x: i for i, x in enumerate(xp.support)}
         # log P(K = d - 1) + log((d - 1)! / prod n_w!) + sum n_w log e_w; a zero mass weighs -inf
         log_k = {k: log(mass) for k, mass in params.extra_communities.items}
-        log_e = [log(e) if e else -inf for e in map(params.extra_members, [w - 1 for w in q.support])]
+        members = tuple(w - 1 for w in q.support)
+        log_e = [log(e) if e else -inf for e in map(params.extra_members, members)]
         by_type = defaultdict(lambda: ([], []))
         for d in p.support:
             base = log_k.get(d - 1, -inf) + lgamma(d)
-            for counts in _count_vectors(d - 1, len(q.support)):
-                logs, rows = by_type[sum(map(mul, counts, q.support)) - d + 1]  # sum n_w (w - 1)
+            for counts in _count_vectors(d - 1, members, room):
+                logs, rows = by_type[sum(map(mul, counts, members))]
                 logs.append(base + sum(n * le - lgamma(n + 1) if n else 0.0 for le, n in zip(log_e, counts)))
                 rows.append(counts)
         configs, self.fixed = [], np.zeros((xp.values.size, len(q.support)), dtype=np.int64)
@@ -325,7 +333,6 @@ class ActivationProcess:
         self.params = params
         self.spread = np.array([params.extra_members(w - 1) for w in q.support])
         self.type_values = xp.values
-        self.cliques = tuple(_walk_levels(params, w) for w in q.support)
         self.configs = tuple(configs)
 
     def _resolve_cliques(self, cliques_by_size: np.ndarray, rng: np.random.Generator):

@@ -138,6 +138,15 @@ def plan_moves(state):
     return i, probs, members, dict(zip(onward, after))
 
 
+def plan_reach(tables) -> int:
+    """The end of the last "on" run any walk of a census plan visits.
+
+    Only the types at support positions below it are ever activated, so the
+    census lists configuration rows for those alone.
+    """
+    return max((runs[0][1].stop for plan in tables.cliques for _, runs in plan), default=0)
+
+
 @st.composite
 def models(draw, memberships, sizes, max_points):
     def pmf(values):

@@ -22,6 +22,7 @@ from cliquecascade import (
 )
 from cliquecascade.clique_dynamics import _walk_moves, mean_active_column
 from cliquecascade.dist_core import pgf_compose
+from cliquecascade.mc_sim import _census_tables
 
 from conftest import standard_model_suite
 
@@ -818,6 +819,41 @@ def test_sweep_answers_many_types_with_a_short_walk(tmp_path, capsys):
     params = cli.load_model(config)
     assert len(params.community_sizes.support) == 21 and _walk_moves(params) == 21
     assert child_count_pmf(params).values.size == 3783
+
+
+def test_analyze_prices_the_block_before_folding(tmp_path, capsys):
+    # at 1/200 the walks are short but the block has 14,311,089 entries:
+    # analyze refuses it before any mean column is folded (8.7 s when every
+    # column was folded first).  The 2.0 s bound was fixed before any run
+    config = write_config(tmp_path, dict(PRIME_SIZES, threshold="1/200"))
+    started = time.monotonic()
+    assert run(["analyze", "--config", config]) == 1
+    assert time.monotonic() - started < 2.0
+    assert capsys.readouterr().err.splitlines() == [
+        "error: enumeration too large: 14311089 mean matrix entries exceed the 10000000 budget"
+    ]
+    assert "children" not in vars(mean_matrix(cli.load_model(config)))
+
+
+# sizes 10..58 at theta 1/2: no walk places a child, yet 3,444,939
+# configuration rows were listed for a simulate run of 18.3 s and 720 MB
+NO_CHILD_ACTIVATES = {
+    "memberships": [[1, 0.2], [5, 0.2], [10, 0.2], [20, 0.2], [34, 0.2]],
+    "community_sizes": [[10, 0.15], [18, 0.15], [26, 0.15], [34, 0.15], [42, 0.15], [50, 0.15], [58, 0.1]],
+    "threshold": "1/2",
+}
+
+
+def test_simulate_lists_no_rows_when_no_child_activates(tmp_path, capsys):
+    # the census lists configuration rows only for types a walk activates;
+    # the 2.0 s bound was fixed before any run
+    config = write_config(tmp_path, NO_CHILD_ACTIVATES)
+    started = time.monotonic()
+    assert run(["simulate", "--depth", "2", "--replicates", "50", "--seed", "1", "--config", config]) == 0
+    assert time.monotonic() - started < 2.0
+    assert json.loads(capsys.readouterr().out)["mean_active_by_depth"] == [1.0, 0.0, 0.0]
+    tables = _census_tables(cli.load_model(config))
+    assert not tables.configs and not tables.fixed.any()
 
 
 def test_verify_prices_its_cubes_together(tmp_path):

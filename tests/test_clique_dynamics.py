@@ -20,7 +20,7 @@ from cliquecascade import (
     clique_pgf,
 )
 from cliquecascade import cascade_matrix, clique_dynamics, dist_core, mean_matrix, oracle_equivalence_checks
-from cliquecascade.clique_dynamics import _levels, _walk, _walk_moves, mean_active_column
+from cliquecascade.clique_dynamics import _alive, _levels, _walk, _walk_moves, mean_active_column
 from cliquecascade.errors import InvalidOutcome, UnsortedInput
 from cliquecascade.mc_sim import ActivationProcess, _census_tables
 from cliquecascade.verification import _pgf_points, iter_enumerated_outcomes
@@ -160,6 +160,21 @@ class TestWalkPrice:
             for steps in moves.values()
         )
         assert _walk_moves(params) == walked
+
+    @given(models(range(1, 6), range(2, 10), max_points=3))
+    @example(model({2: 0.5, 3: 0.5}, {2: 0.5, 5: 0.5}, "1/4"))
+    @example(model({1: 0.5, 3: 0.5}, {10: 1.0}, "1/10"))  # levels with mass but no tail, and tail but no mass
+    def test_alive_intervals_are_the_live_targets(self, params):
+        # the set rule _alive's interval arithmetic replaced: the walk starts
+        # at state 0, the states alive entering a level are the sorted live
+        # targets of the previous level's moves, and it stops when none is left
+        for w in params.community_sizes.support:
+            _, _, mass, tail = _levels(params, w)
+            alive, levels = [0], zip(_alive(mass, tail), _walk(params, w), strict=True)
+            for step, ((m, lo, hi), (level, moves)) in enumerate(levels):
+                assert m == level == step and list(range(lo, hi + 1)) == alive == list(moves)
+                alive = sorted({j for steps in moves.values() for j, _, live in steps if live})
+            assert alive == []
 
     def test_price_without_walking(self, monkeypatch):
         # p uniform on 1..D, one size w: 1,321,041 moves at D = w = 200,

@@ -12,6 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement, product
 from math import comb, factorial, prod
+from operator import mul
 from time import perf_counter
 
 import numpy as np
@@ -65,6 +66,7 @@ from conftest import (
     models,
     order_stat_pmf,
     plan_moves,
+    plan_reach,
     standard_model_suite,
 )
 
@@ -716,8 +718,11 @@ class TestCensusMeanMatrixIdentity:
         # the exact form of the identity above: each parent type's expected
         # community-size counts, mixed with the per-size mean columns, give
         # its mean-matrix row; types without a configuration table have none.
-        # A type with one configuration keeps its sizes as a fixed row.
+        # A type with one configuration keeps its sizes as a fixed row.  Only
+        # the types within the plan's reach have rows, and no clique
+        # activates a type past it
         tables = _census_tables(params)
+        reach = plan_reach(tables)
         block = mean_matrix(params).block
         expected = np.zeros_like(block)
         mean_sizes = tables.fixed.astype(float)
@@ -727,7 +732,9 @@ class TestCensusMeanMatrixIdentity:
         for x, row in enumerate(mean_sizes):
             for w, count in zip(params.community_sizes.support, row):
                 expected[x] += count * mean_active_column(params, w)
-        assert np.abs(expected - block).max() <= 1e-12
+        assert not mean_sizes[reach:].any()
+        assert not mean_matrix(params).children[reach:].any()
+        assert np.abs(expected[:reach] - block[:reach]).max(initial=0.0) <= 1e-12
 
 
 def census_rows(proc, census: dict, rows: int) -> np.ndarray:
@@ -887,6 +894,10 @@ MULTI_ROW = {
 }
 
 
+# p247-q234 at 1/4: only the types 1..5 of 1..18 are ever activated
+PRUNED = model({2: 0.3, 4: 0.4, 7: 0.3}, {2: 0.3, 3: 0.3, 4: 0.4}, "1/4")
+
+
 class TestConfigurationWeights:
     @given(params=models(range(1, 6), range(2, 6), max_points=3))
     @example(params=model({5: 1.0}, {2: 0.5, 3: 0.5}, "1/5"))
@@ -894,35 +905,71 @@ class TestConfigurationWeights:
         # the same types and rows in the same order; the weights are formed
         # in log space, so they agree with the product form to rounding (the
         # draws they feed are guarded by the sha256 pins and compare_cli)
-        # a type with one configuration draws nothing: its sizes are a fixed row
+        # a type with one configuration draws nothing: its sizes are a fixed
+        # row; the tables list the types within the plan's reach alone
         tables = _census_tables(params)
         expected = reference_configurations(params)
         configs = {int(tables.type_values[x]): (probs, sizes) for x, probs, sizes in tables.configs}
         for x in np.flatnonzero(tables.fixed.any(axis=1)):
             configs[int(tables.type_values[x])] = (np.ones(1), tables.fixed[x][None, :])
-        assert set(configs) == set(expected) - {0}  # type 0 has no communities
+        within = set(tables.type_values[: plan_reach(tables)].tolist())
+        assert set(configs) == (set(expected) - {0}) & within  # type 0 has no communities
         for x, (probs, sizes) in configs.items():
             assert probs == pytest.approx(expected[x][0], rel=1e-12, abs=0.0)
             assert sizes.tolist() == expected[x][1].tolist()
 
-    @given(total=st.integers(0, 7), parts=st.integers(1, 4))
-    def test_count_vectors_follow_sorted_tuples(self, total, parts):
-        # one vector per sorted tuple, in the order the tuples are listed
+    @given(params=models(range(1, 6), range(2, 7), max_points=3))
+    @example(params=PRUNED)
+    def test_pruned_table_keeps_the_rows_of_every_type_in_reach(self, params):
+        # at 1/(max child count + max size) every type sits on level 0, so
+        # nothing is pruned; at theta the types within the plan's reach keep
+        # the same rows and bit-identical weights, and no clique activates
+        # a type past it
+        level_0 = f"1/{params.max_child_count + params.community_sizes.support_max}"
+        full = _census_tables(params.with_threshold(Threshold.from_string(level_0)))
+        tables = _census_tables(params)
+        reach = plan_reach(tables)
+        assert plan_reach(full) == full.type_values.size
+        assert np.array_equal(tables.fixed[:reach], full.fixed[:reach]) and not tables.fixed[reach:].any()
+        kept = [(x, probs.tobytes(), sizes.tolist()) for x, probs, sizes in full.configs if x < reach]
+        assert [(x, probs.tobytes(), sizes.tolist()) for x, probs, sizes in tables.configs] == kept
+        assert not mean_matrix(params).children[reach:].any()
+
+    def test_pruned_example_drops_rows(self):
+        # guards the property's example: types with several rows are kept,
+        # and rows of types past the reach are dropped
+        tables = _census_tables(PRUNED)
+        assert tables.configs and plan_reach(tables) < tables.type_values.size
+
+    @given(
+        total=st.integers(0, 7),
+        weights=st.lists(st.integers(0, 5), min_size=1, max_size=4).map(sorted).map(tuple),
+        room=st.integers(-1, 40),
+    )
+    def test_count_vectors_follow_sorted_tuples(self, total, weights, room):
+        # one vector per sorted tuple, in the order the tuples are listed;
+        # a smaller room keeps exactly the vectors that fit, in that order
+        parts = len(weights)
         tuples = combinations_with_replacement(range(parts), total)
         expected = [tuple(t.count(i) for i in range(parts)) for t in tuples]
-        assert list(_count_vectors(total, parts)) == expected
+        assert _count_vectors(total, weights, total * weights[-1]) == expected
+        fits = [v for v in expected if sum(map(mul, v, weights)) <= room]
+        assert _count_vectors(total, weights, room) == fits
 
     @staticmethod
     def _assert_means_match_marginal(params):
         # E[n_w | X = x] from the table against the configuration marginal
-        # the mean matrix mixes: others[x - w + 1] e_{w-1} / P(X = x)
+        # the mean matrix mixes: others[x - w + 1] e_{w-1} / P(X = x), for
+        # the types within the plan's reach; no clique activates the others
         tables = _census_tables(params)
+        reach = plan_reach(tables)
         xp = child_count_pmf(params)
         others = _other_communities(params.extra_communities, params.extra_members)
         means = tables.fixed.astype(float)
         for x, probs, sizes in tables.configs:
             means[x] = probs @ sizes
-        for i, x in enumerate(xp.support):
+        assert not means[reach:].any() and not mean_matrix(params).children[reach:].any()
+        for i, x in enumerate(xp.support[:reach]):
             for j, w in enumerate(params.community_sizes.support):
                 marginal = others.get(x - w + 1, 0.0) * params.extra_members(w - 1) / xp.probs[i]
                 assert means[i, j] == pytest.approx(marginal, rel=1e-9, abs=0.0), (x, w)
@@ -940,8 +987,9 @@ class TestConfigurationWeights:
 
     def test_wide_membership_table(self):
         # 60,787 configurations of 351 further communities: each must cost
-        # O(|q|) steps, not O(d) (17 s); the bound is fixed before any run
-        params = model({352: 1.0}, {2: 0.066, 3: 0.584, 5: 0.35}, "1/10")
+        # O(|q|) steps, not O(d) (17 s); the bound is fixed before any run.
+        # At 1/1500 every type, up to 1,404, sits on level 0, so every row is listed
+        params = model({352: 1.0}, {2: 0.066, 3: 0.584, 5: 0.35}, "1/1500")
         start = perf_counter()
         tables = ActivationProcess(params)
         assert perf_counter() - start < 3.0
@@ -1403,16 +1451,20 @@ class TestStepPlan:
     def test_plan_draws_what_the_reference_loop_draws(self, params, rows, seed):
         # root_step, then step on the root census and on a random census with
         # every other row empty: equal arrays, and the two generators end in
-        # the same state
+        # the same state.  step is fed only its own active output, which never
+        # holds a type past the plan's reach, so the random census has none
         engine, reference = _census_tables(params), ReferenceCensusStep(params)
+        reach = plan_reach(engine)
         rngs = [np.random.default_rng(seed) for _ in range(2)]
         outs = [proc.root_step(rows, rng) for proc, rng in zip((engine, reference), rngs)]
         census = np.random.default_rng(seed + 1).integers(0, 3, size=(rows, engine.type_values.size))
-        census[::2] = 0
+        census[::2], census[:, reach:] = 0, 0
         for active in (outs[1][0], census):
             assert all(np.array_equal(a, b) for a, b in zip(*outs))
+            assert not outs[0][0][:, reach:].any()
             outs = [proc.step(active, rng) for proc, rng in zip((engine, reference), rngs)]
         assert all(np.array_equal(a, b) for a, b in zip(*outs))
+        assert not outs[0][0][:, reach:].any()
         assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
 
     def test_gapped_levels_have_one_move_states_that_go_on(self):

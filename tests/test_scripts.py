@@ -146,9 +146,11 @@ def test_unreached_in_process(monkeypatch):
         (cli, cli.cmd_analyze),
         (cascade_matrix, cascade_matrix._mean_matrix_cached.__wrapped__),
         (cascade_matrix, cascade_matrix._other_communities.__wrapped__),
+        (cascade_matrix, cascade_matrix.MeanMatrix.children.func),
         (cascade_matrix, cascade_matrix.MeanMatrix.block.func),
         (cascade_matrix, cascade_matrix.MeanMatrix.rho.func),
         (clique_dynamics, clique_dynamics._levels),
+        (clique_dynamics, clique_dynamics._alive),
         (clique_dynamics, clique_dynamics._walk_moves.__wrapped__),
         (clique_dynamics, clique_dynamics._walk),
         (clique_dynamics, clique_dynamics._fold),
