@@ -4,7 +4,8 @@ Under sys.settrace, runs every compare_cli.py command, then
 depth1_active_counts, branching_root_counts, histogram_match and
 survival_by_threshold, on each model until one refuses it with a typed
 error, and prints module:line: statement for each statement in a package
-function that nothing ran (docstrings skipped).
+function that nothing ran (docstrings skipped, and a decorator's own
+statements, which the package's import runs before tracing starts).
 
 Example:
     PYTHONPATH=src python3 scripts/unreached.py
@@ -28,14 +29,24 @@ PACKAGE = Path(cliquecascade.__file__).parent
 SCOPES = (ast.Module, ast.ClassDef, ast.FunctionDef)
 
 
-def statements(path: Path) -> dict[int, str]:
-    """First line -> its text, for each statement inside a function."""
+def decorators() -> set[str]:
+    """Names of the functions that decorate a module-level function of the package."""
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")]
+    functions = [fn for tree in trees for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    return {d.id for fn in functions for d in fn.decorator_list if isinstance(d, ast.Name)}
+
+
+def statements(path: Path, at_import: set[str]) -> dict[int, str]:
+    """First line -> its text, for each statement inside a function; at_import names the decorators."""
     source = path.read_text(encoding="utf-8")
     lines, tree = source.splitlines(), ast.parse(source)
-    docs = {id(n.body[0]) for n in ast.walk(tree) if isinstance(n, SCOPES) and ast.get_docstring(n)}
+    skipped = {id(n.body[0]) for n in ast.walk(tree) if isinstance(n, SCOPES) and ast.get_docstring(n)}
+    # a decorator's own statements run at import; the function it returns runs later
+    imported = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name in at_import]
+    skipped |= {id(n) for fn in imported for n in fn.body}
     functions = [fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)]
     nodes = [n for fn in functions for n in ast.walk(fn) if isinstance(n, ast.stmt) and n is not fn]
-    return {n.lineno: lines[n.lineno - 1].strip() for n in nodes if id(n) not in docs}
+    return {n.lineno: lines[n.lineno - 1].strip() for n in nodes if id(n) not in skipped}
 
 
 def exercise(models: dict, config_dir: Path) -> None:
@@ -70,9 +81,10 @@ def unreached(models: dict) -> list[str]:
                 exercise(models, Path(tmp))
         finally:
             sys.settrace(previous)
+    at_import = decorators()
     return [
         f"{path.stem}:{line}: {text}" for path in sorted(PACKAGE.glob("*.py"))
-        for line, text in sorted(statements(path).items()) if (str(path), line) not in hits
+        for line, text in sorted(statements(path, at_import).items()) if (str(path), line) not in hits
     ]
 
 

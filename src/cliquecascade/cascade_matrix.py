@@ -42,7 +42,7 @@ from typing import Optional
 import numpy as np
 
 from .clique_dynamics import _walk_moves, mean_active_column
-from .dist_core import ModelParams, Pmf, _read_only, child_count_pmf, pgf_compose, require_enumerable
+from .dist_core import ModelParams, Pmf, _per_model, _read_only, child_count_pmf, pgf_compose, require_enumerable
 from .errors import NoConvergence
 
 # Perron solver knobs: relative bracket width and iteration budget.
@@ -127,8 +127,9 @@ def _other_communities(further: Pmf, extra_members: Pmf) -> MappingProxyType:
     return MappingProxyType(others)
 
 
-@lru_cache(maxsize=None)
-def _mean_matrix_cached(params: ModelParams) -> "MeanMatrix":
+@_per_model
+def mean_matrix(params: ModelParams) -> MeanMatrix:
+    """The model's mean matrix: types, masses and parents now, children and block on first use."""
     params.require_contagion_assumptions()
     _walk_moves(params)  # the walk's gate, before the composition
     xp = child_count_pmf(params)
@@ -136,10 +137,6 @@ def _mean_matrix_cached(params: ModelParams) -> "MeanMatrix":
     # a type-x parent's other communities hold x - (w - 1) members, 0 weight off their support
     parents = [[others.get(x - w + 1, 0.0) for w in params.community_sizes.support] for x in xp.support]
     return MeanMatrix(params, xp.values, xp.probs, _read_only(np.array(parents)), params.max_child_count + 1)
-
-
-def mean_matrix(params: ModelParams) -> MeanMatrix:
-    return _mean_matrix_cached(params)
 
 
 def strongly_connected_components(adjacency: np.ndarray) -> list[list[int]]:

@@ -25,12 +25,12 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_left
-from functools import lru_cache
+from itertools import accumulate
 from math import comb, lgamma, log
 
 import numpy as np
 
-from .dist_core import ModelParams, Pmf, child_count_pmf, require_enumerable
+from .dist_core import ModelParams, Pmf, _per_model, child_count_pmf, require_enumerable
 from .errors import EnumerationTooLarge
 
 
@@ -43,9 +43,9 @@ def _require_float_range(clique_size: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@_per_model
 def _levels(params: ModelParams, clique_size: int) -> tuple[Pmf, tuple, tuple, tuple]:
-    """The floor-level walk of one clique size: (xp, bounds, mass, tail), cached.
+    """The floor-level walk of one clique size: (xp, bounds, mass, tail), kept on params.
 
     Type x sits on level f(x) = floor(threshold * (x + w - 1)), which never
     decreases along the support.  So bounds[m], m = 0..w-1, the first support
@@ -63,7 +63,8 @@ def _levels(params: ModelParams, clique_size: int) -> tuple[Pmf, tuple, tuple, t
     floors = [params.threshold.floor_times(x + n) for x in xp.support]
     bounds = tuple(bisect_left(floors, m) for m in range(clique_size))
     mass = tuple(sum(p for _, p in xp.items[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
-    tail = tuple(sum(p for _, p in xp.items[hi:]) for hi in bounds[1:])
+    out = sum(p for _, p in xp.items[bounds[-1]:])  # P(f(X) >= n)
+    tail = tuple(accumulate(reversed(mass), initial=out))[-2::-1]  # tail[m] = tail[m + 1] + mass[m + 1]
     return xp, bounds, mass, tail
 
 
@@ -81,7 +82,7 @@ def _alive(mass: tuple, tail: tuple):
         lo, m = max(lo, m + 1), m + 1
 
 
-@lru_cache(maxsize=None)
+@_per_model
 def _walk_moves(params: ModelParams) -> int:
     """The walk's gate: every size's float range, then the moves _walk yields over all sizes.
 
@@ -89,7 +90,7 @@ def _walk_moves(params: ModelParams) -> int:
     moves are counted off _alive's intervals, in O(w) per size: a level with
     positive mass and tail gives state i its n - i + 1 moves, any other
     level gives each state one.  Raises EnumerationTooLarge past
-    ENUMERATION_BUDGET moves, so a refusal walks nothing.
+    ENUMERATION_BUDGET moves, so a refusal walks nothing; the count is kept on params.
     """
     for w in params.community_sizes.support:
         _require_float_range(w)
@@ -153,14 +154,14 @@ def _fold(params: ModelParams, clique_size: int, r) -> tuple[float, list[float]]
     return total, placed
 
 
-@lru_cache(maxsize=None)
+@_per_model
 def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
     """Expected activated children of each type in one clique, one entry per support type.
 
     Entry i is for type child_count_pmf(params).values[i]: clique_pgf's
     gradient at s = 1.  _fold at r = 1 gives the expected count activated on
     each level f(x) = floor(threshold * (x + w - 1)), and within a level
-    types follow the child-count law conditioned on it.  Cached, read-only.
+    types follow the child-count law conditioned on it.  Kept on params, read-only.
     """
     xp, bounds, mass, _ = _levels(params, clique_size)
     placed = _fold(params, clique_size, [1.0] * len(mass))[1]

@@ -16,7 +16,8 @@ built from four derived objects defined here:
   floor comparisons never suffer float rounding.
 
 ModelParams.infinite_path names the one degenerate model both the contagion
-verdict and the graph's extinction report single out.
+verdict and the graph's extinction report single out.  _per_model keeps each
+table another module derives from a model on that model, freed with it.
 
 Every law is held over its support alone: its items, their read-only array
 views (values, probs) and the package's one inverse-cdf draw.  Combinatorial
@@ -28,7 +29,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from math import comb, gcd
 
 import numpy as np
@@ -116,7 +117,7 @@ class Pmf:
                 return p
         return 0.0
 
-    @property
+    @cached_property
     def support(self) -> tuple[int, ...]:
         return tuple(v for v, _ in self.items)
 
@@ -294,6 +295,17 @@ class ModelParams:
             raise AssumptionViolated("membership count must not put mass at 0")
         if self.community_sizes(0) > 0.0 or self.community_sizes(1) > 0.0:
             raise AssumptionViolated("community sizes must not put mass at 0 or 1")
+
+
+def _per_model(build):
+    """build(params, *args), memoised in params.__dict__ like a cached_property: freed with params."""
+    @wraps(build)
+    def kept(params: ModelParams, *args):
+        memo = vars(params).setdefault(build.__name__, {})
+        if args not in memo:
+            memo[args] = build(params, *args)
+        return memo[args]
+    return kept
 
 
 def _merge(powers: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -35,14 +35,13 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb, exp, inf, lgamma, log
 from operator import mul
 
 import numpy as np
 
 from .clique_dynamics import _levels, _walk, _walk_moves
-from .dist_core import ModelParams, Threshold, child_count_pmf, require_enumerable
+from .dist_core import ModelParams, Threshold, _per_model, child_count_pmf, require_enumerable
 from .errors import CensusOverflow, ConfigInvalid
 
 # Replicates per random stream.  Part of the report contract: changing it
@@ -282,7 +281,7 @@ class ActivationProcess:
 
     Types are indexed by their position in the child-count support.  A step
     acts on a block of replicates, one row each, and returns the (active,
-    inactive) children-by-type arrays of the next level.  Built once per
+    inactive) children-by-type arrays of the next level.  Kept on its
     model by _census_tables, which compiles its step plan: params is the
     model, whose memberships the root step draws from, spread the size-biased
     size law, one mass per community size (0.0 where it underflowed),
@@ -382,8 +381,9 @@ class ActivationProcess:
         return self._resolve_cliques(cliques_by_size, rng)
 
 
-# The one cached engine per model, read by estimate and branching_root_counts.
-_census_tables = lru_cache(maxsize=None)(ActivationProcess)
+@_per_model
+def _census_tables(params: ModelParams) -> ActivationProcess:
+    return ActivationProcess(params)
 
 
 def _check_next_level(census: np.ndarray, types: np.ndarray, level: int) -> None:

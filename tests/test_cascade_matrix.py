@@ -285,7 +285,6 @@ class TestMeanMatrix:
         assert abs(rho - eigenvalue) <= 1e-5 * np.linalg.norm(matrix.block)
 
     def test_verdict_leaves_the_block_unbuilt(self, triangle_model):
-        cascade_matrix._mean_matrix_cached.cache_clear()
         assert cascade_verdict(triangle_model).rho == pytest.approx(4.0, abs=1e-10)
         assert "block" not in vars(mean_matrix(triangle_model))
 

@@ -1,17 +1,21 @@
 """CLI subcommands: reports, serialization, exit codes, determinism."""
 
+import gc
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import time
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cliquecascade import (
+    EnumerationTooLarge,
+    ModelParams,
     OracleCheck,
     Threshold,
     cascade_matrix,
@@ -511,7 +515,6 @@ class TestSweep:
 
     def test_exhausted_perron_budget_exit_3(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cascade_matrix, "POWER_MAX_ITER", 5)
-        cascade_matrix._mean_matrix_cached.cache_clear()
         config = write_config(tmp_path, DEEPLY_SUBCRITICAL)
         assert run(["sweep", "--config", config, "--grid", "1/10"]) == 3
         captured = capsys.readouterr()
@@ -521,6 +524,22 @@ class TestSweep:
         assert line.startswith(prefix) and line.endswith("]")
         lo, hi = map(float, line[len(prefix):-1].split(", "))
         assert lo <= DEEPLY_SUBCRITICAL_RHO <= hi
+
+    def test_each_point_is_freed_with_its_tables(self, monkeypatch):
+        # a point's walk tables, mean columns and mean matrix are kept on the
+        # point alone, so nothing holds a point once the sweep is done with it
+        points, with_threshold = [], ModelParams.with_threshold
+
+        def kept(base, threshold):
+            point = with_threshold(base, threshold)
+            points.append(weakref.ref(point))
+            return point
+
+        monkeypatch.setattr(ModelParams, "with_threshold", kept)
+        params = ModelParams.create({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "3/10")
+        cli.cmd_sweep(params, ["1/20", "1/5", "3/10", "1/2"])
+        gc.collect()
+        assert len(points) == 4 and all(point() is None for point in points)
 
 
 class TestVerify:
@@ -832,7 +851,10 @@ def test_analyze_prices_the_block_before_folding(tmp_path, capsys):
     assert capsys.readouterr().err.splitlines() == [
         "error: enumeration too large: 14311089 mean matrix entries exceed the 10000000 budget"
     ]
-    assert "children" not in vars(mean_matrix(cli.load_model(config)))
+    params = cli.load_model(config)
+    with pytest.raises(EnumerationTooLarge):
+        cli.cmd_analyze(params)
+    assert "children" not in vars(mean_matrix(params))
 
 
 # sizes 10..58 at theta 1/2: no walk places a child, yet 3,444,939
@@ -948,7 +970,6 @@ def test_one_perron_solve_per_point(tmp_path, capsys, monkeypatch, payload):
     config = write_config(tmp_path, payload)
     sizes = len(cli.load_model(config).community_sizes.support)
     for argv, points in ((["analyze"], 1), (["sweep", "--grid", "1/20,1/5,2/5,1/2,3/5"], 5)):
-        cascade_matrix._mean_matrix_cached.cache_clear()
         solves.clear()
         assert run(argv + ["--config", config]) == 0
         capsys.readouterr()

@@ -145,7 +145,13 @@ class TestLevelMap:
             assert all(f >= n for f in level[bounds[n]:])
             placed = [(p, f) for (_, p), f in zip(xp.items, level)]
             assert mass == tuple(sum(p for p, f in placed if f == m) for m in range(n))
-            assert tail == tuple(sum(p for p, f in placed if f > m) for m in range(n))
+            # tail sums downward in one pass, the forward sum is the reference:
+            # each sums the same k <= |S| masses with error at most (k - 1) u
+            # of the total (u = eps / 2), so they differ by under |S| eps of it
+            forward = [sum(p for p, f in placed if f > m) for m in range(n)]
+            tol = len(xp.items) * sys.float_info.epsilon
+            assert len(tail) == n
+            assert all(math.isclose(a, b, rel_tol=tol, abs_tol=0.0) for a, b in zip(tail, forward))
 
 
 class TestWalkPrice:

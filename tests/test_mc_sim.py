@@ -6,6 +6,8 @@ sorted-tuple engine it replaced and the scalar activation-process sampler;
 all four are kept at the end of this file as references.
 """
 
+import gc
+import weakref
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -780,6 +782,15 @@ class TestActivationProcess:
         assert np.allclose(report.mean_active_by_depth[1:], expected, rtol=1e-4, atol=0.0)
         roots = branching_root_counts(params, 300, 2)
         assert histogram_match(depth1_active_counts(params, 300, 1), roots)[0]
+
+    def test_engine_is_freed_with_its_model(self):
+        # the census engine is kept on its model alone
+        params = model({2: 0.5, 3: 0.5}, {2: 0.5, 3: 0.5}, "1/5")
+        estimate(params, SimConfig(depth=2, replicates=10, seed=1))
+        engine = weakref.ref(_census_tables(params))
+        del params
+        gc.collect()
+        assert engine() is None
 
     def test_triangle_root_step(self, triangle_model):
         proc = ActivationProcess(triangle_model)

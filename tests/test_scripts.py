@@ -97,7 +97,6 @@ def test_phase_sweep_solves_each_theta_once(monkeypatch, capsys):
     )
     argv = ["phase_sweep.py", "--grid", "0.05:0.5:10", "--depth", "1", "--replicates", "10"]
     monkeypatch.setattr(sys, "argv", argv)
-    cascade_matrix._mean_matrix_cached.cache_clear()
     phase_sweep.main()
     assert len(capsys.readouterr().out.strip().splitlines()[3:]) == 10
     assert len(solves) == 10
@@ -139,12 +138,14 @@ def test_unreached_in_process(monkeypatch):
     assert line.startswith("raise EnumerationTooLarge(") and "degree" in line
     # the floor-level walk, its level map, its price, its fold and its
     # readers, verify's oracle checks, the census engine as a whole,
-    # analyze, the mean matrix's build, the block analyze reports and the one
-    # owner of rho run every statement
+    # analyze, the memo that keeps a model's tables on it, the mean matrix's
+    # build, the block analyze reports and the one owner of rho run every
+    # statement
     engine = mc_sim.ActivationProcess
     for module, obj in (
         (cli, cli.cmd_analyze),
-        (cascade_matrix, cascade_matrix._mean_matrix_cached.__wrapped__),
+        (dist_core, dist_core._per_model),
+        (cascade_matrix, cascade_matrix.mean_matrix.__wrapped__),
         (cascade_matrix, cascade_matrix._other_communities.__wrapped__),
         (cascade_matrix, cascade_matrix.MeanMatrix.children.func),
         (cascade_matrix, cascade_matrix.MeanMatrix.block.func),
