@@ -7,7 +7,7 @@ by the size-biased size law.  This module answers three questions about that
 object alone: does the branching process survive (and with what extinction
 probability), what does the root's degree look like, and how clustered is the
 graph.  The fixed point reads the child-count pgf off child_count_pmf, the
-one cached law the mean matrix and the samplers read too.
+one law, kept with its model, that the mean matrix and the samplers read.
 """
 
 from __future__ import annotations

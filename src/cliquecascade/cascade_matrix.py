@@ -35,14 +35,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
 
 from .clique_dynamics import _walk_moves, mean_active_column
-from .dist_core import ModelParams, Pmf, _per_model, _read_only, child_count_pmf, pgf_compose, require_enumerable
+from .dist_core import ModelParams, _per_laws, _per_model, _read_only, child_count_pmf, pgf_compose, require_enumerable
 from .errors import NoConvergence
 
 # Perron solver knobs: relative bracket width and iteration budget.
@@ -110,19 +110,19 @@ class MeanMatrix:
         return spectral_radius(self.children.T @ (self.parents / self.masses[:, None]))
 
 
-@lru_cache(maxsize=None)
-def _other_communities(further: Pmf, extra_members: Pmf) -> MappingProxyType:
+@_per_laws
+def _other_communities(params: ModelParams) -> MappingProxyType:
     """others[y]: a parent's K further communities, one singled out, the rest holding y members.
 
     A parent's type is the sum of its further communities' extra members, so
     the type's mass is the child-count law.  Singling out one of the K leaves
     K - 1 summing freely; weighted by K that is E[K] times the size-biased
     shift of K, composed with the extra-members pgf, keyed by its support.
-    No threshold enters, so the thresholds of a sweep share one entry.
+    No threshold enters, so a model and its with_threshold points share it.
     """
-    others = {}
+    further, others = params.extra_communities, {}
     if further.support_max > 0:
-        composed = pgf_compose(further.size_biased_shifted(), extra_members)
+        composed = pgf_compose(further.size_biased_shifted(), params.extra_members)
         others = dict(zip(composed.support, (further.mean() * composed.probs).tolist()))
     return MappingProxyType(others)
 
@@ -133,7 +133,7 @@ def mean_matrix(params: ModelParams) -> MeanMatrix:
     params.require_contagion_assumptions()
     _walk_moves(params)  # the walk's gate, before the composition
     xp = child_count_pmf(params)
-    others = _other_communities(params.extra_communities, params.extra_members)
+    others = _other_communities(params)
     # a type-x parent's other communities hold x - (w - 1) members, 0 weight off their support
     parents = [[others.get(x - w + 1, 0.0) for w in params.community_sizes.support] for x in xp.support]
     return MeanMatrix(params, xp.values, xp.probs, _read_only(np.array(parents)), params.max_child_count + 1)

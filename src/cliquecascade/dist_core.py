@@ -11,13 +11,15 @@ built from four derived objects defined here:
 * probability generating functions of those laws (Pmf.pgf) and their
   composition, pgf_compose, priced and run over the supports: the law of the
   number of children of a non-root vertex in the projected tree-of-cliques,
-  whose one cached owner is child_count_pmf,
+  child_count_pmf,
 * an exact rational activation threshold, kept in integer arithmetic so that
   floor comparisons never suffer float rounding.
 
 ModelParams.infinite_path names the one degenerate model both the contagion
 verdict and the graph's extinction report single out.  _per_model keeps each
-table another module derives from a model on that model, freed with it.
+table another module derives from a model on that model, freed with it;
+_per_laws keeps a law no threshold enters, such as the child-count law, on a
+dict the model shares with its with_threshold points, freed with the last.
 
 Every law is held over its support alone: its items, their read-only array
 views (values, probs) and the package's one inverse-cdf draw.  Combinatorial
@@ -29,7 +31,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, wraps
 from math import comb, gcd
 
 import numpy as np
@@ -258,8 +260,11 @@ class ModelParams:
         return cls(memberships=p, community_sizes=q, threshold=t)
 
     def with_threshold(self, threshold) -> "ModelParams":
+        """This model at another threshold, sharing its threshold-free laws (_per_laws), built or not."""
         t = threshold if isinstance(threshold, Threshold) else Threshold.from_string(threshold)
-        return dataclasses.replace(self, threshold=t)
+        point = dataclasses.replace(self, threshold=t)
+        vars(point)["laws"] = vars(self).setdefault("laws", {})
+        return point
 
     @property
     def mean_memberships(self) -> float:
@@ -297,15 +302,20 @@ class ModelParams:
             raise AssumptionViolated("community sizes must not put mass at 0 or 1")
 
 
-def _per_model(build):
-    """build(params, *args), memoised in params.__dict__ like a cached_property: freed with params."""
+def _per_model(build, home=vars):
+    """build(params, *args), memoised in home(params), by default params.__dict__: freed with it."""
     @wraps(build)
     def kept(params: ModelParams, *args):
-        memo = vars(params).setdefault(build.__name__, {})
+        memo = home(params).setdefault(build.__name__, {})
         if args not in memo:
             memo[args] = build(params, *args)
         return memo[args]
     return kept
+
+
+def _per_laws(build):
+    """_per_model for a law no threshold enters: kept on the dict with_threshold hands on to each point."""
+    return _per_model(build, lambda params: vars(params).setdefault("laws", {}))
 
 
 def _merge(powers: np.ndarray, coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -368,11 +378,7 @@ def pgf_compose(outer: Pmf, inner: Pmf) -> Pmf:
     return Pmf.from_pairs(zip(powers.tolist(), coeffs.tolist()), tol=DERIVED_MASS_TOL)
 
 
-@lru_cache(maxsize=None)
-def _child_count_pmf(extra_communities: Pmf, extra_members: Pmf) -> Pmf:
-    return pgf_compose(extra_communities, extra_members)
-
-
+@_per_laws
 def child_count_pmf(params: ModelParams) -> Pmf:
     """Law of the number of children of a non-root vertex, as a Pmf.
 
@@ -380,4 +386,4 @@ def child_count_pmf(params: ModelParams) -> Pmf:
     the size-biased membership law, and each contributes an independent
     size-biased count of further members.
     """
-    return _child_count_pmf(params.extra_communities, params.extra_members)
+    return pgf_compose(params.extra_communities, params.extra_members)

@@ -432,6 +432,16 @@ class TestSpectralRadius:
             f"power iteration exhausted its budget with rho in [{lo:.17g}, {hi:.17g}]"
         )
 
+    def test_perron_vector_past_the_double_range_refuses_with_its_bracket(self, monkeypatch):
+        # the 3-cycle 1e200, 1e200, 1e-300 has rho = 10^(100/3), but its Perron
+        # vector's entries span more than doubles hold, so the bracket cannot
+        # close: the solve refuses, naming a finite bracket around rho
+        monkeypatch.setattr(cascade_matrix, "POWER_MAX_ITER", 1000)
+        with pytest.raises(NoConvergence) as info:
+            spectral_radius(np.roll(np.diag([1e200, 1e200, 1e-300]), 1, axis=1))
+        lo, hi = info.value.bracket
+        assert np.isfinite([lo, hi]).all() and lo <= 10 ** (100 / 3) <= hi
+
     def test_known_two_cycle(self):
         assert spectral_radius(np.array([[0.0, 1.0], [2.0, 0.0]])) == pytest.approx(
             np.sqrt(2.0), abs=1e-9

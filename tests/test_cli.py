@@ -21,6 +21,7 @@ from cliquecascade import (
     cascade_matrix,
     child_count_pmf,
     cli,
+    dist_core,
     mean_matrix,
     strongly_connected_components,
 )
@@ -525,9 +526,38 @@ class TestSweep:
         lo, hi = map(float, line[len(prefix):-1].split(", "))
         assert lo <= DEEPLY_SUBCRITICAL_RHO <= hi
 
+    def test_points_share_the_threshold_free_laws(self, monkeypatch):
+        # no threshold enters the child-count law or the other-communities
+        # weights: a sweep composes each once for all its points, and a
+        # separate load of equal laws composes its own
+        points, composed, with_threshold = [], [], ModelParams.with_threshold
+
+        def kept(base, threshold):
+            points.append(with_threshold(base, threshold))
+            return points[-1]
+
+        def counted(outer, inner):
+            composed.append(outer)
+            return pgf_compose(outer, inner)
+
+        monkeypatch.setattr(ModelParams, "with_threshold", kept)
+        monkeypatch.setattr(dist_core, "pgf_compose", counted)
+        monkeypatch.setattr(cascade_matrix, "pgf_compose", counted)
+        base = ModelParams.create({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "3/10")
+        cli.cmd_sweep(base, ["1/20", "1/10", "1/5", "3/10", "2/5"])
+        assert len(points) == 5 and len(composed) == 2
+        others = cascade_matrix._other_communities
+        for point in points:
+            assert child_count_pmf(point) is child_count_pmf(base) and others(point) is others(base)
+        fresh = ModelParams.create({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "3/10")
+        assert child_count_pmf(fresh) == child_count_pmf(base) and others(fresh) == others(base)
+        assert child_count_pmf(fresh) is not child_count_pmf(base) and others(fresh) is not others(base)
+        assert len(composed) == 4
+
     def test_each_point_is_freed_with_its_tables(self, monkeypatch):
         # a point's walk tables, mean columns and mean matrix are kept on the
-        # point alone, so nothing holds a point once the sweep is done with it
+        # point alone, so nothing holds a point once the sweep is done with it;
+        # the laws the points share with their model go with the last of them
         points, with_threshold = [], ModelParams.with_threshold
 
         def kept(base, threshold):
@@ -540,6 +570,10 @@ class TestSweep:
         cli.cmd_sweep(params, ["1/20", "1/5", "3/10", "1/2"])
         gc.collect()
         assert len(points) == 4 and all(point() is None for point in points)
+        law = weakref.ref(child_count_pmf(params))
+        del params
+        gc.collect()
+        assert law() is None
 
 
 class TestVerify:

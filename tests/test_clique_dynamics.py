@@ -114,17 +114,18 @@ class TestFloatRangeGuard:
     )
     def test_every_reader_refuses_before_composing(self, monkeypatch, reader):
         # the walk's gate checks every size's float range before the
-        # child-count law of the size-2 walk is composed, whichever reader asks
+        # child-count law of the size-2 walk is composed, whichever reader
+        # asks, and a point made by with_threshold composes nothing either
         def refuse(*args):
             raise AssertionError("composed before the gate")
 
-        dist_core._child_count_pmf.cache_clear()
-        cascade_matrix._other_communities.cache_clear()
         monkeypatch.setattr(dist_core, "pgf_compose", refuse)
         monkeypatch.setattr(cascade_matrix, "pgf_compose", refuse)
         message = "^community size 100000 needs binomial coefficients beyond the float range$"
-        with pytest.raises(EnumerationTooLarge, match=message):
-            reader(model({4: 1.0}, {2: 0.5, 100000: 0.5}, "1/10"))
+        base = model({4: 1.0}, {2: 0.5, 100000: 0.5}, "1/10")
+        for params in (base.with_threshold("1/5"), base):
+            with pytest.raises(EnumerationTooLarge, match=message):
+                reader(params)
 
 
 class TestLevelMap:

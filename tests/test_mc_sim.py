@@ -975,7 +975,7 @@ class TestConfigurationWeights:
         tables = _census_tables(params)
         reach = plan_reach(tables)
         xp = child_count_pmf(params)
-        others = _other_communities(params.extra_communities, params.extra_members)
+        others = _other_communities(params)
         means = tables.fixed.astype(float)
         for x, probs, sizes in tables.configs:
             means[x] = probs @ sizes
