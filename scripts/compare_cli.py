@@ -42,9 +42,11 @@ def uniform(values) -> list:
 # (121 rows) reaches past the support's largest type, 116.  deeply-subcritical
 # has one 10-type component with rho about 3.4e-9, far below its row sums
 # (about 1.8), and underflowed-size a community size whose size-biased mass
-# underflows to zero, so the root's spread holds a 0.0.  one-community is the
-# one model where no individual has a further community: every non-root
-# vertex is of type 0, and the mean matrix composes no other communities.
+# underflows to zero, so the root's spread holds a 0.0, and subnormal-size one
+# whose size-biased mass, 2e-310 / 5, is subnormal, and with it type 1's mass
+# in the mean matrix.  one-community is the one model where no individual has
+# a further community: every non-root vertex is of type 0, and the mean
+# matrix composes no other communities.
 MODELS = {
     "census-deep": ([[1, 0.5], [3, 0.5]], [[2, 1.0]], "1/10"),
     "mixture": ([[2, 0.5], [4, 0.5]], [[2, 0.5], [3, 0.5]], "3/10"),
@@ -62,6 +64,7 @@ MODELS = {
     "p61-underflow": ([[61, 1.0]], [[2, 1.0 - 1e-6], [3, 1e-6]], "1/100"),
     "deeply-subcritical": ([[3, 0.5], [7, 0.5]], [[2, 2e-17], [5, 1.0]], "1/10"),
     "underflowed-size": ([[3, 1.0]], [[2, 5e-324], [3, 0.5], [400, 0.5]], "1/5"),
+    "subnormal-size": ([[2, 1.0]], [[2, 1e-310], [5, 1.0]], "1/10"),
     "one-community": ([[1, 1.0]], [[3, 1.0]], "1/10"),
 }
 

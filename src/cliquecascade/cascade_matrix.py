@@ -11,11 +11,14 @@ half kills every cascade, and the all-2s degenerate model is an infinite path
 (ModelParams.infinite_path) that activates surely.
 
 The types are the child counts that occur, the support of child_count_pmf.
-The matrix is held as two |support| x |sizes| factors, one outer product per
-community size.  Their product the other way round, the |sizes| x |sizes|
-community matrix of the alternating process, has the same nonzero
-eigenvalues (Horn and Johnson, Matrix Analysis, Thm 1.3.22), so rho is
-solved on it.  block and entries are each priced where they are built.
+The block is one outer product per community size w, of the parent factor's
+column w and e_w = extra_members(w - 1) times w's mean column.  rho is
+solved on M = (columns / masses)^T (parents e), the alternating process's
+|sizes| x |sizes| matrix: M[w, w'] is the expected number of size-w'
+communities the active children of one size-w community open.  It has the
+block's nonzero eigenvalues (Horn and Johnson, Matrix Analysis, Thm 1.3.22),
+and a column's entry over its type's mass is at most w - 1, so no quotient
+overflows.  block and entries are each priced where they are built.
 
 Nothing here enumerates tuples.  Each clique size w contributes one column,
 clique_dynamics.mean_active_column, the clique pgf's gradient at s = 1, read
@@ -36,7 +39,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -65,13 +67,12 @@ def mean_active_of_type(params: ModelParams, x: int, clique_size: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MeanMatrix:
-    """Mean activated-children counts by (parent type, child type), as two factors.
+    """Mean activated-children counts by (parent type, child type), from the parent factor.
 
     types is the child-count support and masses its law.  Column w is
     community size w: a type-types[i] vertex opens e_w parents[i, w] /
-    masses[i] further such communities on average, each activating
-    children[j, w] / e_w type-types[j] children (e_w = extra_members(w - 1)),
-    folded on first use, so block is priced before any column is folded.
+    masses[i] further such communities on average (e_w = extra_members(w - 1)),
+    each activating mean_active_column(params, w)[j] type-types[j] children.
     """
 
     params: ModelParams
@@ -81,18 +82,12 @@ class MeanMatrix:
     dim: int  # max child count + 1, the size of entries
 
     @cached_property
-    def children(self) -> np.ndarray:
-        """e_w mean_active_column(params, w), one column per size; folded on first use, read-only."""
-        e, sizes = self.params.extra_members, self.params.community_sizes.support
-        return _read_only(np.column_stack([e(w - 1) * mean_active_column(self.params, w) for w in sizes]))
-
-    @cached_property
     def block(self) -> np.ndarray:
-        """parents children^T / masses, size by size; priced before children is folded, read-only."""
+        """parents (e_w columns)^T / masses, size by size; priced before any column is folded, read-only."""
         require_enumerable(self.types.size**2, "mean matrix entries")
         block = np.zeros((self.types.size,) * 2)
-        for parents, children in zip(self.parents.T, self.children.T):
-            block += np.outer(parents, children)
+        for parents, w in zip(self.parents.T, self.params.community_sizes.support):
+            block += np.outer(parents, self.params.extra_members(w - 1) * mean_active_column(self.params, w))
         block /= self.masses[:, None]  # each row on its type; type 0 has no communities
         return _read_only(block)
 
@@ -106,37 +101,37 @@ class MeanMatrix:
 
     @cached_property
     def rho(self) -> float:
-        """block's Perron root, that of children^T (parents / masses): solved once, then kept."""
-        return spectral_radius(self.children.T @ (self.parents / self.masses[:, None]))
+        """block's Perron root, that of M = (columns / masses)^T (parents e): solved once, then kept."""
+        sizes, e = self.params.community_sizes.support, self.params.extra_members
+        columns = np.column_stack([mean_active_column(self.params, w) for w in sizes]) / self.masses[:, None]
+        return spectral_radius(columns.T @ (self.parents * [e(w - 1) for w in sizes]))
 
 
 @_per_laws
-def _other_communities(params: ModelParams) -> MappingProxyType:
-    """others[y]: a parent's K further communities, one singled out, the rest holding y members.
+def _parents(params: ModelParams) -> np.ndarray:
+    """parents[i, w]: a type-x parent's K further communities, one singled out, the rest x - (w - 1) members.
 
-    A parent's type is the sum of its further communities' extra members, so
-    the type's mass is the child-count law.  Singling out one of the K leaves
-    K - 1 summing freely; weighted by K that is E[K] times the size-biased
-    shift of K, composed with the extra-members pgf, keyed by its support.
-    No threshold enters, so a model and its with_threshold points share it.
+    Singling out one of the K leaves K - 1 summing freely; weighted by K that
+    is E[K] times the size-biased shift of K composed with the extra-members
+    pgf, 0 off its support.  No threshold enters: a model and its with_threshold points share it, read-only.
     """
-    further, others = params.extra_communities, {}
+    further, types = params.extra_communities, child_count_pmf(params).values
+    parents = np.zeros((types.size, len(params.community_sizes.support)))
     if further.support_max > 0:
         composed = pgf_compose(further.size_biased_shifted(), params.extra_members)
-        others = dict(zip(composed.support, (further.mean() * composed.probs).tolist()))
-    return MappingProxyType(others)
+        others = types[:, None] + 1 - np.array(params.community_sizes.support)
+        at = np.searchsorted(composed.values, others).clip(max=composed.values.size - 1)
+        parents = np.where(composed.values[at] == others, further.mean() * composed.probs[at], 0.0)
+    return _read_only(parents)
 
 
 @_per_model
 def mean_matrix(params: ModelParams) -> MeanMatrix:
-    """The model's mean matrix: types, masses and parents now, children and block on first use."""
+    """The model's mean matrix: types, masses and the shared parents now, block on first use."""
     params.require_contagion_assumptions()
     _walk_moves(params)  # the walk's gate, before the composition
     xp = child_count_pmf(params)
-    others = _other_communities(params)
-    # a type-x parent's other communities hold x - (w - 1) members, 0 weight off their support
-    parents = [[others.get(x - w + 1, 0.0) for w in params.community_sizes.support] for x in xp.support]
-    return MeanMatrix(params, xp.values, xp.probs, _read_only(np.array(parents)), params.max_child_count + 1)
+    return MeanMatrix(params, xp.values, xp.probs, _parents(params), params.max_child_count + 1)
 
 
 def strongly_connected_components(adjacency: np.ndarray) -> list[list[int]]:

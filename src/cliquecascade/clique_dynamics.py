@@ -30,7 +30,7 @@ from math import comb, lgamma, log
 
 import numpy as np
 
-from .dist_core import ModelParams, Pmf, _per_model, child_count_pmf, require_enumerable
+from .dist_core import ModelParams, Pmf, _per_model, _read_only, child_count_pmf, require_enumerable
 from .errors import EnumerationTooLarge
 
 
@@ -168,8 +168,7 @@ def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
     column = np.zeros(len(xp.items))
     for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         column[lo:hi] = [placed[m] * p / mass[m] for _, p in xp.items[lo:hi]]
-    column.flags.writeable = False
-    return column
+    return _read_only(column)
 
 
 def clique_pgf(params: ModelParams, clique_size: int, s) -> float:

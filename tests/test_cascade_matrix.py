@@ -5,7 +5,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cliquecascade import (
     CliqueOutcome,
@@ -27,7 +28,7 @@ from cliquecascade import (
 from cliquecascade.verification import mean_active_by_type_oracle
 from cliquecascade.clique_dynamics import mean_active_column
 
-from conftest import UNDERFLOW_MODELS, model, models, standard_model_suite
+from conftest import THETA_GRID, UNDERFLOW_MODELS, model, models, standard_model_suite
 
 
 def active_count_prob(params, x, clique_size, k, ell, i):
@@ -197,6 +198,23 @@ class TestMeanActive:
             mean_active_column(triangle_model, 3)[0] = 0.0
 
 
+# masses far below a normal pmf's: subnormal, or small enough that their
+# products underflow
+TINY_MASSES = (5e-324, 1e-320, 1e-310, 1e-300, 1e-200, 1e-17)
+
+
+@st.composite
+def tiny_mass_models(draw):
+    """Memberships 1..8 and sizes 2..9, up to 4 values each; any value but the first may carry a tiny mass."""
+    def pmf(values):
+        support = draw(st.lists(st.sampled_from(values), min_size=1, max_size=4, unique=True))
+        tiny = {v: draw(st.sampled_from(TINY_MASSES)) for v in support[1:] if draw(st.booleans())}
+        weights = {v: draw(st.integers(1, 9)) for v in support if v not in tiny}
+        return {**tiny, **{v: w / sum(weights.values()) for v, w in weights.items()}}
+
+    return model(pmf(range(1, 9)), pmf(range(2, 10)), draw(st.sampled_from(THETA_GRID)))
+
+
 class TestMeanMatrix:
     @given(models(range(1, 5), range(2, 7), max_points=5))
     def test_rows_match_product_enumeration(self, params):
@@ -270,19 +288,35 @@ class TestMeanMatrix:
         for x0 in range(matrix.dim):
             assert matrix.entries[x0].sum() <= x0 + 1e-9
 
-    @given(models(range(1, 5), range(2, 7), max_points=5))
+    @settings(max_examples=100)  # models still draws more than the 60 examples it drew alone
+    @given(st.one_of(models(range(1, 5), range(2, 7), max_points=5), tiny_mass_models()))
+    @example(model({2: 1.0}, {2: 1e-310, 5: 1.0}, "1/10"))  # type 1's mass is subnormal
     def test_rho_by_two_routes(self, params):
-        # rho on the community matrix against the Perron solve of the block,
-        # and against LAPACK's eigenvalues of the block.  Their error is
-        # absolute, scaled by the block's norm, and a defective zero
-        # eigenvalue of order k moves by about eps^(1/k) of it: 1e-5 covers
-        # k = 3 (6e-6)
+        # rho on the size-to-size matrix against the Perron solve of the
+        # block, and against LAPACK's eigenvalues of the block.  Their error
+        # is absolute, scaled by the block's norm (taken at unit scale, where
+        # its squares do not underflow), and a defective zero eigenvalue of
+        # order k moves by about eps^(1/k) of it: 1e-5 covers k = 3 (6e-6).
+        # A tiny type mass leaves rho finite; a subnormal entry inside a
+        # component can leave a Perron bracket open.  A block whose products
+        # underflow is no reference: its root can read 0.0 where rho reads
+        # 3.5e-200
         matrix = mean_matrix(params)
-        rho, reference = matrix.rho, spectral_radius(matrix.block)
+        tiny = min(params.memberships.probs.min(), params.community_sizes.probs.min()) < 1e-16
+        try:
+            rho = matrix.rho
+            assert math.isfinite(rho)
+            with np.errstate(under="raise"):
+                block = matrix.block
+            reference = spectral_radius(block)
+        except (NoConvergence, FloatingPointError):
+            assert tiny
+            return
         assert (rho == 0.0) == (reference == 0.0)
         assert abs(rho - reference) <= 1e-9 * reference
-        eigenvalue = max(abs(np.linalg.eigvals(matrix.block)))
-        assert abs(rho - eigenvalue) <= 1e-5 * np.linalg.norm(matrix.block)
+        eigenvalue = max(abs(np.linalg.eigvals(block)))
+        top = block.max()
+        assert abs(rho - eigenvalue) <= 1e-5 * (top * np.linalg.norm(block / top) if top else 0.0)
 
     def test_verdict_leaves_the_block_unbuilt(self, triangle_model):
         assert cascade_verdict(triangle_model).rho == pytest.approx(4.0, abs=1e-10)
@@ -322,11 +356,12 @@ class TestOneTypeSpace:
         on_support[np.ix_(types, types)] = True
         assert np.array_equal(matrix.entries[np.ix_(types, types)], matrix.block)
         assert not matrix.entries[~on_support].any()
-        # rho comes from the community matrix, so it matches the block's own
-        # Perron solve to the power iteration's tolerance, not bit for bit
+        # rho comes from the size-to-size matrix, so it matches the block's
+        # own Perron solve to the power iteration's tolerance, not bit for bit
         assert spectral_radius(matrix.entries) == spectral_radius(matrix.block)
         assert matrix.rho == pytest.approx(spectral_radius(matrix.block), rel=1e-9)
-        for array in (matrix.entries, matrix.block):
+        # parents is shared with every with_threshold point
+        for array in (matrix.entries, matrix.block, matrix.parents):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 

@@ -23,6 +23,7 @@ from cliquecascade import (
     cli,
     dist_core,
     mean_matrix,
+    spectral_radius,
     strongly_connected_components,
 )
 from cliquecascade.clique_dynamics import _walk_moves, mean_active_column
@@ -124,6 +125,13 @@ UNDERFLOWED_SIZE = {
     "memberships": [[3, 1.0]],
     "community_sizes": [[2, 5e-324], [3, 0.5], [400, 0.5]],
     "threshold": "1/5",
+}
+# size 2's size-biased mass, 2e-310 / 5, is subnormal, and so is type 1's:
+# a parent weight of 1 over it overflows to inf
+SUBNORMAL_SIZE = {
+    "memberships": [[2, 1.0]],
+    "community_sizes": [[2, 1e-310], [5, 1.0]],
+    "threshold": "1/10",
 }
 
 # every individual in two communities of two: the infinite path carve-out
@@ -527,9 +535,10 @@ class TestSweep:
         assert lo <= DEEPLY_SUBCRITICAL_RHO <= hi
 
     def test_points_share_the_threshold_free_laws(self, monkeypatch):
-        # no threshold enters the child-count law or the other-communities
-        # weights: a sweep composes each once for all its points, and a
-        # separate load of equal laws composes its own
+        # no threshold enters the child-count law or the mean matrix's parent
+        # factor: a sweep composes each once for all its points, every point's
+        # mean matrix reads its base's parents, and a separate load of equal
+        # laws composes its own
         points, composed, with_threshold = [], [], ModelParams.with_threshold
 
         def kept(base, threshold):
@@ -546,12 +555,12 @@ class TestSweep:
         base = ModelParams.create({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "3/10")
         cli.cmd_sweep(base, ["1/20", "1/10", "1/5", "3/10", "2/5"])
         assert len(points) == 5 and len(composed) == 2
-        others = cascade_matrix._other_communities
+        parents = mean_matrix(base).parents
         for point in points:
-            assert child_count_pmf(point) is child_count_pmf(base) and others(point) is others(base)
-        fresh = ModelParams.create({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "3/10")
-        assert child_count_pmf(fresh) == child_count_pmf(base) and others(fresh) == others(base)
-        assert child_count_pmf(fresh) is not child_count_pmf(base) and others(fresh) is not others(base)
+            assert child_count_pmf(point) is child_count_pmf(base) and mean_matrix(point).parents is parents
+        fresh = mean_matrix(ModelParams.create({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "3/10"))
+        assert child_count_pmf(fresh.params) == child_count_pmf(base) and np.array_equal(fresh.parents, parents)
+        assert child_count_pmf(fresh.params) is not child_count_pmf(base) and fresh.parents is not parents
         assert len(composed) == 4
 
     def test_each_point_is_freed_with_its_tables(self, monkeypatch):
@@ -570,10 +579,10 @@ class TestSweep:
         cli.cmd_sweep(params, ["1/20", "1/5", "3/10", "1/2"])
         gc.collect()
         assert len(points) == 4 and all(point() is None for point in points)
-        law = weakref.ref(child_count_pmf(params))
+        law, parents = weakref.ref(child_count_pmf(params)), weakref.ref(mean_matrix(params).parents)
         del params
         gc.collect()
-        assert law() is None
+        assert law() is None and parents() is None
 
 
 class TestVerify:
@@ -846,7 +855,7 @@ PRIME_SIZES = {
 
 
 def test_sweep_answers_past_the_block_budget(tmp_path, capsys):
-    # sweep solves rho on the community matrix and never builds the block;
+    # sweep solves rho on the size-to-size matrix and never builds the block;
     # analyze reports the block, so it still refuses it
     config = write_config(tmp_path, WIDE_PAIRS)
     assert run(["analyze", "--config", config]) == 1
@@ -861,6 +870,25 @@ def test_sweep_answers_past_the_block_budget(tmp_path, capsys):
     for (_, rho, _, _), expected in zip(rows, (240 / 8_002_000, 20 / 8_002_000)):
         assert float(rho) == pytest.approx(expected, rel=1e-12)
     assert "block" not in vars(mean_matrix(cli.load_model(config)))
+
+
+def test_subnormal_type_mass_answered(tmp_path, capsys):
+    # rho once divided the parent factor by the type masses: type 1's
+    # overflowed to inf and spectral_radius's ValueError escaped cli.main.
+    # The size-to-size matrix divides only mean columns by them
+    config = write_config(tmp_path, SUBNORMAL_SIZE)
+    expected = spectral_radius(mean_matrix(cli.load_model(config)).block)
+    assert expected == pytest.approx(4.0, rel=1e-9)
+    assert run(["analyze", "--config", config]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert captured.err == "" and report["verdict"]["kind"] == "CascadePossible"
+    assert report["spectral_radius"] == report["verdict"]["rho"] == pytest.approx(expected, rel=1e-9, abs=0.0)
+    assert run(["sweep", "--config", config, "--grid", "1/10,1/5"]) == 0
+    captured = capsys.readouterr()
+    header, *rows = captured.out.splitlines()
+    assert captured.err == "" and header == "theta,rho,verdict,boundary" and len(rows) == 2
+    assert float(rows[0].split(",")[1]) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
 
 def test_sweep_answers_many_types_with_a_short_walk(tmp_path, capsys):
@@ -888,7 +916,7 @@ def test_analyze_prices_the_block_before_folding(tmp_path, capsys):
     params = cli.load_model(config)
     with pytest.raises(EnumerationTooLarge):
         cli.cmd_analyze(params)
-    assert "children" not in vars(mean_matrix(params))
+    assert "mean_active_column" not in vars(params) and "block" not in vars(mean_matrix(params))
 
 
 # sizes 10..58 at theta 1/2: no walk places a child, yet 3,444,939
@@ -1017,9 +1045,11 @@ def test_analytic_commands_never_import_numpy_random(tmp_path):
     grid = "0.1,0.3"  # 0.3 is the model's own threshold
     params = cli.load_model(config)
     for theta in grid.split(","):
-        matrix = mean_matrix(params.with_threshold(Threshold.from_string(theta)))
-        community = matrix.children.T @ (matrix.parents / matrix.masses[:, None])
-        components = strongly_connected_components(community > 0)
+        point = params.with_threshold(Threshold.from_string(theta))
+        matrix, sizes = mean_matrix(point), point.community_sizes.support
+        columns = np.column_stack([mean_active_column(point, w) for w in sizes]) / matrix.masses[:, None]
+        e = [point.extra_members(w - 1) for w in sizes]
+        components = strongly_connected_components(columns.T @ (matrix.parents * e) > 0)
         assert max(len(c) for c in components) >= 2  # the Perron solve iterates
     script = (
         "import os, sys\n"

@@ -42,7 +42,6 @@ from cliquecascade import (
     survival_by_threshold,
 )
 from cliquecascade import dist_core
-from cliquecascade.cascade_matrix import _other_communities
 from cliquecascade.clique_dynamics import _walk, mean_active_column
 from cliquecascade.dist_core import require_enumerable
 from cliquecascade.mc_sim import (
@@ -735,7 +734,7 @@ class TestCensusMeanMatrixIdentity:
             for w, count in zip(params.community_sizes.support, row):
                 expected[x] += count * mean_active_column(params, w)
         assert not mean_sizes[reach:].any()
-        assert not mean_matrix(params).children[reach:].any()
+        assert not any(mean_active_column(params, w)[reach:].any() for w in params.community_sizes.support)
         assert np.abs(expected[:reach] - block[:reach]).max(initial=0.0) <= 1e-12
 
 
@@ -944,7 +943,7 @@ class TestConfigurationWeights:
         assert np.array_equal(tables.fixed[:reach], full.fixed[:reach]) and not tables.fixed[reach:].any()
         kept = [(x, probs.tobytes(), sizes.tolist()) for x, probs, sizes in full.configs if x < reach]
         assert [(x, probs.tobytes(), sizes.tolist()) for x, probs, sizes in tables.configs] == kept
-        assert not mean_matrix(params).children[reach:].any()
+        assert not any(mean_active_column(params, w)[reach:].any() for w in params.community_sizes.support)
 
     def test_pruned_example_drops_rows(self):
         # guards the property's example: types with several rows are kept,
@@ -970,19 +969,20 @@ class TestConfigurationWeights:
     @staticmethod
     def _assert_means_match_marginal(params):
         # E[n_w | X = x] from the table against the configuration marginal
-        # the mean matrix mixes: others[x - w + 1] e_{w-1} / P(X = x), for
-        # the types within the plan's reach; no clique activates the others
+        # the mean matrix mixes: parents[i, w] e_{w-1} / P(X = x), for the
+        # types within the plan's reach; no clique activates the others
         tables = _census_tables(params)
         reach = plan_reach(tables)
         xp = child_count_pmf(params)
-        others = _other_communities(params)
+        parents = mean_matrix(params).parents
         means = tables.fixed.astype(float)
         for x, probs, sizes in tables.configs:
             means[x] = probs @ sizes
-        assert not means[reach:].any() and not mean_matrix(params).children[reach:].any()
+        assert not means[reach:].any()
+        assert not any(mean_active_column(params, w)[reach:].any() for w in params.community_sizes.support)
         for i, x in enumerate(xp.support[:reach]):
             for j, w in enumerate(params.community_sizes.support):
-                marginal = others.get(x - w + 1, 0.0) * params.extra_members(w - 1) / xp.probs[i]
+                marginal = parents[i, j] * params.extra_members(w - 1) / xp.probs[i]
                 assert means[i, j] == pytest.approx(marginal, rel=1e-9, abs=0.0), (x, w)
 
     @given(params=models(range(1, 6), range(2, 6), max_points=3))
