@@ -46,7 +46,9 @@ def uniform(values) -> list:
 # whose size-biased mass, 2e-310 / 5, is subnormal, and with it type 1's mass
 # in the mean matrix.  one-community is the one model where no individual has
 # a further community: every non-root vertex is of type 0, and the mean
-# matrix composes no other communities.
+# matrix composes no other communities.  tiny-type has types 2 and 6 of
+# masses 5e-201 and 1.5e-200, so its block holds entries of 1e-200 and 3e-200
+# and its rho is 1e-199.
 MODELS = {
     "census-deep": ([[1, 0.5], [3, 0.5]], [[2, 1.0]], "1/10"),
     "mixture": ([[2, 0.5], [4, 0.5]], [[2, 0.5], [3, 0.5]], "3/10"),
@@ -66,6 +68,7 @@ MODELS = {
     "underflowed-size": ([[3, 1.0]], [[2, 5e-324], [3, 0.5], [400, 0.5]], "1/5"),
     "subnormal-size": ([[2, 1.0]], [[2, 1e-310], [5, 1.0]], "1/10"),
     "one-community": ([[1, 1.0]], [[3, 1.0]], "1/10"),
+    "tiny-type": ([[1, 1.0], [2, 1e-200]], [[3, 0.4375], [7, 0.5625]], "1/10"),
 }
 
 RUNNER = """

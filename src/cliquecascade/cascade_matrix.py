@@ -10,23 +10,22 @@ carve-outs handled in :func:`cascade_verdict`: a threshold of at least one
 half kills every cascade, and the all-2s degenerate model is an infinite path
 (ModelParams.infinite_path) that activates surely.
 
-The types are the child counts that occur, the support of child_count_pmf.
-The block is one outer product per community size w, of the parent factor's
-column w and e_w = extra_members(w - 1) times w's mean column.  rho is
-solved on M = (columns / masses)^T (parents e), the alternating process's
-|sizes| x |sizes| matrix: M[w, w'] is the expected number of size-w'
-communities the active children of one size-w community open.  It has the
-block's nonzero eigenvalues (Horn and Johnson, Matrix Analysis, Thm 1.3.22),
-and a column's entry over its type's mass is at most w - 1, so no quotient
-overflows.  block and entries are each priced where they are built.
+The types are the child counts that occur, the support S of child_count_pmf.
+The matrix is held as the alternating process's two |S| x |sizes| factors:
+communities[i, w], the further size-w communities a type-i vertex opens, and
+columns[j, w], the type-j children one size-w community activates.  The block
+is communities columns^T, and rho is solved on M = columns^T communities,
+whose entry M[w, w'] is the expected number of size-w' communities the active
+children of one size-w community open; M has the block's nonzero eigenvalues
+(Horn and Johnson, Matrix Analysis, Thm 1.3.22).  A type's mass divides once
+per factor, where the quotient is bounded, so a tiny one overflows nothing.
+block and entries are each priced where they are built.
 
 Nothing here enumerates tuples.  Each clique size w contributes one column,
 clique_dynamics.mean_active_column, the clique pgf's gradient at s = 1, read
-off the pgf's own fold over the floor-level walk.  Rows mix those columns
-by the configuration law: convolution powers of the extra-members law, i.e.
-pgf compositions, give each parent type's mass and the weight of a size-w
-community among its others.  Sorted-tuple enumeration survives only in the
-oracles.
+off the pgf's own fold over the floor-level walk.  communities weighs them by
+the configuration law, a pgf composition of the extra-members law.
+Sorted-tuple enumeration survives only in the oracles.
 
 The Perron root is found by a deterministic power iteration on each
 strongly connected component, from the uniform vector: rho is a function of
@@ -67,29 +66,30 @@ def mean_active_of_type(params: ModelParams, x: int, clique_size: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class MeanMatrix:
-    """Mean activated-children counts by (parent type, child type), from the parent factor.
+    """Mean activated-children counts by (parent type, child type), as two factors over the community sizes.
 
-    types is the child-count support and masses its law.  Column w is
-    community size w: a type-types[i] vertex opens e_w parents[i, w] /
-    masses[i] further such communities on average (e_w = extra_members(w - 1)),
-    each activating mean_active_column(params, w)[j] type-types[j] children.
+    types is the child-count support, and column w of both factors is
+    community size w: a type-types[i] vertex opens communities[i, w] further
+    such communities on average, each activating columns[j, w] =
+    mean_active_column(params, w)[j] type-types[j] children.
     """
 
     params: ModelParams
     types: np.ndarray
-    masses: np.ndarray
-    parents: np.ndarray
+    communities: np.ndarray
     dim: int  # max child count + 1, the size of entries
 
     @cached_property
+    def columns(self) -> np.ndarray:
+        """Each community size's mean active column, in size order; built on first use, read-only."""
+        sizes = self.params.community_sizes.support
+        return _read_only(np.column_stack([mean_active_column(self.params, w) for w in sizes]))
+
+    @cached_property
     def block(self) -> np.ndarray:
-        """parents (e_w columns)^T / masses, size by size; priced before any column is folded, read-only."""
+        """communities columns^T; priced before any column is folded, read-only."""
         require_enumerable(self.types.size**2, "mean matrix entries")
-        block = np.zeros((self.types.size,) * 2)
-        for parents, w in zip(self.parents.T, self.params.community_sizes.support):
-            block += np.outer(parents, self.params.extra_members(w - 1) * mean_active_column(self.params, w))
-        block /= self.masses[:, None]  # each row on its type; type 0 has no communities
-        return _read_only(block)
+        return _read_only(self.communities @ self.columns.T)
 
     @cached_property
     def entries(self) -> np.ndarray:
@@ -101,37 +101,36 @@ class MeanMatrix:
 
     @cached_property
     def rho(self) -> float:
-        """block's Perron root, that of M = (columns / masses)^T (parents e): solved once, then kept."""
-        sizes, e = self.params.community_sizes.support, self.params.extra_members
-        columns = np.column_stack([mean_active_column(self.params, w) for w in sizes]) / self.masses[:, None]
-        return spectral_radius(columns.T @ (self.parents * [e(w - 1) for w in sizes]))
+        """block's Perron root, that of M = columns^T communities: solved once, then kept."""
+        return spectral_radius(self.columns.T @ self.communities)
 
 
 @_per_laws
-def _parents(params: ModelParams) -> np.ndarray:
-    """parents[i, w]: a type-x parent's K further communities, one singled out, the rest x - (w - 1) members.
+def _communities(params: ModelParams) -> np.ndarray:
+    """communities[i, w]: a type-x vertex's expected further size-w communities, at most x / (w - 1).
 
-    Singling out one of the K leaves K - 1 summing freely; weighted by K that
-    is E[K] times the size-biased shift of K composed with the extra-members
-    pgf, 0 off its support.  No threshold enters: a model and its with_threshold points share it, read-only.
+    E[K] times the size-biased shift of K composed with the extra-members pgf
+    at x - (w - 1) (one of the K singled out, the rest summing freely), times
+    e_w = extra_members(w - 1), over P(X = x): the product first, then one
+    quotient.  No threshold enters: a model and its with_threshold points share it, read-only.
     """
-    further, types = params.extra_communities, child_count_pmf(params).values
-    parents = np.zeros((types.size, len(params.community_sizes.support)))
+    further, xp, sizes = params.extra_communities, child_count_pmf(params), params.community_sizes.support
+    communities = np.zeros((xp.values.size, len(sizes)))
     if further.support_max > 0:
         composed = pgf_compose(further.size_biased_shifted(), params.extra_members)
-        others = types[:, None] + 1 - np.array(params.community_sizes.support)
+        others = xp.values[:, None] + 1 - np.array(sizes)
         at = np.searchsorted(composed.values, others).clip(max=composed.values.size - 1)
-        parents = np.where(composed.values[at] == others, further.mean() * composed.probs[at], 0.0)
-    return _read_only(parents)
+        weights = np.where(composed.values[at] == others, further.mean() * composed.probs[at], 0.0)
+        communities = weights * [params.extra_members(w - 1) for w in sizes] / xp.probs[:, None]
+    return _read_only(communities)
 
 
 @_per_model
 def mean_matrix(params: ModelParams) -> MeanMatrix:
-    """The model's mean matrix: types, masses and the shared parents now, block on first use."""
+    """The model's mean matrix: types and the shared communities now, columns and block on first use."""
     params.require_contagion_assumptions()
     _walk_moves(params)  # the walk's gate, before the composition
-    xp = child_count_pmf(params)
-    return MeanMatrix(params, xp.values, xp.probs, _parents(params), params.max_child_count + 1)
+    return MeanMatrix(params, child_count_pmf(params).values, _communities(params), params.max_child_count + 1)
 
 
 def strongly_connected_components(adjacency: np.ndarray) -> list[list[int]]:

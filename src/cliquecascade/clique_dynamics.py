@@ -167,7 +167,7 @@ def mean_active_column(params: ModelParams, clique_size: int) -> np.ndarray:
     placed = _fold(params, clique_size, [1.0] * len(mass))[1]
     column = np.zeros(len(xp.items))
     for m, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        column[lo:hi] = [placed[m] * p / mass[m] for _, p in xp.items[lo:hi]]
+        column[lo:hi] = placed[m] * (xp.probs[lo:hi] / mass[m])
     return _read_only(column)
 
 

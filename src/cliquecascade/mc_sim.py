@@ -267,13 +267,23 @@ def _spread(rng: np.random.Generator, counts: np.ndarray, probs: np.ndarray) -> 
 
 
 def _count_vectors(total: int, weights: tuple[int, ...], room: int) -> list[tuple[int, ...]]:
-    """Vectors n summing to total with n . weights <= room: first count descending, then the next."""
-    w, rest = weights[0], weights[1:]
-    if total * w > room:  # weights ascend, so total * w is the least any vector here costs
-        return []
-    if not rest:
-        return [(total,)]
-    return [(n, *v) for n in range(total, -1, -1) for v in _count_vectors(total - n, rest, room - n * w)]
+    """Vectors n summing to total with n . weights <= room: first count descending, then the next.
+
+    Depth first on an explicit stack, so any number of weights lists: each
+    count is pushed ascending and popped descending, and a head with nothing
+    left to place ends in zeros.
+    """
+    vectors, stack = [], [((), total, room)]
+    while stack:
+        head, left, spare = stack.pop()
+        w = weights[len(head)]
+        if left * w > spare:  # weights ascend, so left * w is the least any vector here costs
+            continue
+        if not left or len(head) + 1 == len(weights):
+            vectors.append((*head, left) + (0,) * (len(weights) - len(head) - 1))
+        else:
+            stack.extend(((*head, n), left - n, spare - n * w) for n in range(left + 1))
+    return vectors
 
 
 class ActivationProcess:

@@ -299,8 +299,8 @@ class TestMeanMatrix:
         # order k moves by about eps^(1/k) of it: 1e-5 covers k = 3 (6e-6).
         # A tiny type mass leaves rho finite; a subnormal entry inside a
         # component can leave a Perron bracket open.  A block whose products
-        # underflow is no reference: its root can read 0.0 where rho reads
-        # 3.5e-200
+        # underflow is no reference: a product past the double range loses
+        # its digits, or reads 0.0
         matrix = mean_matrix(params)
         tiny = min(params.memberships.probs.min(), params.community_sizes.probs.min()) < 1e-16
         try:
@@ -360,8 +360,8 @@ class TestOneTypeSpace:
         # own Perron solve to the power iteration's tolerance, not bit for bit
         assert spectral_radius(matrix.entries) == spectral_radius(matrix.block)
         assert matrix.rho == pytest.approx(spectral_radius(matrix.block), rel=1e-9)
-        # parents is shared with every with_threshold point
-        for array in (matrix.entries, matrix.block, matrix.parents):
+        # communities is shared with every with_threshold point
+        for array in (matrix.entries, matrix.block, matrix.communities, matrix.columns):
             with pytest.raises(ValueError):
                 array[0, 0] = 1.0
 

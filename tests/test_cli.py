@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
 
 from cliquecascade import (
     EnumerationTooLarge,
@@ -30,7 +31,7 @@ from cliquecascade.clique_dynamics import _walk_moves, mean_active_column
 from cliquecascade.dist_core import pgf_compose
 from cliquecascade.mc_sim import _census_tables
 
-from conftest import standard_model_suite
+from conftest import models, standard_model_suite
 
 TRIANGLE = {
     "memberships": [[3, 1.0]],
@@ -175,6 +176,18 @@ def dense_mean_matrix(params):
     return dense
 
 
+def assert_near_dense(params, dense):
+    """dense is dense_mean_matrix(params) with the same zeros, and within (|sizes| + 2) eps relative.
+
+    Each entry sums |sizes| nonnegative products, each rounded at most three
+    times, on either side.
+    """
+    reference = dense_mean_matrix(params)
+    assert np.array_equal(dense == 0.0, reference == 0.0)
+    bound = (len(params.community_sizes.support) + 2) * np.finfo(float).eps
+    assert (np.abs(dense - reference) <= bound * reference).all()
+
+
 class TestConfigParsing:
     def test_loads_valid(self, tmp_path):
         params = cli.load_model(write_config(tmp_path, TRIANGLE))
@@ -272,11 +285,30 @@ class TestAnalyze:
     @pytest.mark.parametrize("params", standard_model_suite())
     def test_block_expands_to_the_dense_matrix(self, params):
         # the report's {types, entries}, expanded, is the dense view analyze
-        # once emitted, bit for bit
+        # once emitted, up to rounding, with the same zeros
         report = json.loads(cli.emit_json(cli.cmd_analyze(params)))["mean_matrix"]
         dense = np.zeros((params.max_child_count + 1,) * 2)
         dense[np.ix_(report["types"], report["types"])] = report["entries"]
-        assert np.array_equal(dense, dense_mean_matrix(params))
+        assert_near_dense(params, dense)
+
+    @given(models(range(1, 6), range(2, 8), max_points=4))
+    def test_entries_are_the_dense_matrix(self, params):
+        assert_near_dense(params, mean_matrix(params).entries)
+
+    def test_tiny_membership_keeps_its_block_row(self, tmp_path, capsys):
+        # a type-2 vertex opens one size-3 community, whose two children are
+        # of type 2 with probability 5e-201 and of type 6 with 1.5e-200, and
+        # all activate: the rows are rank one, and the root is 1e-199
+        payload = {
+            "memberships": [[1, 1.0], [2, 1e-200]],
+            "community_sizes": [[3, 0.4375], [7, 0.5625]],
+            "threshold": "1/10",
+        }
+        assert run(["analyze", "--config", write_config(tmp_path, payload)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["mean_matrix"]["types"] == [0, 2, 6]
+        assert report["mean_matrix"]["entries"][1] == pytest.approx([2.0, 1e-200, 3e-200], rel=1e-9, abs=0.0)
+        assert report["spectral_radius"] == pytest.approx(1e-199, rel=1e-9, abs=0.0)
 
     def test_roundtrip(self, tmp_path, capsys):
         run(["analyze", "--config", write_config(tmp_path, TRIANGLE)])
@@ -387,6 +419,18 @@ class TestSimulate:
         assert report["mean_vertices_by_depth"][31] == float(6 * 4**30)
         assert report["survival_frequency"] == 1.0
 
+    def test_many_community_sizes_answer(self, tmp_path, capsys):
+        # 600 sizes: the configuration table lists its size-count vectors
+        # without a call per size on the stack
+        payload = {
+            "memberships": [[1, 0.5], [2, 0.5]],
+            "community_sizes": [[w, 1 / 600] for w in range(2, 602)],
+            "threshold": "1/5",
+        }
+        argv = ["--depth", "2", "--replicates", "50", "--seed", "1"]
+        assert run(["simulate", "--config", write_config(tmp_path, payload)] + argv) == 0
+        assert json.loads(capsys.readouterr().out)["config"]["depth"] == 2
+
     def test_census_overflow_exit_1(self, tmp_path, capsys):
         code = run(
             ["simulate", "--config", write_config(tmp_path, TRIANGLE), "--depth", "32",
@@ -496,6 +540,20 @@ class TestSweep:
         verdict = json.loads(capsys.readouterr().out)["verdict"]
         assert verdict["rho"] is None and verdict["boundary"] is False
 
+    def test_tiny_size_masses_keep_the_root(self, tmp_path, capsys):
+        # every vertex has one further community, and sizes 6 and 9 activate
+        # nobody at 3/10, so M on sizes 2 and 3 is [[e2, e3], [2 e2, 2 e2 e3]]
+        # with e_w = w q_w / E[W]; 7.1343739231793107e-101 is its root to 50 digits
+        tiny = 2.3446206874129604e-200
+        payload = {
+            "memberships": [[2, 1.0]],
+            "community_sizes": [[2, tiny], [3, 0.4110663526636965], [6, 0.5889336473363035], [9, tiny]],
+            "threshold": "1/10",
+        }
+        assert run(["sweep", "--config", write_config(tmp_path, payload), "--grid", "3/10"]) == 0
+        rho = float(capsys.readouterr().out.splitlines()[1].split(",")[1])
+        assert rho == pytest.approx(7.1343739231793107e-101, rel=1e-9, abs=0.0)
+
     def test_empty_grid_exit_1(self, tmp_path, capsys):
         assert run(["sweep", "--config", write_config(tmp_path, TRIANGLE),
                     "--grid", " , "]) == 1
@@ -535,10 +593,10 @@ class TestSweep:
         assert lo <= DEEPLY_SUBCRITICAL_RHO <= hi
 
     def test_points_share_the_threshold_free_laws(self, monkeypatch):
-        # no threshold enters the child-count law or the mean matrix's parent
-        # factor: a sweep composes each once for all its points, every point's
-        # mean matrix reads its base's parents, and a separate load of equal
-        # laws composes its own
+        # no threshold enters the child-count law or the mean matrix's
+        # communities factor: a sweep composes each once for all its points,
+        # every point's mean matrix reads its base's communities, and a
+        # separate load of equal laws composes its own
         points, composed, with_threshold = [], [], ModelParams.with_threshold
 
         def kept(base, threshold):
@@ -555,12 +613,13 @@ class TestSweep:
         base = ModelParams.create({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "3/10")
         cli.cmd_sweep(base, ["1/20", "1/10", "1/5", "3/10", "2/5"])
         assert len(points) == 5 and len(composed) == 2
-        parents = mean_matrix(base).parents
+        communities = mean_matrix(base).communities
         for point in points:
-            assert child_count_pmf(point) is child_count_pmf(base) and mean_matrix(point).parents is parents
+            assert child_count_pmf(point) is child_count_pmf(base) and mean_matrix(point).communities is communities
         fresh = mean_matrix(ModelParams.create({2: 0.5, 4: 0.5}, {2: 0.5, 3: 0.5}, "3/10"))
-        assert child_count_pmf(fresh.params) == child_count_pmf(base) and np.array_equal(fresh.parents, parents)
-        assert child_count_pmf(fresh.params) is not child_count_pmf(base) and fresh.parents is not parents
+        assert child_count_pmf(fresh.params) == child_count_pmf(base)
+        assert np.array_equal(fresh.communities, communities)
+        assert child_count_pmf(fresh.params) is not child_count_pmf(base) and fresh.communities is not communities
         assert len(composed) == 4
 
     def test_each_point_is_freed_with_its_tables(self, monkeypatch):
@@ -579,10 +638,10 @@ class TestSweep:
         cli.cmd_sweep(params, ["1/20", "1/5", "3/10", "1/2"])
         gc.collect()
         assert len(points) == 4 and all(point() is None for point in points)
-        law, parents = weakref.ref(child_count_pmf(params)), weakref.ref(mean_matrix(params).parents)
+        law, communities = weakref.ref(child_count_pmf(params)), weakref.ref(mean_matrix(params).communities)
         del params
         gc.collect()
-        assert law() is None and parents() is None
+        assert law() is None and communities() is None
 
 
 class TestVerify:
@@ -873,9 +932,9 @@ def test_sweep_answers_past_the_block_budget(tmp_path, capsys):
 
 
 def test_subnormal_type_mass_answered(tmp_path, capsys):
-    # rho once divided the parent factor by the type masses: type 1's
-    # overflowed to inf and spectral_radius's ValueError escaped cli.main.
-    # The size-to-size matrix divides only mean columns by them
+    # a quotient by type 1's subnormal mass can overflow to inf, and then
+    # spectral_radius's ValueError escapes cli.main; each factor divides
+    # by a type's mass only where the quotient is bounded
     config = write_config(tmp_path, SUBNORMAL_SIZE)
     expected = spectral_radius(mean_matrix(cli.load_model(config)).block)
     assert expected == pytest.approx(4.0, rel=1e-9)
@@ -1046,10 +1105,8 @@ def test_analytic_commands_never_import_numpy_random(tmp_path):
     params = cli.load_model(config)
     for theta in grid.split(","):
         point = params.with_threshold(Threshold.from_string(theta))
-        matrix, sizes = mean_matrix(point), point.community_sizes.support
-        columns = np.column_stack([mean_active_column(point, w) for w in sizes]) / matrix.masses[:, None]
-        e = [point.extra_members(w - 1) for w in sizes]
-        components = strongly_connected_components(columns.T @ (matrix.parents * e) > 0)
+        matrix = mean_matrix(point)
+        components = strongly_connected_components(matrix.columns.T @ matrix.communities > 0)
         assert max(len(c) for c in components) >= 2  # the Perron solve iterates
     script = (
         "import os, sys\n"

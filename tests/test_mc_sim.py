@@ -966,15 +966,21 @@ class TestConfigurationWeights:
         fits = [v for v in expected if sum(map(mul, v, weights)) <= room]
         assert _count_vectors(total, weights, room) == fits
 
+    def test_count_vectors_list_past_the_recursion_limit(self):
+        # one vector per weight, in order, however many weights there are
+        vectors = _count_vectors(1, tuple(range(1, 1501)), 10**6)
+        assert len(vectors) == 1500
+        assert vectors[0] == (1,) + (0,) * 1499 and vectors[-1] == (0,) * 1499 + (1,)
+
     @staticmethod
     def _assert_means_match_marginal(params):
         # E[n_w | X = x] from the table against the configuration marginal
-        # the mean matrix mixes: parents[i, w] e_{w-1} / P(X = x), for the
-        # types within the plan's reach; no clique activates the others
+        # the mean matrix mixes, communities[i, w], for the types within the
+        # plan's reach; no clique activates the others
         tables = _census_tables(params)
         reach = plan_reach(tables)
         xp = child_count_pmf(params)
-        parents = mean_matrix(params).parents
+        communities = mean_matrix(params).communities
         means = tables.fixed.astype(float)
         for x, probs, sizes in tables.configs:
             means[x] = probs @ sizes
@@ -982,8 +988,7 @@ class TestConfigurationWeights:
         assert not any(mean_active_column(params, w)[reach:].any() for w in params.community_sizes.support)
         for i, x in enumerate(xp.support[:reach]):
             for j, w in enumerate(params.community_sizes.support):
-                marginal = parents[i, j] * params.extra_members(w - 1) / xp.probs[i]
-                assert means[i, j] == pytest.approx(marginal, rel=1e-9, abs=0.0), (x, w)
+                assert means[i, j] == pytest.approx(communities[i, j], rel=1e-9, abs=0.0), (x, w)
 
     @given(params=models(range(1, 6), range(2, 6), max_points=3))
     @example(params=MIXTURE)
