@@ -48,7 +48,8 @@ def uniform(values) -> list:
 # a further community: every non-root vertex is of type 0, and the mean
 # matrix composes no other communities.  tiny-type has types 2 and 6 of
 # masses 5e-201 and 1.5e-200, so its block holds entries of 1e-200 and 3e-200
-# and its rho is 1e-199.
+# and its rho is 1e-199.  subnormal-root has a subnormal rho, about 8.9e-322,
+# which the Perron solve reaches only by lifting its component by 2^1066.
 MODELS = {
     "census-deep": ([[1, 0.5], [3, 0.5]], [[2, 1.0]], "1/10"),
     "mixture": ([[2, 0.5], [4, 0.5]], [[2, 0.5], [3, 0.5]], "3/10"),
@@ -69,6 +70,11 @@ MODELS = {
     "subnormal-size": ([[2, 1.0]], [[2, 1e-310], [5, 1.0]], "1/10"),
     "one-community": ([[1, 1.0]], [[3, 1.0]], "1/10"),
     "tiny-type": ([[1, 1.0], [2, 1e-200]], [[3, 0.4375], [7, 0.5625]], "1/10"),
+    "subnormal-root": (
+        [[1, 1.0], [7, 5e-324]],
+        [[5, 0.05263157894736842], [6, 0.47368421052631576], [7, 1e-300], [9, 0.47368421052631576]],
+        "1/20",
+    ),
 }
 
 RUNNER = """

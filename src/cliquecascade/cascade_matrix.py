@@ -38,6 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from math import ldexp
 from typing import Optional
 
 import numpy as np
@@ -187,11 +188,13 @@ def _perron_root(block: np.ndarray) -> float:
 
     Each step reads the Collatz-Wielandt bracket lo <= rho <= hi, the extreme
     ratios (B x)_i / x_i of a positive iterate, and stops once hi - lo <=
-    POWER_REL_TOL * hi, a tolerance relative to rho itself.  The step is
-    x <- (B + hi I) x: shifted by the bracket's upper end, a periodic block
-    cannot cycle, and the shift follows the root, not the row sums.  The
-    iteration starts from the uniform vector and draws nothing.
+    POWER_REL_TOL * hi.  The step is x <- (B + hi I) x: shifted by the
+    bracket's upper end, a periodic block cannot cycle, and the shift follows
+    the root, not the row sums.  A block under 1/2 throughout is lifted by an
+    exact 2^up and scaled back, so a subnormal root keeps its bracket's bits.
     """
+    up = max(0, -int(np.frexp(block.max())[1]))
+    block = np.ldexp(block, up)
     n = block.shape[0]
     x = np.full(n, 1.0 / n)
     lo = hi = 0.0
@@ -201,12 +204,12 @@ def _perron_root(block: np.ndarray) -> float:
         lo = float(ratios.min())
         hi = float(ratios.max())
         if hi - lo <= POWER_REL_TOL * hi:
-            return 0.5 * (lo + hi)
+            return ldexp(0.5 * (lo + hi), -up)
         y += hi * x
         x = y / y.sum()
     raise NoConvergence(
-        f"power iteration exhausted its budget with rho in [{lo:.17g}, {hi:.17g}]",
-        bracket=(lo, hi),
+        f"power iteration exhausted its budget with rho in [{ldexp(lo, -up):.17g}, {ldexp(hi, -up):.17g}]",
+        bracket=(ldexp(lo, -up), ldexp(hi, -up)),
     )
 
 

@@ -235,36 +235,20 @@ def _float_token(x: float) -> str:
 
 
 def emit_json(document) -> str:
-    out: list[str] = []
-    _emit(document, out, 0)
-    return "".join(out) + "\n"
+    return _emit(document, 0) + "\n"
 
 
-def _emit(node, out: list[str], indent: int) -> None:
+def _emit(node, indent: int) -> str:
     pad = "  " * indent
     if isinstance(node, dict):
-        if not node:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (key, value) in enumerate(node.items()):
-            out.append(f'{pad}  {json.dumps(key)}: ')
-            _emit(value, out, indent + 1)
-            out.append(",\n" if i < len(node) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(node, list):
-        flat = all(not isinstance(v, (dict, list)) for v in node)
-        if flat:
-            out.append("[" + ", ".join(_scalar(v) for v in node) + "]")
-            return
-        out.append("[\n")
-        for i, value in enumerate(node):
-            out.append(pad + "  ")
-            _emit(value, out, indent + 1)
-            out.append(",\n" if i < len(node) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        out.append(_scalar(node))
+        items = (f"{pad}  {json.dumps(key)}: {_emit(value, indent + 1)}" for key, value in node.items())
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if node else "{}"
+    if isinstance(node, list) and any(isinstance(v, (dict, list)) for v in node):
+        entries = (f"{pad}  {_emit(value, indent + 1)}" for value in node)
+        return "[\n" + ",\n".join(entries) + f"\n{pad}]"
+    if isinstance(node, list):
+        return "[" + ", ".join(_scalar(v) for v in node) + "]"
+    return _scalar(node)
 
 
 def _scalar(node) -> str:

@@ -9,8 +9,8 @@ degree, i.e. reach floor(threshold * (x_i + w - 1)) + 1.
 Because the activation requirement is monotone in x, the cascade fills the
 clique in increasing order of x: a walk over floor levels f(x) =
 floor(threshold * (x + w - 1)).  This module holds that walk alone:
-_levels holds its tables for one clique size, the support cut into one run
-per level, _alive its reach, _walk_moves its gate, which checks every
+_levels holds its tables for one clique size, the support cut into level
+runs by f's inverse, _alive its reach, _walk_moves its gate, which checks every
 size's float range and prices all sizes' walks before a reader composes,
 and _walk steps through its alive states.  _fold passes over the walk once:
 clique_pgf reads it as the exact law of the activated children by type, as
@@ -48,20 +48,20 @@ def _levels(params: ModelParams, clique_size: int) -> tuple[Pmf, tuple, tuple, t
     """The floor-level walk of one clique size: (xp, bounds, mass, tail), kept on params.
 
     Type x sits on level f(x) = floor(threshold * (x + w - 1)), which never
-    decreases along the support.  So bounds[m], m = 0..w-1, the first support
-    position on level m or above, cuts the support into runs: level m's
-    types are xp.items[bounds[m]:bounds[m + 1]], and no cascade reaches those
-    from bounds[w - 1] on.  mass[m] = P(f(X) = m) and tail[m] = P(f(X) > m),
-    m = 0..w-2, the chance a fresh child is out of reach even with m
-    activated brothers plus the parent.  Checks _require_float_range before
-    any table is built, for direct callers; the walk's readers pass
-    _walk_moves, which checks every size first.
+    decreases along the support; f(x) >= m iff x + w - 1 >= ceil(m / threshold).
+    So bounds[m], m = 0..w-1, the first support position at or past that
+    integer inverse, cuts the support into runs: level m's types are
+    xp.items[bounds[m]:bounds[m + 1]], and no cascade reaches those from
+    bounds[w - 1] on.  mass[m] = P(f(X) = m) and tail[m] = P(f(X) > m),
+    m = 0..w-2, the chance a fresh child is out of reach even with m activated
+    brothers plus the parent.  Checks _require_float_range first for direct
+    callers; the walk's readers pass _walk_moves, which checks every size.
     """
     _require_float_range(clique_size)
     n = clique_size - 1
     xp = child_count_pmf(params)
-    floors = [params.threshold.floor_times(x + n) for x in xp.support]
-    bounds = tuple(bisect_left(floors, m) for m in range(clique_size))
+    num, den = params.threshold.numerator, params.threshold.denominator
+    bounds = tuple(bisect_left(xp.support, -(-m * den // num) - n) for m in range(clique_size))
     mass = tuple(sum(p for _, p in xp.items[lo:hi]) for lo, hi in zip(bounds, bounds[1:]))
     out = sum(p for _, p in xp.items[bounds[-1]:])  # P(f(X) >= n)
     tail = tuple(accumulate(reversed(mass), initial=out))[-2::-1]  # tail[m] = tail[m + 1] + mass[m + 1]

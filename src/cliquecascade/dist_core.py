@@ -32,7 +32,7 @@ import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, wraps
-from math import comb, gcd
+from math import comb, gcd, perm
 
 import numpy as np
 
@@ -134,14 +134,7 @@ class Pmf:
         """E[K (K-1) ... (K-r+1)] for K distributed by this pmf, r >= 1."""
         if r < 1:
             raise ValueError("factorial moment order must be >= 1")
-        total = 0.0
-        for v, p in self.items:
-            term = 1
-            for j in range(r):
-                term *= v - j
-            if term:
-                total += term * p
-        return total
+        return sum(perm(v, r) * p for v, p in self.items)
 
     def size_biased_shifted(self) -> "Pmf":
         """Law of K - 1 under the size-biased reweighting k p_k / E[K].

@@ -433,6 +433,11 @@ class TestSpectralRadius:
                 spectral_radius(STALLING_CYCLE)
             lo, hi = info.value.bracket
             assert lo <= root <= hi
+            # a block under 1/2 throughout is lifted to STALLING_CYCLE / 16:
+            # its bracket is scaled back by the same power of two, exactly
+            with pytest.raises(NoConvergence) as lifted:
+                spectral_radius(np.ldexp(STALLING_CYCLE, -60))
+            assert lifted.value.bracket == (math.ldexp(lo, -60), math.ldexp(hi, -60))
 
     def test_stalled_bracket_converges_without_generator(self, monkeypatch):
         # the stall ends by itself: the deterministic iteration reaches sqrt(10)

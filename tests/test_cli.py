@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from cliquecascade import (
     EnumerationTooLarge,
@@ -134,6 +136,19 @@ SUBNORMAL_SIZE = {
     "community_sizes": [[2, 1e-310], [5, 1.0]],
     "threshold": "1/10",
 }
+# fuzz models whose Perron root is subnormal: every entry of M lies below
+# 1e-321, too few bits for a bracket relative to rho to close unless the solve
+# lifts the component by an exact power of two first
+SUBNORMAL_ROOT = {
+    "memberships": [[1, 1.0], [7, 5e-324]],
+    "community_sizes": [[5, 0.05263157894736842], [6, 0.47368421052631576], [7, 1e-300], [9, 0.47368421052631576]],
+    "threshold": "1/20",
+}
+SUBNORMAL_ROOT_TINY_THETA = {
+    "memberships": [[1, 1.0], [6, 5e-324]],
+    "community_sizes": [[2, 0.6428571428571429], [3, 1e-200], [7, 0.35714285714285715]],
+    "threshold": "1/3000",
+}
 
 # every individual in two communities of two: the infinite path carve-out
 ALL_TWOS = {"memberships": [[2, 1.0]], "community_sizes": [[2, 1.0]], "threshold": "2/5"}
@@ -146,6 +161,15 @@ OVERSIZED = {
     "threshold-1e-3000000": dict(TRIANGLE, threshold="1e-3000000"),
     "integer-5001-digits": json.dumps(TRIANGLE).replace("[[3, 1.0]]", f"[[{'1' * 5001}, 1.0]]", 1),
 }
+
+
+# report-shaped documents: str-keyed dicts, lists, finite floats, ints, bools,
+# None and strings, with empty containers at any depth
+REPORT_DOCUMENTS = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False) | st.text(),
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(), children, max_size=4),
+    max_leaves=30,
+)
 
 
 def write_config(tmp_path, payload, name="model.json"):
@@ -268,6 +292,44 @@ class TestEmitter:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             cli.emit_json({"x": float("nan")})
+
+    @given(REPORT_DOCUMENTS)
+    def test_matches_the_list_threading_writer(self, document):
+        # the writer that appended every token to one output list
+        assert cli.emit_json(document) == threaded_emit_json(document)
+
+
+def threaded_emit_json(document) -> str:
+    """The report writer as it was before it returned each node's text: one out list, indices for commas."""
+    out: list[str] = []
+
+    def emit(node, indent):
+        pad = "  " * indent
+        if isinstance(node, dict):
+            if not node:
+                out.append("{}")
+                return
+            out.append("{\n")
+            for i, (key, value) in enumerate(node.items()):
+                out.append(f"{pad}  {json.dumps(key)}: ")
+                emit(value, indent + 1)
+                out.append(",\n" if i < len(node) - 1 else "\n")
+            out.append(pad + "}")
+        elif isinstance(node, list):
+            if all(not isinstance(v, (dict, list)) for v in node):
+                out.append("[" + ", ".join(cli._scalar(v) for v in node) + "]")
+                return
+            out.append("[\n")
+            for i, value in enumerate(node):
+                out.append(pad + "  ")
+                emit(value, indent + 1)
+                out.append(",\n" if i < len(node) - 1 else "\n")
+            out.append(pad + "]")
+        else:
+            out.append(cli._scalar(node))
+
+    emit(document, 0)
+    return "".join(out) + "\n"
 
 
 class TestAnalyze:
@@ -948,6 +1010,41 @@ def test_subnormal_type_mass_answered(tmp_path, capsys):
     header, *rows = captured.out.splitlines()
     assert captured.err == "" and header == "theta,rho,verdict,boundary" and len(rows) == 2
     assert float(rows[0].split(",")[1]) == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+
+def lifted_eigenvalue_root(params) -> float:
+    """LAPACK's largest |eigenvalue| of M = columns^T communities lifted by 2^up, scaled back by 2^-up."""
+    matrix = mean_matrix(params)
+    m = matrix.columns.T @ matrix.communities
+    up = max(0, -int(np.frexp(m.max())[1]))
+    return math.ldexp(float(max(abs(np.linalg.eigvals(np.ldexp(m, up))))), -up)
+
+
+def test_subnormal_root_answered(tmp_path, capsys):
+    # the bracket [8.8931816251424378e-322, 8.9425881897265624e-322] could
+    # not close at 1/20 (exit 3); lifted, each root is LAPACK's within one
+    # subnormal step
+    config = write_config(tmp_path, SUBNORMAL_ROOT)
+    assert run(["sweep", "--config", config, "--grid", "1/20,1/10"]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+    assert captured.err == ""
+    assert [(theta, float(rho), kind) for theta, rho, kind, _ in rows] == [
+        ("1/20", 8.9425881897265624e-322, "FiniteAlmostSurely"),
+        ("1/10", 8.3497094147170666e-322, "FiniteAlmostSurely"),
+    ]
+    params = cli.load_model(config)
+    for theta, rho, _, _ in rows:
+        assert abs(float(rho) - lifted_eigenvalue_root(params.with_threshold(theta))) <= 5e-324
+
+
+def test_subnormal_root_at_a_tiny_threshold_answered(tmp_path, capsys):
+    config = write_config(tmp_path, SUBNORMAL_ROOT_TINY_THETA)
+    assert run(["analyze", "--config", config]) == 0
+    captured = capsys.readouterr()
+    rho = json.loads(captured.out)["spectral_radius"]
+    assert captured.err == "" and 0.0 < rho < sys.float_info.min
+    assert abs(rho - lifted_eigenvalue_root(cli.load_model(config))) <= 5e-324
 
 
 def test_sweep_answers_many_types_with_a_short_walk(tmp_path, capsys):

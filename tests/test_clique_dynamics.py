@@ -132,6 +132,12 @@ class TestLevelMap:
     @given(models(range(1, 5), range(2, 9), max_points=3))
     @example(model({2: 0.5, 3: 0.5}, {2: 0.5, 5: 0.5}, "1/4"))
     @example(model({1: 0.5, 4: 0.5}, {3: 1.0}, "1/2"))
+    # the inverse ceil(m / theta) - (w - 1) at its extremes: 29-digit terms,
+    # a theta just under 1/2, a 4300-digit denominator, and 1,030 levels
+    @example(model({2: 0.5, 4: 0.5}, {3: 0.5, 9: 0.5}, "12345678901234567890123456789/98765432109876543210987654321"))
+    @example(model({2: 0.5, 4: 0.5}, {3: 0.5, 9: 0.5}, "0.4999999999999999999"))
+    @example(model({2: 0.5, 4: 0.5}, {3: 0.5, 9: 0.5}, "1e-4299"))
+    @example(model({1: 0.5, 2: 0.5}, {1030: 1.0}, "1/3000"))
     def test_bounds_cut_the_support_into_level_runs(self, params):
         # f(x) = floor(theta (x + w - 1)) never decreases along the support, so
         # level m's types are the run bounds[m]:bounds[m + 1], and the types
