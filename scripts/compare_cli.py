@@ -50,6 +50,9 @@ def uniform(values) -> list:
 # masses 5e-201 and 1.5e-200, so its block holds entries of 1e-200 and 3e-200
 # and its rho is 1e-199.  subnormal-root has a subnormal rho, about 8.9e-322,
 # which the Perron solve reaches only by lifting its component by 2^1066.
+# no-reach has 12 memberships over sizes 2..20 at 1/10: every type is at least
+# 11, no walk activates one, and simulate prices and lists no configuration
+# row, where a price over every size counted C(29, 11) = 34,597,290.
 MODELS = {
     "census-deep": ([[1, 0.5], [3, 0.5]], [[2, 1.0]], "1/10"),
     "mixture": ([[2, 0.5], [4, 0.5]], [[2, 0.5], [3, 0.5]], "3/10"),
@@ -75,6 +78,7 @@ MODELS = {
         [[5, 0.05263157894736842], [6, 0.47368421052631576], [7, 1e-300], [9, 0.47368421052631576]],
         "1/20",
     ),
+    "no-reach": ([[12, 1.0]], uniform(range(2, 21)), "1/10"),
 }
 
 RUNNER = """

@@ -135,51 +135,39 @@ def mean_matrix(params: ModelParams) -> MeanMatrix:
 
 
 def strongly_connected_components(adjacency: np.ndarray) -> list[list[int]]:
-    """Tarjan's algorithm, iterative, on a boolean adjacency matrix."""
+    """Kosaraju's algorithm, iterative, on a boolean adjacency matrix.
+
+    A depth-first pass lists the nodes as they finish; then each unplaced node,
+    latest finished first, starts a component a backward sweep over predecessors grows.
+    """
     n = adjacency.shape[0]
     succ = [np.flatnonzero(adjacency[i]).tolist() for i in range(n)]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    components: list[list[int]] = []
-    counter = 0
+    pred = [[] for _ in range(n)]
+    for i, row in enumerate(succ):
+        for j in row:
+            pred[j].append(i)
+    seen, finished = [False] * n, []
     for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
+        work = [] if seen[root] else [(root, iter(succ[root]))]
+        seen[root] = True
         while work:
-            node, ptr = work[-1]
-            if ptr == 0:
-                index[node] = low[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack[node] = True
-            advanced = False
-            for j in range(ptr, len(succ[node])):
-                nxt = succ[node][j]
-                if index[nxt] == -1:
-                    work[-1] = (node, j + 1)
-                    work.append((nxt, 0))
-                    advanced = True
+            for nxt in work[-1][1]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    work.append((nxt, iter(succ[nxt])))
                     break
-                if on_stack[nxt]:
-                    low[node] = min(low[node], index[nxt])
-            if advanced:
-                continue
-            work.pop()
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    v = stack.pop()
-                    on_stack[v] = False
-                    comp.append(v)
-                    if v == node:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+            else:
+                finished.append(work.pop()[0])
+    placed, components = [False] * n, []
+    for root in reversed(finished):
+        if not placed[root]:
+            placed[root] = True
+            components.append([root])
+            for node in components[-1]:  # the component grows while it is read
+                for prev in pred[node]:
+                    if not placed[prev]:
+                        placed[prev] = True
+                        components[-1].append(prev)
     return components
 
 

@@ -40,7 +40,7 @@ from operator import mul
 
 import numpy as np
 
-from .clique_dynamics import _levels, _walk, _walk_moves
+from .clique_dynamics import _alive, _levels, _walk, _walk_moves
 from .dist_core import ModelParams, Threshold, _per_model, child_count_pmf, require_enumerable
 from .errors import CensusOverflow, ConfigInvalid
 
@@ -300,27 +300,31 @@ class ActivationProcess:
     draws nothing, and configs (type, probs, size counts) for the other types
     with communities in increasing order: their configuration law given the
     extra members, one row per size-count vector, in _count_vectors order.
-    Only types a walk activates have rows: those before bounds[len(plan)]
-    of some size.  Raises EnumerationTooLarge past ENUMERATION_BUDGET
-    configuration tuples, an upper bound on the rows listed, then at the
-    walk's gate _walk_moves, before composing the child-count law: for a
-    size past the walk's float range, or walks past ENUMERATION_BUDGET moves.
+    Only types a walk activates have rows: those before the reach, the largest
+    bounds[m], m the levels a size's walk visits.  Raises EnumerationTooLarge at
+    the walk's gate _walk_moves, before composing the child-count law, for a
+    size past the walk's float range or walks past ENUMERATION_BUDGET moves;
+    then past ENUMERATION_BUDGET configuration tuples, a bound on the rows
+    listed: d memberships list C(k_d + d - 2, d - 1) at most, over the k_d
+    sizes w with (w - 1) + (d - 2)(min size - 1) <= room, the largest type in reach.
     """
 
     def __init__(self, params: ModelParams):
         params.require_contagion_assumptions()
         p, q = params.memberships, params.community_sizes
-        count = sum(comb(len(q.support) + d - 2, d - 1) for d in p.support)
-        require_enumerable(count, "configuration tuples")
         _walk_moves(params)  # the walk's gate, before the composition and the configuration table
-        self.cliques = tuple(_walk_levels(params, w) for w in q.support)
-        reach = max(_levels(params, w)[1][len(plan)] for w, plan in zip(q.support, self.cliques))
+        levels = [_levels(params, w) for w in q.support]
+        reach = max(bounds[len([*_alive(mass, tail)])] for _, bounds, mass, tail in levels)
         xp = child_count_pmf(params)
         room = int(xp.values[reach - 1]) if reach else -1  # the largest type a walk activates
+        members = tuple(w - 1 for w in q.support)
+        fits = [sum(m + (d - 2) * members[0] <= room for m in members) for d in p.support]  # k_d per membership d
+        count = sum(comb(k + d - 2, d - 1) if k else 0 for d, k in zip(p.support, fits))
+        require_enumerable(count, "configuration tuples")
+        self.cliques = tuple(_walk_levels(params, w) for w in q.support)
         type_index = {x: i for i, x in enumerate(xp.support)}
         # log P(K = d - 1) + log((d - 1)! / prod n_w!) + sum n_w log e_w; a zero mass weighs -inf
         log_k = {k: log(mass) for k, mass in params.extra_communities.items}
-        members = tuple(w - 1 for w in q.support)
         log_e = [log(e) if e else -inf for e in map(params.extra_members, members)]
         by_type = defaultdict(lambda: ([], []))
         for d in p.support:

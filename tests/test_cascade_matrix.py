@@ -524,7 +524,30 @@ class TestSpectralRadius:
             spectral_radius(np.zeros((2, 3)))
 
 
+@st.composite
+def boolean_matrices(draw):
+    """n x n boolean matrices, n = 1..12, each at its own drawn density."""
+    n, density = draw(st.integers(1, 12)), draw(st.floats(0.0, 1.0))
+    draws = draw(st.lists(st.floats(0.0, 1.0), min_size=n * n, max_size=n * n))
+    return np.array(draws).reshape(n, n) < density
+
+
 class TestSCC:
+    @given(boolean_matrices())
+    @example(np.zeros((1, 1), dtype=bool))
+    @example(np.ones((12, 12), dtype=bool))
+    def test_partition_is_mutual_reachability(self, adjacency):
+        # the classes of mutual reachability, from a Warshall closure of the
+        # reflexive adjacency, are the components; each node lies in one
+        n = adjacency.shape[0]
+        reach = adjacency | np.eye(n, dtype=bool)
+        for k in range(n):
+            reach |= reach[:, [k]] & reach[[k], :]
+        classes = {frozenset(np.flatnonzero(reach[i] & reach[:, i]).tolist()) for i in range(n)}
+        components = strongly_connected_components(adjacency)
+        assert sorted(node for comp in components for node in comp) == list(range(n))
+        assert {frozenset(comp) for comp in components} == classes
+
     def test_two_cycle_plus_isolated(self):
         adjacency = np.array(
             [[False, True, False], [True, False, False], [False, False, False]]

@@ -52,11 +52,12 @@ WIDE_CLIQUE = {
     "community_sizes": [[40, 1.0]],
     "threshold": "1/40",
 }
-# C(29, 11) = 34,597,290 configuration tuples at 12 memberships
+# C(29, 11) = 34,597,290 configuration tuples at 12 memberships; at 1/1000
+# every type sits on level 0, so the walks reach all 199 and each row would be listed
 CONFIGURATION_BUDGET = {
     "memberships": [[12, 1.0]],
     "community_sizes": [[w, 1 / 19] for w in range(2, 21)],
-    "threshold": "1/10",
+    "threshold": "1/1000",
 }
 # a 10^12-square mean matrix, and 10^24 vertices by depth 2 of the census;
 # verify passes, since the one child needs 10^11 + 1 active neighbours
@@ -1094,6 +1095,52 @@ def test_simulate_lists_no_rows_when_no_child_activates(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["mean_active_by_depth"] == [1.0, 0.0, 0.0]
     tables = _census_tables(cli.load_model(config))
     assert not tables.configs and not tables.fixed.any()
+
+
+# 40 memberships over sizes 2..21 at 9/20: no walk activates any type, yet a
+# price over every size counted C(58, 39) = 947,309,492,837,400 tuples
+NO_TYPE_REACHED = {
+    "memberships": [[40, 1.0]],
+    "community_sizes": [[w, 1 / 20] for w in range(2, 22)],
+    "threshold": "9/20",
+}
+
+
+def test_simulate_prices_only_the_rows_within_reach(tmp_path, capsys):
+    # the configuration price reads the walks' reach, so a model whose walks
+    # activate nothing lists and prices no row; sweep answers rho = 0 there
+    config = write_config(tmp_path, NO_TYPE_REACHED)
+    assert run(["simulate", "--depth", "3", "--replicates", "10", "--seed", "1", "--config", config]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["survival_frequency"] == 0.0
+    assert report["mean_active_by_depth"] == [1.0, 0.0, 0.0, 0.0]
+    assert run(["sweep", "--config", config, "--grid", "9/20"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "9/20,0.0,FiniteAlmostSurely,false"
+
+
+# 300 community sizes and 601 types: analyze builds the 601-square block
+MANY_SIZES = {
+    "memberships": [[d, 1 / 3] for d in (1, 2, 3)],
+    "community_sizes": [[w, 1 / 300] for w in range(2, 302)],
+    "threshold": "1/5",
+}
+
+
+def test_analyze_answers_many_community_sizes(tmp_path, capsys):
+    # analyze and sweep each answer within 5.0 s, over ten times what either
+    # takes in process, and print the same rho token at 1/5
+    config = write_config(tmp_path, MANY_SIZES)
+    started = time.monotonic()
+    assert run(["analyze", "--config", config]) == 0
+    assert time.monotonic() - started < 5.0
+    text = capsys.readouterr().out
+    [token] = [line.split(": ")[1].rstrip(",") for line in text.splitlines() if '"spectral_radius"' in line]
+    assert json.loads(text)["verdict"]["kind"] == "FiniteAlmostSurely"
+    started = time.monotonic()
+    assert run(["sweep", "--config", config, "--grid", "1/5,1/10"]) == 0
+    assert time.monotonic() - started < 5.0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [theta for theta, *_ in rows] == ["1/5", "1/10"] and rows[0][1] == token
 
 
 def test_verify_prices_its_cubes_together(tmp_path):

@@ -41,7 +41,7 @@ from cliquecascade import (
     sample_local_graph,
     survival_by_threshold,
 )
-from cliquecascade import dist_core
+from cliquecascade import dist_core, mc_sim
 from cliquecascade.clique_dynamics import _walk, mean_active_column
 from cliquecascade.dist_core import require_enumerable
 from cliquecascade.mc_sim import (
@@ -1552,8 +1552,9 @@ class TestLevelEngine:
         assert max_moves(WIDE_CLIQUE) > 1
 
     def test_configuration_tuples_refused_before_listing(self):
-        # p = {12: 1}, q uniform 2..20: C(29, 11) = 34,597,290 configuration tuples
-        params = model({12: 1.0}, {w: 1 / 19 for w in range(2, 21)}, "1/10")
+        # p = {12: 1}, q uniform 2..20: C(29, 11) = 34,597,290 configuration tuples,
+        # all within the walks' reach at 1/1000, where every type sits on level 0
+        params = model({12: 1.0}, {w: 1 / 19 for w in range(2, 21)}, "1/1000")
         assert comb(29, 11) == 34_597_290
         timings = []
         for _ in range(3):
@@ -1562,6 +1563,31 @@ class TestLevelEngine:
                 _census_tables(params)
             timings.append(perf_counter() - started)
         assert min(timings) < 1e-3
+
+    @given(params=models(range(1, 8), range(2, 8), max_points=3))
+    @example(params=model({12: 1.0}, {w: 1 / 19 for w in range(2, 21)}, "1/10"))  # no type in reach
+    @example(params=model({3: 0.5, 5: 0.5}, {2: 0.5, 6: 0.5}, "1/1000"))  # every type in reach
+    def test_configuration_price_bounds_the_rows_listed(self, params):
+        # the price is at least the vectors _count_vectors lists over all
+        # memberships, and at most the count over every size
+        prices, listed = [], []
+
+        def price(count, what):
+            if what == "configuration tuples":
+                prices.append(count)
+            return require_enumerable(count, what)
+
+        def count_vectors(*args):
+            listed.append(len(vectors := _count_vectors(*args)))
+            return vectors
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(mc_sim, "require_enumerable", price)
+            patch.setattr(mc_sim, "_count_vectors", count_vectors)
+            ActivationProcess(params)
+        sizes = len(params.community_sizes.support)
+        assert len(prices) == 1 and len(listed) == len(params.memberships.support)
+        assert sum(listed) <= prices[0] <= sum(comb(sizes + d - 2, d - 1) for d in params.memberships.support)
 
     def test_large_communities_run(self):
         # p uniform {2,3,4}, q uniform 2..20: about 3e17 sorted clique tuples

@@ -64,7 +64,7 @@ def test_compare_cli_same_tree(src_results):
     # a second interpreter on the same tree
     compare_cli, config_dir, named, results = src_results
     again = compare_cli.run_tree(ROOT / "src", named, config_dir)
-    assert compare_cli.compare(named, results, again) == ["100 commands compared, 0 differ"]
+    assert compare_cli.compare(named, results, again) == ["105 commands compared, 0 differ"]
 
 
 def test_compare_cli_reports_a_difference(tmp_path, src_results):
@@ -81,7 +81,7 @@ def test_compare_cli_reports_a_difference(tmp_path, src_results):
     compare_cli, config_dir, named, results = src_results
     lines = compare_cli.compare(named, results, compare_cli.run_tree(tmp_path, named, config_dir))
     assert any(line.startswith("triangle analyze: stdout first differs") for line in lines)
-    assert lines[-1].startswith("100 commands compared, ") and not lines[-1].endswith(" 0 differ")
+    assert lines[-1].startswith("105 commands compared, ") and not lines[-1].endswith(" 0 differ")
 
 
 def test_phase_sweep_solves_each_theta_once(monkeypatch, capsys):
@@ -139,8 +139,8 @@ def test_unreached_in_process(monkeypatch):
     # the floor-level walk, its level map, its price, its fold and its
     # readers, verify's oracle checks, the census engine as a whole,
     # analyze, the memo that keeps a model's tables on it, the mean matrix's
-    # build and its two factors, the block analyze reports and the one owner
-    # of rho run every statement
+    # build and its two factors, the block analyze reports, the one owner of
+    # rho and the condensation its solve runs on run every statement
     engine = mc_sim.ActivationProcess
     for module, obj in (
         (cli, cli.cmd_analyze),
@@ -150,6 +150,7 @@ def test_unreached_in_process(monkeypatch):
         (cascade_matrix, cascade_matrix.MeanMatrix.columns.func),
         (cascade_matrix, cascade_matrix.MeanMatrix.block.func),
         (cascade_matrix, cascade_matrix.MeanMatrix.rho.func),
+        (cascade_matrix, cascade_matrix.strongly_connected_components),
         (clique_dynamics, clique_dynamics._levels),
         (clique_dynamics, clique_dynamics._alive),
         (clique_dynamics, clique_dynamics._walk_moves.__wrapped__),
